@@ -4,7 +4,7 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test test-fast lint cov bench-smoke bench bench-batch-smoke bench-shard-smoke bench-obs bench-obs-smoke chaos-shard-smoke bench-tier bench-tier-smoke bench-index bench-index-smoke serve-smoke bench-serve bench-serve-smoke
+.PHONY: test test-fast lint cov bench-smoke bench bench-batch-smoke bench-obs bench-obs-smoke bench-tier bench-tier-smoke bench-index bench-index-smoke serve-smoke bench-serve bench-serve-smoke
 
 ## test: full tier-1 suite (slow scaling/property tests included)
 test:
@@ -37,19 +37,6 @@ bench:
 ## pass if solve_many diverges from the serial path bit-for-bit
 bench-batch-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PY) benchmarks/bench_batch.py --smoke --out /tmp/BENCH_batch_smoke.json
-
-## bench-shard-smoke: sharded-vs-fused equivalence smoke (2 workers);
-## refuses to pass unless values/witnesses/ledgers are bit-identical
-bench-shard-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PY) benchmarks/bench_shard.py --smoke --out /tmp/BENCH_shard_smoke.json
-
-## chaos-shard-smoke: supervised-recovery smoke — the seeded
-## worker-kill / delay / shm-corruption matrix plus the chaos benchmark
-## in smoke mode; refuses to pass unless every recovered run is
-## bit-identical to serial
-chaos-shard-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest -x -q tests/test_shard_supervise.py
-	PYTHONPATH=$(PYTHONPATH) $(PY) benchmarks/bench_shard_chaos.py --smoke --out /tmp/BENCH_shard_chaos_smoke.json
 
 ## bench-tier-smoke: fused-vs-blocked kernel-tier sweep at smoke sizes;
 ## refuses to pass unless every blocked run is bit-identical to fused

@@ -168,10 +168,8 @@ def _results_equal(a, b) -> bool:
 
 
 def run_workload(name: str, run: Callable, params: Dict, repeats: int) -> WorkloadRecord:
-    # shards=1: these are single-query hot-path workloads, which the
-    # engine never shards; the column aligns rows with BENCH_shard.json.
     rec = WorkloadRecord(
-        name=name, params=params, shards=1,
+        name=name, params=params,
         kernel_tiers={config: tier for config, tier, _, _ in CONFIGS},
     )
     outputs = {}

@@ -20,13 +20,10 @@ A production-grade reproduction of Aggarwal, Kravets, Park, and Sen
   example, each with a brute-force reference;
 - :mod:`repro.analysis` — growth-law fitting and live regeneration of
   the paper's tables;
-- :mod:`repro.shard` — sharded multi-process execution of fused
-  ``solve_many`` buckets over shared memory (``shards=k`` /
-  ``REPRO_SHARDS``), bit-identical to serial (DESIGN.md §11);
 - :mod:`repro.kernels` — the kernel-tier registry: named execution
-  tiers (``reference`` / ``fused`` / ``blocked`` / optional ``numba``)
-  selected via ``kernel_tier=`` / ``REPRO_KERNEL_TIER``, all charging
-  identical ledgers (DESIGN.md §13);
+  tiers (``reference`` / ``fused`` / ``blocked``) selected via
+  ``kernel_tier=`` / ``REPRO_KERNEL_TIER``, all charging identical
+  ledgers (DESIGN.md §13);
 - :mod:`repro.serve` — the async query service: concurrent clients'
   requests are held for an adaptive fusion window and executed as
   fused ``solve_many`` buckets, with admission control, per-request
@@ -63,7 +60,6 @@ from repro import (
     obs,
     pram,
     serve,
-    shard,
 )
 from repro.engine import (
     BatchResult,
@@ -87,7 +83,6 @@ __all__ = [
     "analysis",
     "engine",
     "obs",
-    "shard",
     "kernels",
     "serve",
     "generators",
@@ -102,4 +97,4 @@ __all__ = [
     "CapabilityError",
 ]
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"

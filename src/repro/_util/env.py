@@ -1,22 +1,19 @@
 """Typed environment-variable parsing shared by every ``REPRO_*`` switch.
 
-Before this module existed, ``repro.shard.config`` and
-``repro.kernels.registry`` each hand-rolled the same motif — read the
-variable, strip it, parse it, and raise a ``ValueError`` naming the
-variable and its accepted range on malformed input.  Four copies of the
-motif had already drifted in small ways (different example strings,
-different treatment of range failures).  These helpers own the motif:
+These helpers own one motif — read the variable, strip it, parse it,
+and raise a ``ValueError`` naming the variable and its accepted range
+on malformed input:
 
 - unset or empty/whitespace-only values mean "no setting" and return
   ``None`` — defaults are the *caller's* business;
 - malformed values raise ``ValueError`` messages of the fixed shape
   ``"<NAME> must be <requirement>; got <value!r>"``, so a deployment
-  typo (``REPRO_SHARDS=four``) fails loudly at resolve time instead of
-  silently running with a default.
+  typo (``REPRO_TILE_BYTES=lots``) fails loudly at resolve time instead
+  of silently running with a default.
 
 Nothing here caches: callers that want resolve-once semantics (the
-lazily-resolved module defaults in the config modules) keep their own
-``_UNSET`` latches.
+lazily-resolved module defaults in :mod:`repro.kernels.registry`) keep
+their own ``_UNSET`` latches.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
-__all__ = ["env_raw", "env_int", "env_float", "env_choice"]
+__all__ = ["env_raw", "env_int", "env_choice"]
 
 
 def env_raw(name: str) -> Optional[str]:
@@ -47,7 +44,7 @@ def env_int(
     """Parse ``name`` as an integer, or ``None`` when unset.
 
     ``requirement`` is the human-readable clause of the error message
-    (e.g. ``"an integer >= 0 (0 disables sharding)"``).  ``minimum`` /
+    (e.g. ``"a positive integer byte budget"``).  ``minimum`` /
     ``exclusive_minimum`` bound the accepted range; out-of-range values
     raise the same ``ValueError`` shape as unparseable ones.
     """
@@ -65,47 +62,15 @@ def env_int(
     return value
 
 
-def env_float(
-    name: str,
-    *,
-    requirement: str,
-    positive: bool = False,
-    finite: bool = False,
-) -> Optional[float]:
-    """Parse ``name`` as a float, or ``None`` when unset.
-
-    ``positive`` requires a value strictly greater than zero; ``finite``
-    rejects NaN and the infinities.  Both failures raise the same
-    ``ValueError`` shape as unparseable input, with ``requirement`` as
-    the message clause.
-    """
-    raw = env_raw(name)
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise _reject(name, requirement, raw) from None
-    if finite and (value != value or value in (float("inf"), float("-inf"))):
-        raise _reject(name, requirement, raw)
-    if positive and not value > 0:
-        raise _reject(name, requirement, raw)
-    return value
-
-
 def env_choice(
     name: str,
     choices: Sequence[str],
     *,
     lower: bool = True,
-    strict: bool = True,
 ) -> Optional[str]:
     """Parse ``name`` against a closed set of accepted values.
 
-    Returns ``None`` when unset.  Unknown values raise ``ValueError``
-    when ``strict`` (the default), or return ``None`` when the caller
-    treats unrecognized settings as "no setting" (the historical
-    ``REPRO_SHARD_START`` behavior).
+    Returns ``None`` when unset; unknown values raise ``ValueError``.
     """
     raw = env_raw(name)
     if raw is None:
@@ -114,6 +79,4 @@ def env_choice(
         raw = raw.lower()
     if raw in choices:
         return raw
-    if strict:
-        raise _reject(name, f"one of {tuple(choices)}", raw)
-    return None
+    raise _reject(name, f"one of {tuple(choices)}", raw)

@@ -10,7 +10,7 @@ the plan → group → execute pipeline (DESIGN.md §9):
 :meth:`Session.solve_many` lowers each query to a
 :class:`~repro.engine.planner.QueryPlan`, groups compatible plans,
 and :func:`repro.engine.lifecycle.run_plans` walks each bucket down
-the executor chain (sharded → fused → serial), returning a
+the executor chain (fused → serial), returning a
 :class:`BatchResult` in input order.  :meth:`Session.prepare` is the
 build-once entry: it returns a :class:`PreparedHandle` answering many
 queries against one precomputed index (DESIGN.md §14).
@@ -52,7 +52,6 @@ from repro.engine.lifecycle import (
     Executor,
     FusedExecutor,
     SerialExecutor,
-    ShardedExecutor,
     execute_bucket,
     run_plans,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "FusedExecutor",
-    "ShardedExecutor",
     "EXECUTORS",
     "execute_bucket",
     "run_plans",

@@ -40,24 +40,11 @@ consolidates all of it:
     machines and return the structured span tree as ``result.trace``
     (DESIGN.md §10).  Off by default; the disabled path costs one
     attribute test per charge.
-``shards``
-    Multi-process execution width for fused buckets (DESIGN.md §11).
-    ``None`` (default) defers to the ``REPRO_SHARDS`` environment
-    default; ``1`` pins the exact serial path; ``k ≥ 2`` lets
-    ``solve_many`` scatter each fused bucket's stacked tensor across
-    ``k`` shared-memory workers (owner-granular row blocks), with
-    per-query ledgers replayed bit-identically.  Buckets that cannot
-    shard (single queries, non-shardable problems, implicit inputs)
-    run the normal in-process path — except that ``cache=True`` with
-    ``shards > 1`` on a non-shardable solver is a declared-capability
-    error (memoization is per-worker; see
-    :class:`~repro.monge.arrays.CachedArray`).
 ``kernel_tier``
     Which execution tier the hot-path kernels run in (DESIGN.md §13):
     ``"reference"`` (round-by-round), ``"fused"`` (vectorized NumPy
-    with ledger charge replay), ``"blocked"`` (fused kernels streaming
-    over byte-budgeted row tiles), or ``"numba"`` (optional JIT stub,
-    available only when the package is importable).  ``None`` (default)
+    with ledger charge replay), or ``"blocked"`` (fused kernels
+    streaming over byte-budgeted row tiles).  ``None`` (default)
     defers to the process-wide tier — itself ``REPRO_KERNEL_TIER``,
     then the deprecated ``REPRO_FAST_PATH`` shim, then ``"fused"``.
     Results, witnesses, ledger snapshots, traces, and certificates are
@@ -66,14 +53,6 @@ consolidates all of it:
     Byte budget for one resident candidate tile in the ``blocked``
     tier.  ``None`` (default) defers to ``REPRO_TILE_BYTES`` (itself
     unset → 64 MiB); ignored by the dense tiers.
-``shard_timeout``
-    Per-shard-task deadline in seconds for supervised dispatch
-    (DESIGN.md §12).  ``None`` (default) defers to the
-    ``REPRO_SHARD_TIMEOUT`` environment default (itself unset → no
-    deadline); a positive float arms per-attempt deadlines and the
-    bucket-level budget in :mod:`repro.shard.supervise`.  Timed-out
-    shards are retried and, past the attempt limit, quarantined to an
-    in-process fallback — results stay bit-identical either way.
 """
 
 from __future__ import annotations
@@ -110,8 +89,6 @@ class ExecutionConfig:
     retries: int = 0
     certify: bool = False
     trace: bool = False
-    shards: Optional[int] = None
-    shard_timeout: Optional[float] = None
     kernel_tier: Optional[str] = None
     tile_bytes: Optional[int] = None
 
@@ -129,29 +106,6 @@ class ExecutionConfig:
             raise ValueError(f"retries must be an int, got {self.retries!r}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.shards is not None:
-            if not isinstance(self.shards, int) or isinstance(self.shards, bool):
-                raise ValueError(f"shards must be an int or None, got {self.shards!r}")
-            if self.shards < 1:
-                raise ValueError(
-                    f"shards must be >= 1, got {self.shards} (use the "
-                    "REPRO_SHARDS=0 environment kill switch to force serial "
-                    "globally; shards=1 pins it per query)"
-                )
-        if self.shard_timeout is not None:
-            if isinstance(self.shard_timeout, bool) or not isinstance(
-                self.shard_timeout, (int, float)
-            ):
-                raise ValueError(
-                    f"shard_timeout must be a positive number of seconds or "
-                    f"None, got {self.shard_timeout!r}"
-                )
-            timeout = float(self.shard_timeout)
-            if not timeout > 0 or timeout != timeout or timeout == float("inf"):
-                raise ValueError(
-                    f"shard_timeout must be a positive finite number of "
-                    f"seconds or None, got {self.shard_timeout!r}"
-                )
         if self.kernel_tier is not None:
             from repro.kernels.registry import get_tier
 
@@ -178,16 +132,13 @@ class ExecutionConfig:
         and ``faults``/``retries`` disqualify fusion outright (so they
         never appear here).  ``trace`` is included so traced and
         untraced queries never share a bucket — a traced bucket pays
-        the per-owner span bookkeeping for all its members.  ``shards``
-        and ``shard_timeout`` are included so differently-sharded (or
-        differently-deadlined) queries never share a bucket: both decide
-        how the whole bucket executes.  ``kernel_tier`` and
-        ``tile_bytes`` are included so mixed-tier (or mixed-budget)
-        queries never fuse — one bucket runs under exactly one tier.
+        the per-owner span bookkeeping for all its members.
+        ``kernel_tier`` and ``tile_bytes`` are included so mixed-tier (or
+        mixed-budget) queries never fuse — one bucket runs under exactly
+        one tier.
         """
         return (self.cache, self.strict, self.checked, self.certify, self.trace,
-                self.shards, self.shard_timeout, self.kernel_tier,
-                self.tile_bytes)
+                self.kernel_tier, self.tile_bytes)
 
     # ------------------------------------------------------------------ #
     def resolve_strategy(self, problem: str, crcw: bool) -> str:

@@ -7,12 +7,12 @@ request to a :class:`~repro.engine.planner.QueryPlan`), **admit** (each
 **execute** (the claiming executor runs the bucket), and **settle**
 (merge sub-accounts, re-emit warnings, record the query).  The
 :class:`~repro.engine.session.Session` owns machine construction and
-bookkeeping; *how* a bucket runs — serially, as one fused stacked
-sweep, or scattered across worker processes — is decided here, by
-walking :data:`EXECUTORS` in priority order and taking the first
-executor whose :meth:`~Executor.admit` accepts the bucket.
+bookkeeping; *how* a bucket runs — serially, or as one fused stacked
+sweep — is decided here, by walking :data:`EXECUTORS` in priority
+order and taking the first executor whose :meth:`~Executor.admit`
+accepts the bucket.
 
-The three executors are ports of the former ``Session._execute_*``
+The two executors are ports of the former ``Session._execute_*``
 branches and preserve their observable behavior bit-for-bit (values,
 witnesses, per-query ledger snapshots, trace totals —
 ``tests/data/pre_refactor_snapshots.json`` pins this):
@@ -24,10 +24,6 @@ witnesses, per-query ledger snapshots, trace totals —
 * :class:`FusedExecutor` — one stacked multi-query sweep per bucket,
   per-query charges replayed by a
   :class:`~repro.kernels.chargefan.ChargeFan`.
-* :class:`ShardedExecutor` — the fused sweep scattered across worker
-  processes over shared memory (``repro.shard``); an unrecoverable
-  :class:`~repro.shard.executor.ShardError` falls back to the
-  in-process fused executor (wall-clock degrades, answers never do).
 """
 
 from __future__ import annotations
@@ -46,13 +42,11 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "FusedExecutor",
-    "ShardedExecutor",
     "EXECUTORS",
     "SERIAL",
     "execute_bucket",
     "run_plans",
     "fused_ready",
-    "shard_width",
     "ledger_swap",
     "run_attempts",
 ]
@@ -218,11 +212,9 @@ def fused_ready(session, plan: QueryPlan) -> bool:
         # Brent machines time-slice charges and NetworkMachines execute
         # genuinely on the network — both stay per-query.
         return False
-    if machine.faults is not None and not getattr(
-        machine.faults, "shard_only", False
-    ):
-        # shard-only plans never perturb the machines (the supervisor
-        # draws them parent-side), so fusion stays legal under them.
+    if machine.faults is not None:
+        # fault replay is per query; the fused sweep runs many owners on
+        # one machine
         return False
     if machine.ledger.processor_limit is not None or machine.processors < (1 << 40):
         # fused sweeps charge global (summed) sizes against the
@@ -232,28 +224,8 @@ def fused_ready(session, plan: QueryPlan) -> bool:
     return True
 
 
-def shard_width(session, bucket: List[QueryPlan]) -> int:
-    """The effective worker count for one fused bucket (1 = stay
-    in-process).  Sharding is owner-granular — whole queries are
-    distributed, never rows of one query — because that is the
-    granularity at which ChargeFan replay keeps ledgers bit-identical
-    (DESIGN.md §11); single-query buckets therefore never shard, and
-    neither do buckets whose inputs would need materializing to reach
-    shared memory."""
-    from repro.shard.config import resolve_shards
-    from repro.shard.executor import shardable_payload
-
-    plan = bucket[0]
-    width = resolve_shards(plan.config.shards)
-    if width <= 1 or not plan.spec.shardable or len(bucket) < 2:
-        return 1
-    if any(shardable_payload(p.data) is None for p in bucket):
-        return 1
-    return min(width, len(bucket))
-
-
 # --------------------------------------------------------------------- #
-# the executor interface and its three implementations
+# the executor interface and its two implementations
 # --------------------------------------------------------------------- #
 class Executor:
     """One way to run a bucket of compatible plans.
@@ -261,13 +233,11 @@ class Executor:
     ``admit`` inspects a bucket and returns an admission dict (possibly
     empty) to claim it, or ``None`` to pass; ``execute`` runs a claimed
     bucket.  :func:`execute_bucket` walks :data:`EXECUTORS` in priority
-    order and dispatches to the first claimant; an executor whose
-    ``execute`` raises one of its :meth:`recoverable` errors is skipped
-    (after :meth:`on_fallback`) and the walk continues.
+    order and dispatches to the first claimant.
     """
 
     name = "executor"
-    #: group-dict flags (merged with the admission)
+    #: the ``fused`` flag of the group dict :func:`execute_bucket` returns
     fused = False
 
     def admit(self, session, bucket: List[QueryPlan]) -> Optional[dict]:
@@ -277,19 +247,8 @@ class Executor:
                 ) -> List[SearchResult]:
         raise NotImplementedError
 
-    def recoverable(self) -> tuple:
-        """Exception classes ``execute`` may raise that mean "let the
-        next executor take the bucket" rather than "fail the batch"."""
-        return ()
-
     def on_success(self, bucket: List[QueryPlan]) -> None:
         """Per-executor metrics, bumped after a successful execution."""
-
-    def on_fallback(self, bucket: List[QueryPlan]) -> None:
-        """Metrics for a recoverable failure handed down the chain."""
-
-    def shards_used(self, admission: dict) -> int:
-        return 1
 
 
 class SerialExecutor(Executor):
@@ -485,186 +444,6 @@ class FusedExecutor(Executor):
         return results
 
 
-class ShardedExecutor(FusedExecutor):
-    """The fused sweep scattered across worker processes.
-
-    The bucket's owner range is cut into contiguous blocks; each worker
-    runs the ordinary stacked sweep on its block against the
-    shared-memory tensors and returns values, witnesses, and a
-    charge-replay log per owner.  The parent replays each owner's log
-    onto its real ledger sub-account — observers (tracer spans) fire
-    exactly as the serial run's would — so snapshots, traces, and
-    certificates are bit-identical to the in-process fused path
-    (tests/test_shard_equivalence.py pins this).  Dispatch runs under
-    supervision (deadlines / retry / hedging / quarantine, DESIGN.md
-    §12), driven by ``shard_timeout`` and any shard-only fault plan in
-    play.  ``execute`` raises
-    :class:`~repro.shard.executor.ShardError` only when a shard is
-    unrecoverable even in-process; the driver then hands the bucket to
-    the in-process :class:`FusedExecutor`.
-    """
-
-    name = "sharded"
-    fused = True
-
-    def admit(self, session, bucket: List[QueryPlan]) -> Optional[dict]:
-        if FusedExecutor.admit(self, session, bucket) is None:
-            return None
-        width = shard_width(session, bucket)
-        if width <= 1:
-            return None
-        return {"shards": width}
-
-    def recoverable(self) -> tuple:
-        from repro.shard.executor import ShardError
-
-        return (ShardError,)
-
-    def on_success(self, bucket: List[QueryPlan]) -> None:
-        m = metrics()
-        m.counter("engine.batch.sharded_queries").inc(len(bucket))
-        m.counter("engine.batch.fused_queries").inc(len(bucket))
-
-    def on_fallback(self, bucket: List[QueryPlan]) -> None:
-        # a broken pool degrades wall-clock, never answers
-        metrics().counter("shard.fallbacks").inc()
-
-    def shards_used(self, admission: dict) -> int:
-        return admission["shards"]
-
-    def execute(self, session, bucket, admission) -> List[SearchResult]:
-        from repro.kernels.registry import resolve_kernel_tier, resolve_tile_bytes
-        from repro.shard.config import resolve_shard_timeout
-        from repro.shard.executor import get_executor, shardable_payload
-        from repro.shard.recording import replay_events
-        from repro.shard.supervise import default_policy
-
-        shards = admission["shards"]
-        spec = bucket[0].spec
-        cfg = bucket[0].config
-        # resolve tier and tile budget parent-side: workers (fork or
-        # spawn) receive explicit values and never consult env state
-        kernel_tier = resolve_kernel_tier(cfg.kernel_tier)
-        tile_bytes = resolve_tile_bytes(cfg.tile_bytes)
-        nodes = spec.nodes_for(bucket[0].shape) if spec.nodes_for is not None else 2
-        machine = session.machine(nodes)
-        limit = machine.ledger.processor_limit
-        qledgers = [CostLedger(processor_limit=limit) for _ in bucket]
-        payloads = [shardable_payload(p.data) for p in bucket]
-        executor = get_executor(workers=shards)
-
-        tracer = Tracer() if cfg.trace else None
-        bucket_span = None
-        if tracer is not None:
-            bucket_span = tracer.begin(
-                "bucket",
-                "bucket",
-                problem=spec.problem,
-                backend=session.backend,
-                strategy=bucket[0].strategy,
-                shape=bucket[0].shape,
-                count=len(bucket),
-                fused=True,
-                shards=shards,
-                start_method=executor.start_method,
-                kernel_tier=kernel_tier,
-            )
-        # shard-only fault plans reach the supervisor (machine plans never
-        # get here: they disqualify fusion, hence sharding, at plan time)
-        faults = cfg.faults if cfg.faults is not None else machine.faults
-        shard_plan, shard_results, report = executor.run_bucket(
-            payloads,
-            problem=spec.problem,
-            cache=cfg.cache,
-            model=machine.model.name,
-            budget=machine.processors,
-            shards=shards,
-            policy=default_policy(resolve_shard_timeout(cfg.shard_timeout)),
-            faults=faults,
-            kernel_tier=kernel_tier,
-            tile_bytes=tile_bytes,
-        )
-
-        walls = [res["wall_s"] for res in shard_results]
-        imbalance = (max(walls) / (sum(walls) / len(walls))) if sum(walls) > 0 else 1.0
-        m = metrics()
-        m.histogram("shard.imbalance").observe(imbalance)
-        m.counter("shard.buckets").inc()
-        m.counter("shard.tasks").inc(len(shard_results))
-        if tracer is not None:
-            bucket_span.attrs["imbalance"] = imbalance
-            if report.recovered:
-                bucket_span.attrs["recovered"] = True
-            for k, ((lo, hi), res) in enumerate(zip(shard_plan.ranges, shard_results)):
-                tr = report.tasks[k]
-                span = tracer.begin(
-                    f"shard-{k}",
-                    "shard",
-                    parent=bucket_span,
-                    owners=hi - lo,
-                    rows=int(sum(shard_plan.weights[lo:hi])),
-                    wall_s=res["wall_s"],
-                    sweep_rounds=res["sweep"]["rounds"],
-                    attempt=tr.attempts,
-                    hedged=tr.hedged,
-                )
-                if tr.timeouts:
-                    span.attrs["timeouts"] = tr.timeouts
-                if tr.partial_fallback:
-                    span.attrs["fallback"] = "in-process"
-                tracer.end(span)
-
-        outs = [pair for res in shard_results for pair in res["outs"]]
-        events = [log for res in shard_results for log in res["events"]]
-        evals = [count for res in shard_results for count in res["evals"]]
-
-        qspans: List = []
-        for i, (plan, qledger) in enumerate(zip(bucket, qledgers)):
-            qspan = None
-            if tracer is not None:
-                qspan = tracer.begin(
-                    "solve",
-                    "solve",
-                    parent=bucket_span,
-                    problem=plan.problem,
-                    backend=session.backend,
-                    strategy=plan.strategy,
-                    shape=plan.shape,
-                    fused=True,
-                )
-                tracer.bind(qledger, qspan)
-                qspans.append(qspan)
-            replay_events(qledger, events[i])
-            if tracer is not None:
-                tracer.unbind(qledger)
-                tracer.end(qspan)
-            # workers evaluated entries on their own mappings; fold the
-            # counts back so the source arrays' eval_count stays the
-            # observable quantity it is on every other path
-            counted = getattr(plan.data, "eval_count", None)
-            if counted is not None:
-                plan.data.eval_count = counted + evals[i]
-        if tracer is not None:
-            tracer.end(bucket_span)
-
-        certificates = _certify_bucket(spec, bucket, outs)
-
-        results: List[SearchResult] = []
-        for i, (plan, (values, witnesses), qledger, certificate) in enumerate(zip(
-            bucket, outs, qledgers, certificates
-        )):
-            session.ledger.merge(qledger)
-            trace = None
-            if tracer is not None:
-                if certificate is not None:
-                    qspans[i].attrs["certified"] = bool(certificate.ok)
-                    qspans[i].attrs["certify_evals"] = int(certificate.evals)
-                trace = tracer.trace(qspans[i])
-            results.append(_settle(session, plan, values, witnesses, qledger,
-                                   certificate, trace))
-        return results
-
-
 def _certify_bucket(spec, bucket: List[QueryPlan], outs) -> List:
     """Compute every requested certificate first, then require() them —
     a failing query reports after all certificates exist (matches the
@@ -683,7 +462,7 @@ def _certify_bucket(spec, bucket: List[QueryPlan], outs) -> List:
 
 def _settle(session, plan: QueryPlan, values, witnesses, qledger,
             certificate, trace) -> SearchResult:
-    """The settle stage for fused-class results (the qledger is already
+    """The settle stage for fused results (the qledger is already
     merged by the caller, which interleaves merging with span reads)."""
     return SearchResult(
         values=values,
@@ -703,27 +482,22 @@ def _settle(session, plan: QueryPlan, values, witnesses, qledger,
 #: Priority-ordered executor chain; the terminal SerialExecutor admits
 #: everything, so the walk in :func:`execute_bucket` always terminates.
 SERIAL = SerialExecutor()
-EXECUTORS: Tuple[Executor, ...] = (ShardedExecutor(), FusedExecutor(), SERIAL)
+EXECUTORS: Tuple[Executor, ...] = (FusedExecutor(), SERIAL)
 
 
 def execute_bucket(session, bucket: List[QueryPlan]
                    ) -> Tuple[List[SearchResult], dict]:
     """Run one bucket through the executor chain.
 
-    Walks :data:`EXECUTORS` in priority order, dispatches to the first
-    executor that admits the bucket, and falls through to the next on a
-    recoverable error.  Returns the results plus the group dict
-    recording what actually ran (``fused`` flag, effective ``shards``).
+    Walks :data:`EXECUTORS` in priority order and dispatches to the
+    first executor that admits the bucket.  Returns the results plus the
+    group dict recording what actually ran (the ``fused`` flag).
     """
     for executor in EXECUTORS:
         admission = executor.admit(session, bucket)
         if admission is None:
             continue
-        try:
-            results = executor.execute(session, bucket, admission)
-        except executor.recoverable():
-            executor.on_fallback(bucket)
-            continue
+        results = executor.execute(session, bucket, admission)
         executor.on_success(bucket)
         return results, {
             "problem": bucket[0].problem,
@@ -732,7 +506,6 @@ def execute_bucket(session, bucket: List[QueryPlan]
             "shape": bucket[0].shape,
             "count": len(bucket),
             "fused": executor.fused,
-            "shards": executor.shards_used(admission),
         }
     raise AssertionError("executor chain exhausted (SerialExecutor admits all)")
 

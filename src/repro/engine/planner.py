@@ -35,10 +35,9 @@ A plan is *fusable* (``fused_key is not None``) iff all of:
 
 Two fusable plans share a bucket iff their keys agree: same problem,
 backend, strategy, shape, and :meth:`ExecutionConfig.fingerprint` —
-which includes the ``shards`` width (the shard count decides how the
-whole bucket executes; see DESIGN.md §11) and the ``kernel_tier`` /
-``tile_bytes`` pair, so mixed-tier queries never fuse: one bucket runs
-under exactly one kernel tier (DESIGN.md §13).
+which includes the ``kernel_tier`` / ``tile_bytes`` pair, so mixed-tier
+queries never fuse: one bucket runs under exactly one kernel tier
+(DESIGN.md §13).
 The session adds machine-level conditions at execution time (plain
 :class:`~repro.pram.machine.Pram`, a fused-class kernel tier, unbounded
 processor budget); a bucket that fails those simply runs serially —
@@ -119,14 +118,9 @@ def _fused_key(
         return None
     if not cfg.strict:
         return None
-    # machine-level fault plans disqualify fusion (the fused sweep runs
-    # one machine for many owners); shard-only plans never touch the
-    # machines — they chaos-test the executor — so fusion stays legal.
-    if cfg.faults is not None and not getattr(cfg.faults, "shard_only", False):
-        return None
-    if session_faults is not None and not getattr(
-        session_faults, "shard_only", False
-    ):
+    # the fused sweep runs one machine for many owners, so any fault
+    # plan keeps the query serial
+    if cfg.faults is not None or session_faults is not None:
         return None
     if cfg.retries:
         return None

@@ -111,14 +111,6 @@ class SolverSpec:
     #: ``sqrt`` recursion has data-independent row structure, which is
     #: what makes per-query charge replay exact (planner.py).
     batchable: bool = False
-    #: May a fused bucket of this solver be scattered across worker
-    #: processes (``ExecutionConfig.shards``)?  Requires ``batchable``
-    #: *and* a pure kernel the shard worker can rerun from a
-    #: shared-memory mapping alone (repro.shard).  Non-shardable
-    #: solvers silently run in-process under ``shards > 1`` — unless
-    #: ``cache=True`` is also set, which is a CapabilityError (the
-    #: per-worker memoization contract cannot be honored).
-    shardable: bool = False
     #: Kernel tiers this solver's hot path can honor (DESIGN.md §13).
     #: Simulated-PRAM solvers run under every tier; network solvers
     #: execute the grouped minimum genuinely on the interconnect and
@@ -156,7 +148,7 @@ class SolverSpec:
             )
 
     def check_kernel_tier(self, tier: Optional[str]) -> None:
-        """Raise :class:`CapabilityError` on an undeclared/unavailable tier.
+        """Raise :class:`CapabilityError` on an undeclared tier.
 
         ``None`` (defer to the process default) always passes — the
         default tier degrades to the dense kernels wherever a solver
@@ -168,25 +160,16 @@ class SolverSpec:
         from repro.kernels.registry import get_tier
 
         t = get_tier(tier)  # ValueError on unknown names (config also checks)
-        declared_available = tuple(
-            n for n in self.kernel_tiers if get_tier(n).available
-        )
-        if t.name in self.kernel_tiers and t.available:
+        if t.name in self.kernel_tiers:
             return
         nearest = next(
-            (n for n in t.proximity if n in declared_available),
-            declared_available[0] if declared_available else "reference",
+            (n for n in t.proximity if n in self.kernel_tiers),
+            self.kernel_tiers[0] if self.kernel_tiers else "reference",
         )
-        if t.name not in self.kernel_tiers:
-            raise CapabilityError(
-                f"solver ({self.problem}, {self.backend}) does not support "
-                f"kernel tier {t.name!r}; declared: {self.kernel_tiers} — "
-                f"nearest supported alternative: {nearest!r}"
-            )
         raise CapabilityError(
-            f"kernel tier {t.name!r} is unavailable (requires the "
-            f"{t.requires!r} package); nearest supported alternative for "
-            f"({self.problem}, {self.backend}): {nearest!r}"
+            f"solver ({self.problem}, {self.backend}) does not support "
+            f"kernel tier {t.name!r}; declared: {self.kernel_tiers} — "
+            f"nearest supported alternative: {nearest!r}"
         )
 
     def within_bound(self, snapshot: Optional[dict], shape: Tuple[int, ...]) -> bool:
@@ -548,10 +531,8 @@ def _banded_bound_crew(shape):  # halving levels x binary grouped min
 # --------------------------------------------------------------------- #
 # Populate the registry.
 # --------------------------------------------------------------------- #
-#: Every registered kernel tier (availability is checked at request
-#: time, so the optional numba stub stays declarable without the
-#: package installed).
-_ALL_TIERS = ("reference", "fused", "blocked", "numba")
+#: Every registered kernel tier.
+_ALL_TIERS = ("reference", "fused", "blocked")
 
 _PRAM_FAMILY = (
     ("rowmin", _rowmin, ("sqrt", "halving"), _certify_rowmin,
@@ -582,7 +563,7 @@ for _problem, _fn, _strats, _cert, _hint in _PRAM_FAMILY:
         problem=_problem, backend="pram-crcw", fn=_fn, strategies=_strats,
         machine="pram", certifier=_cert, bound_hint=_hint,
         bound_rounds=_tube_bound_crcw if _tube else _row_bound_crcw,
-        nodes_for=_nodes, batchable=_batch, shardable=_batch,
+        nodes_for=_nodes, batchable=_batch,
         kernel_tiers=_ALL_TIERS,
     ))
     register(SolverSpec(
@@ -592,7 +573,7 @@ for _problem, _fn, _strats, _cert, _hint in _PRAM_FAMILY:
         strategies=_strats,
         machine="pram", certifier=_cert, bound_hint=_hint,
         bound_rounds=_tube_bound_crew if _tube else _row_bound_crew,
-        nodes_for=_nodes, batchable=_batch, shardable=_batch,
+        nodes_for=_nodes, batchable=_batch,
         kernel_tiers=_ALL_TIERS,
     ))
     for _net in NETWORK_BACKENDS:
@@ -671,7 +652,7 @@ for _problem, _fn, _seqfn, _hint in _WINDOW_FAMILY:
 # answers a single (row_range, col_range) rectangle by row maxima over
 # the sub-array; the `prepare` capability instead builds a MongeIndex
 # (envelope segment tree over row blocks) that amortizes the build cost
-# across many rectangles.  Not batchable/shardable: rectangle queries
+# across many rectangles.  Not batchable: rectangle queries
 # have data-dependent sub-shapes, so ChargeFan replay has nothing
 # uniform to fan out over.
 for _backend, _bound in (

@@ -13,8 +13,8 @@ Queries execute through the staged lifecycle (DESIGN.md §14):
 declarative :class:`~repro.engine.planner.QueryPlan`,
 :func:`~repro.engine.planner.group_plans` buckets compatible plans, and
 :func:`repro.engine.lifecycle.run_plans` walks each bucket down the
-executor chain (:data:`~repro.engine.lifecycle.EXECUTORS`: sharded →
-fused → serial) — the session itself never branches on *how* a bucket
+executor chain (:data:`~repro.engine.lifecycle.EXECUTORS`: fused →
+serial) — the session itself never branches on *how* a bucket
 runs.  :meth:`Session.solve` is simply a one-plan serial execution, and
 :meth:`Session.prepare` is the build-once entry of the precompute-once
 path (:mod:`repro.engine.prepared`).
@@ -191,18 +191,6 @@ class Session:
                 f"({spec.problem}, sequential) has no fault surface to retry over"
             )
         spec.check_kernel_tier(cfg.kernel_tier)
-        if cfg.cache and not spec.shardable:
-            from repro.shard.config import resolve_shards
-
-            if resolve_shards(cfg.shards) > 1:
-                raise CapabilityError(
-                    f"({spec.problem}, {spec.backend}) cannot combine cache= "
-                    "with shards>1: CachedArray memoization is per-worker "
-                    "under sharding, and this solver cannot shard — it would "
-                    "run serially while appearing to honor the sharded cache "
-                    "contract.  Drop cache=, set shards=1, or use a shardable "
-                    "problem (rowmin/rowmax/rowmax_inverse on a PRAM backend)."
-                )
 
     def _derive_config(self, config, overrides) -> ExecutionConfig:
         cfg = config if config is not None else self.config
@@ -335,13 +323,6 @@ class Session:
         to what a serial :meth:`solve` would have charged.  Everything
         else — mixed shapes, staircase/tube problems, fault plans,
         retries — runs through the serial path unchanged.
-
-        With ``shards=k`` (or a ``REPRO_SHARDS`` default), fused buckets
-        of explicit-matrix queries additionally scatter across ``k``
-        worker processes over shared memory (``repro.shard``,
-        DESIGN.md §11); results, snapshots, and traces stay
-        bit-identical, and each group dict records the ``shards`` width
-        that actually ran.
         """
         cfg = self._derive_config(config, overrides)
         if isinstance(problem, str):

@@ -12,7 +12,6 @@ from repro.kernels.registry import (
     DEFAULT_TILE_BYTES,
     KernelTier,
     all_tiers,
-    available_tiers,
     current_tier,
     current_tier_name,
     fused_kernels_enabled,
@@ -32,7 +31,6 @@ __all__ = [
     "register_tier",
     "get_tier",
     "all_tiers",
-    "available_tiers",
     "current_tier",
     "current_tier_name",
     "fused_kernels_enabled",

@@ -3,7 +3,7 @@
 Home of :class:`ChargeFan`, moved here from :mod:`repro.pram.fastpath`
 when tier selection grew into the kernel registry (DESIGN.md §13).  The
 class is tier-independent: every fused-class tier (``fused``,
-``blocked``, ``numba``) charges batched sweeps through it, and the
+``blocked``) charges batched sweeps through it, and the
 ``blocked`` tier's streaming chokepoint replays the identical per-owner
 sequences because the fan works on owner/width metadata, never on the
 candidate values themselves.

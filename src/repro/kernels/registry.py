@@ -20,19 +20,13 @@ boolean with a registry of named :class:`KernelTier` entries:
     ``REPRO_TILE_BYTES``, default 64 MiB), so stacked tensors larger
     than RAM never materialize.  Charges, values, witnesses, traces,
     and certificates are bit-identical to ``fused`` and ``reference``.
-``numba``
-    Optional JIT stub, registered only so a future PR is a registry
-    entry rather than another refactor.  Unavailable unless the
-    ``numba`` package is importable; selecting it without the package
-    raises a :class:`~repro.engine.registry.CapabilityError` naming the
-    nearest available tier.
 
 Selection precedence (first match wins):
 
 1. explicit ``ExecutionConfig.kernel_tier`` / ``kernel_tier(...)``
    context / ``set_kernel_tier(...)``;
 2. ``REPRO_KERNEL_TIER`` environment variable (validated eagerly with a
-   ``ValueError`` naming the variable, like ``REPRO_SHARDS``);
+   ``ValueError`` naming the variable);
 3. the legacy ``REPRO_FAST_PATH`` variable via the deprecation shim in
    :mod:`repro.pram.fastpath` (``0``/``false``/``no`` → ``reference``,
    anything else → ``fused``; warns ``DeprecationWarning`` once);
@@ -60,7 +54,6 @@ __all__ = [
     "register_tier",
     "get_tier",
     "all_tiers",
-    "available_tiers",
     "current_tier",
     "current_tier_name",
     "fused_kernels_enabled",
@@ -86,17 +79,12 @@ class KernelTier:
     kernels (with charge replay); ``out_of_core`` says whether the
     grouped-extremum chokepoint streams candidate tensors through
     byte-budgeted tiles instead of materializing them whole.
-    ``available`` is ``False`` for tiers whose backing dependency is
-    missing (``requires`` names it); selecting an unavailable tier is a
-    declared-capability error, not an ImportError at some random depth.
     """
 
     name: str
     description: str
     fused: bool
     out_of_core: bool = False
-    available: bool = True
-    requires: str = ""
     #: Preference-ordered fallback suggestions for CapabilityErrors.
     proximity: Tuple[str, ...] = field(default=())
 
@@ -125,20 +113,6 @@ def all_tiers() -> Tuple[KernelTier, ...]:
     return tuple(_TIERS.values())
 
 
-def available_tiers() -> Tuple[str, ...]:
-    """Names of the tiers whose dependencies are importable."""
-    return tuple(t.name for t in _TIERS.values() if t.available)
-
-
-def _numba_available() -> bool:
-    try:  # pragma: no cover - depends on the host image
-        import numba  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
 register_tier(
     KernelTier(
         name="reference",
@@ -162,16 +136,6 @@ register_tier(
         fused=True,
         out_of_core=True,
         proximity=("fused", "reference"),
-    )
-)
-register_tier(
-    KernelTier(
-        name="numba",
-        description="JIT-compiled kernels (stub; requires the numba package)",
-        fused=True,
-        available=_numba_available(),
-        requires="numba",
-        proximity=("fused", "blocked", "reference"),
     )
 )
 
@@ -250,29 +214,15 @@ def fused_kernels_enabled() -> bool:
     """True when primitives should use the fused wall-clock kernels.
 
     The registry-era spelling of the old ``fast_path_enabled()``: true
-    for every tier whose ``fused`` flag is set (``fused``, ``blocked``,
-    ``numba``), false only for ``reference``.
+    for every tier whose ``fused`` flag is set (``fused``, ``blocked``),
+    false only for ``reference``.
     """
     return current_tier().fused
-
-
-def _require_available(tier: KernelTier) -> None:
-    if tier.available:
-        return
-    from repro.engine.registry import CapabilityError
-
-    alt = next((n for n in tier.proximity if _TIERS[n].available), "fused")
-    raise CapabilityError(
-        f"kernel tier {tier.name!r} is unavailable: requires the "
-        f"{tier.requires!r} package (not importable here); nearest "
-        f"available tier is {alt!r}"
-    )
 
 
 def set_kernel_tier(name: str) -> str:
     """Activate a tier process-wide; returns the previous tier name."""
     tier = get_tier(name)
-    _require_available(tier)
     global _ACTIVE
     prev = current_tier_name()
     _ACTIVE = tier.name
@@ -382,9 +332,9 @@ def tier_context(
 
     ``None`` fields are no-ops — the active process-wide settings stay
     in force.  Yields the effective tier name, so callers can stamp it
-    on spans and counters.  This is the one chokepoint the engine and
-    shard workers use to scope ``ExecutionConfig.kernel_tier`` /
-    ``tile_bytes`` to a query without leaking process-global state.
+    on spans and counters.  This is the one chokepoint the engine uses
+    to scope ``ExecutionConfig.kernel_tier`` / ``tile_bytes`` to a query
+    without leaking process-global state.
     """
     prev_tier = set_kernel_tier(tier) if tier is not None else None
     prev_tile = set_tile_bytes(tile_bytes) if tile_bytes is not None else _UNSET

@@ -162,18 +162,6 @@ class CachedArray(SearchArray):
     - Ledger charges are issued by the *callers* per requested batch
       and are therefore identical with or without the cache; the cache
       changes wall-clock only, never rounds/processors/work.
-
-    Sharding semantics (``ExecutionConfig.shards > 1``, DESIGN.md §11):
-    memoization is **per-worker**.  Each shard worker builds its own
-    cache over its own shared-memory mapping; there are no cross-process
-    cache writes, no shared hit/miss counters, and a parent-side
-    ``CachedArray`` is never consulted or updated by workers.  This is
-    sound precisely because of the accounting rule above — charges never
-    depend on cache state — so snapshots stay bit-identical.  The engine
-    enforces the contract's edge: combining ``cache=True`` with
-    ``shards > 1`` on a solver that *cannot* shard raises
-    :class:`~repro.engine.registry.CapabilityError` rather than running
-    serially while appearing to honor per-worker caching.
     """
 
     def __init__(self, base) -> None:

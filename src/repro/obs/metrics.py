@@ -183,12 +183,6 @@ class MetricsRegistry:
         if q:
             out["rounds_per_query"] = c.get("engine.rounds", 0) / q
             out["retries_per_query"] = c.get("engine.retries", 0) / q
-        st = c.get("shard.tasks", 0)
-        if st:
-            out["shard_retry_rate"] = c.get("shard.retries", 0) / st
-            out["shard_hedge_rate"] = c.get("shard.hedges", 0) / st
-            out["shard_timeout_rate"] = c.get("shard.timeouts", 0) / st
-            out["shard_quarantine_rate"] = c.get("shard.partial_fallbacks", 0) / st
         sr = c.get("serve.requests", 0)
         if sr:
             out["serve_shed_rate"] = c.get("serve.shed", 0) / (

@@ -100,10 +100,6 @@ class WorkloadRecord:
     work: int = 0
     peak_processors: int = 0
     evals: int = 0
-    #: Shard width the workload ran at (1 = in-process serial/fused).
-    #: Keeps BENCH_hotpath.json rows schema-aligned with the sharded
-    #: tier in BENCH_shard.json so baselines can be compared column-wise.
-    shards: int = 1
     #: Configuration name -> kernel tier it ran under (DESIGN.md §13),
     #: e.g. ``{"ref": "reference", "fast": "fused", "blocked": "blocked"}``.
     kernel_tiers: Dict[str, str] = field(default_factory=dict)
@@ -124,7 +120,6 @@ class WorkloadRecord:
             "work": self.work,
             "peak_processors": self.peak_processors,
             "evals": self.evals,
-            "shards": self.shards,
             "ledger_identical": self.ledger_identical,
             "results_identical": self.results_identical,
         }

@@ -2,9 +2,8 @@
 
 The process-global boolean that used to live here grew into the kernel-
 tier registry (:mod:`repro.kernels.registry`, DESIGN.md §13): named
-tiers ``reference`` / ``fused`` / ``blocked`` (plus an optional
-``numba`` stub), selected via ``ExecutionConfig.kernel_tier`` or
-``REPRO_KERNEL_TIER``.  This module keeps the legacy surface alive and
+tiers ``reference`` / ``fused`` / ``blocked``, selected via
+``ExecutionConfig.kernel_tier`` or ``REPRO_KERNEL_TIER``.  This module keeps the legacy surface alive and
 coherent:
 
 - :func:`fast_path_enabled` → true for every fused-class tier;
@@ -54,7 +53,7 @@ def set_fast_path(enabled: bool) -> bool:
     """Set the global switch; returns the previous boolean value.
 
     ``True`` activates the ``fused`` tier unless a fused-class tier
-    (``fused``/``blocked``/``numba``) is already active; ``False``
+    (``fused``/``blocked``) is already active; ``False``
     activates ``reference``.  Prefer
     :func:`repro.kernels.registry.set_kernel_tier`, which can name any
     tier.
@@ -73,7 +72,7 @@ def fast_path(enabled: bool) -> Iterator[None]:
     """Temporarily force the fast path on or off.
 
     Restores the exact prior tier name on exit (not just the boolean),
-    so nesting inside an active ``blocked``/``numba`` tier round-trips.
+    so nesting inside an active ``blocked`` tier round-trips.
     """
     prev = current_tier_name()
     set_fast_path(enabled)

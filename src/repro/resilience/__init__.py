@@ -29,8 +29,6 @@ from repro.resilience.executor import (
 )
 from repro.resilience.faults import (
     FAULT_KINDS,
-    MACHINE_FAULT_KINDS,
-    SHARD_FAULT_KINDS,
     FaultError,
     FaultEvent,
     FaultPlan,
@@ -45,8 +43,6 @@ __all__ = [
     "TransientFault",
     "FaultRetriesExhausted",
     "FAULT_KINDS",
-    "MACHINE_FAULT_KINDS",
-    "SHARD_FAULT_KINDS",
     "Certificate",
     "CertificationError",
     "certify_row_minima",

@@ -22,33 +22,6 @@ well-defined *fault sites*:
     arbitrary/priority models legally resolve it (the ghost always
     loses, so results are unchanged).
 
-The *shard* kinds extend the same vocabulary into the multi-process
-executor (:mod:`repro.shard.supervise`); the supervisor draws them in
-the parent at dispatch time, so a seed fully determines which tasks are
-struck:
-
-``worker_kill``
-    the worker process assigned a shard task dies mid-task (process
-    pools observe ``BrokenProcessPool`` and the supervisor respawns the
-    pool; the ``thread`` start method simulates the loss by raising
-    :class:`~repro.shard.supervise.ShardWorkerLost`);
-``task_delay``
-    the worker sleeps ``delay_s`` seconds before sweeping — the
-    straggler that deadlines and hedging exist for;
-``shm_corrupt``
-    the task's shared-memory segment header (placement metadata) is
-    scribbled before dispatch; the worker's checksum verification
-    raises :class:`~repro.shard.supervise.ShardIntegrityError` and the
-    supervisor repairs the segment and retries;
-``result_drop``
-    the worker's completed result is discarded in transit, as if the
-    return pickle never arrived.
-
-A plan whose *machine* rates are all zero but carries shard rates is
-``shard_only``: it does not disqualify batch fusion (the simulated
-machines never consult it), so seeded chaos can drive the sharded
-executor while the answers stay bit-identical to the serial path.
-
 Dropped rounds are *replayed*: the machine charges the lost round's
 cost to the ledger's separate retry account
 (:meth:`~repro.pram.ledger.CostLedger.charge_retry`) and re-runs, so
@@ -77,17 +50,9 @@ __all__ = [
     "TransientFault",
     "FaultRetriesExhausted",
     "FAULT_KINDS",
-    "MACHINE_FAULT_KINDS",
-    "SHARD_FAULT_KINDS",
 ]
 
-#: Kinds consulted by the simulated machines (PR 2).
-MACHINE_FAULT_KINDS = (
-    "processor_drop", "link_drop", "message_corrupt", "write_conflict",
-)
-#: Kinds consulted by the shard supervisor (parent-side draws).
-SHARD_FAULT_KINDS = ("worker_kill", "task_delay", "shm_corrupt", "result_drop")
-FAULT_KINDS = MACHINE_FAULT_KINDS + SHARD_FAULT_KINDS
+FAULT_KINDS = ("processor_drop", "link_drop", "message_corrupt", "write_conflict")
 
 
 class FaultError(RuntimeError):
@@ -122,15 +87,9 @@ class FaultPlan:
         Seeds the private generator; two plans with equal seeds and
         rates inject identical fault sequences for identical runs.
     processor_drop, link_drop, message_corrupt, write_conflict:
-        Per-opportunity machine-level firing probabilities in ``[0, 1]``.
-    worker_kill, task_delay, shm_corrupt, result_drop:
-        Per-dispatch shard-level firing probabilities in ``[0, 1]``
-        (consulted by :mod:`repro.shard.supervise`, never by the
-        machines).
+        Per-opportunity firing probabilities in ``[0, 1]``.
     corruption_scale:
         Magnitude of the perturbation applied by ``message_corrupt``.
-    delay_s:
-        Seconds a ``task_delay`` straggler sleeps before sweeping.
     max_events:
         Cap on the retained :class:`FaultEvent` list (counting
         continues past the cap).
@@ -141,12 +100,7 @@ class FaultPlan:
     link_drop: float = 0.0
     message_corrupt: float = 0.0
     write_conflict: float = 0.0
-    worker_kill: float = 0.0
-    task_delay: float = 0.0
-    shm_corrupt: float = 0.0
-    result_drop: float = 0.0
     corruption_scale: float = 1.0
-    delay_s: float = 0.05
     max_events: int = 10000
     events: List[FaultEvent] = field(default_factory=list, repr=False)
 
@@ -155,25 +109,9 @@ class FaultPlan:
             rate = getattr(self, kind)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{kind} rate must be in [0, 1], got {rate}")
-        if self.delay_s < 0:
-            raise ValueError(f"delay_s must be >= 0, got {self.delay_s}")
         self._rng = np.random.default_rng(self.seed)
         self._counts: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
         self.armed = True
-
-    # ------------------------------------------------------------------ #
-    @property
-    def shard_only(self) -> bool:
-        """True when only shard-level kinds can fire.
-
-        Shard-only plans never perturb the simulated machines, so they
-        do not disqualify batch fusion — they exist to chaos-test the
-        multi-process executor while every answer stays bit-identical
-        to the serial path.
-        """
-        return all(
-            getattr(self, kind) == 0.0 for kind in MACHINE_FAULT_KINDS
-        ) and any(getattr(self, kind) > 0.0 for kind in SHARD_FAULT_KINDS)
 
     # ------------------------------------------------------------------ #
     def rate(self, kind: str) -> float:
@@ -193,27 +131,6 @@ class FaultPlan:
         if self._rng.random() >= rate:
             return False
         self._record(kind, site, round_index, detail)
-        return True
-
-    def fires_keyed(self, kind: str, key, site: str = "", detail: str = "") -> bool:
-        """An order-independent draw: a pure function of ``(seed, kind, key)``.
-
-        The machines consult :meth:`fires` sequentially, so their shared
-        stream is reproducible.  The shard supervisor cannot — retries
-        and hedges complete in wall-clock order — so it keys each
-        opportunity by stable coordinates (shard index, attempt number)
-        instead of consuming the stream: the injected *schedule* is then
-        a pure function of the seed no matter how dispatches interleave.
-        """
-        rate = self.rate(kind)
-        if not self.armed or rate <= 0.0:
-            return False
-        rng = np.random.default_rng(
-            (self.seed, FAULT_KINDS.index(kind)) + tuple(int(x) for x in key)
-        )
-        if rng.random() >= rate:
-            return False
-        self._record(kind, site, -1, detail)
         return True
 
     def corrupt(self, values: np.ndarray, site: str = "", round_index: int = -1) -> np.ndarray:

@@ -8,8 +8,7 @@ holds compatible requests for a short adaptive fusion window — the
 hardware fan-in-arbiter trade of a bounded hold for throughput — and
 lowers each bucket through the existing planner and staged lifecycle,
 so served answers are bit-identical to direct :meth:`Session.solve`
-calls and inherit sharding, kernel tiers, resilience, and tracing
-unchanged.
+calls and inherit kernel tiers, resilience, and tracing unchanged.
 
 Quickstart::
 

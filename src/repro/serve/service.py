@@ -10,8 +10,8 @@ adaptive fusion window (:class:`~repro.serve.window.WindowController`).
 A bucket flushes when its window elapses, when it reaches the
 ``max_batch`` size cap, or at drain; flushed buckets run through the
 ordinary staged lifecycle (:func:`repro.engine.lifecycle.run_plans`),
-so fused buckets inherit sharding, kernel tiers, resilience, and
-tracing unchanged, and every answer is bit-identical to a direct
+so fused buckets inherit kernel tiers, resilience, and tracing
+unchanged, and every answer is bit-identical to a direct
 :meth:`Session.solve`.
 
 Admission control is a bounded queue: past ``max_pending`` in-flight

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.rowmin_pram import batched_row_extrema, stack_arrays
 from repro.engine import (
     BatchResult,
     ExecutionConfig,
@@ -23,13 +24,24 @@ from repro.engine import (
     group_plans,
     plan_query,
 )
+from repro.kernels import current_tier
+from repro.monge.arrays import ExplicitArray
 from repro.monge.generators import random_composite, random_monge
 from repro.pram.fastpath import fast_path
+from repro.pram.machine import Pram
+from repro.pram.models import CRCW_COMMON
 from repro.resilience.faults import FaultPlan
 
 RNG = np.random.default_rng(7)
 ARRAYS = [random_monge(9, 11, np.random.default_rng(100 + k)) for k in range(16)]
 COMPOSITE = random_composite(4, 4, 4, RNG)
+
+
+def _fused(count):
+    """How many of ``count`` fusable queries run fused: all of them, or
+    none when the active kernel tier has no stacked-sweep kernel (CI
+    runs this module under every pinned tier)."""
+    return count if current_tier().fused else 0
 
 
 # --------------------------------------------------------------------- #
@@ -43,7 +55,7 @@ def test_solve_many_matches_serial_bit_for_bit():
     batch = batched.solve_many("rowmin", ARRAYS)
 
     assert isinstance(batch, BatchResult)
-    assert batch.fused_queries == len(ARRAYS)
+    assert batch.fused_queries == _fused(len(ARRAYS))
     for ref, got in zip(refs, batch):
         np.testing.assert_array_equal(ref.values, got.values)
         np.testing.assert_array_equal(ref.witnesses, got.witnesses)
@@ -70,7 +82,7 @@ def test_maxima_problems_batch_bit_for_bit(problem, datas):
     serial = Session("pram-crcw")
     refs = [serial.solve(problem, a) for a in datas]
     batch = Session("pram-crcw").solve_many(problem, datas)
-    assert batch.fused_queries == len(datas)
+    assert batch.fused_queries == _fused(len(datas))
     for ref, got in zip(refs, batch):
         np.testing.assert_array_equal(ref.values, got.values)
         np.testing.assert_array_equal(ref.witnesses, got.witnesses)
@@ -79,7 +91,7 @@ def test_maxima_problems_batch_bit_for_bit(problem, datas):
 
 def test_certified_batch_keeps_per_query_certificates():
     batch = Session("pram-crcw").solve_many("rowmin", ARRAYS[:4], certify=True)
-    assert batch.fused_queries == 4
+    assert batch.fused_queries == _fused(4)
     assert all(r.certified for r in batch)
 
 
@@ -87,7 +99,7 @@ def test_crew_and_cached_batches_match_serial():
     s = Session("pram-crew")
     refs = [s.solve("rowmin", a, cache=True) for a in ARRAYS[:5]]
     batch = Session("pram-crew").solve_many("rowmin", ARRAYS[:5], cache=True)
-    assert batch.fused_queries == 5
+    assert batch.fused_queries == _fused(5)
     for ref, got in zip(refs, batch):
         np.testing.assert_array_equal(ref.values, got.values)
         assert got.snapshot == ref.snapshot
@@ -119,7 +131,7 @@ def test_mixed_buckets_results_in_input_order():
 
     # three fused buckets: (rowmin, 5x6), (rowmin, 9x11), (rowmax, 9x11)
     assert len(batch.groups) == 3
-    assert batch.fused_queries == len(queries)
+    assert batch.fused_queries == _fused(len(queries))
     # the session query log also mirrors input order
     assert [q.problem for q in s.queries] == [p for p, _ in queries]
 
@@ -133,7 +145,7 @@ def test_unfusable_queries_interleave_in_order():
     batch = Session("pram-crcw").solve_many(queries)
     assert [r.problem for r in batch] == ["rowmin", "tube_min", "rowmin"]
     fused = [g for g in batch.groups if g["fused"]]
-    assert sum(g["count"] for g in fused) == 2  # the two rowmin queries
+    assert sum(g["count"] for g in fused) == _fused(2)  # the two rowmin queries
     ref = Session("pram-crcw")
     for (prob, data), got in zip(queries, batch):
         want = ref.solve(prob, data)
@@ -203,6 +215,33 @@ def test_solve_many_rejects_malformed_requests():
         s.solve_many("rowmin")  # missing datas
     with pytest.raises(TypeError):
         s.solve_many([("rowmin",)])  # tuple too short
+    with pytest.raises(TypeError):
+        repro.solve_many("rowmin", ARRAYS[:2], workers=2)  # unknown options raise
+
+
+# --------------------------------------------------------------------- #
+# the stacked-sweep building blocks
+# --------------------------------------------------------------------- #
+def test_stack_arrays_single_part_is_passthrough():
+    a = ARRAYS[0]
+    assert stack_arrays([a]) is a  # documented no-copy passthrough
+    view = stack_arrays([np.arange(12.0).reshape(3, 4)])
+    assert isinstance(view, ExplicitArray) and view.data is not None
+
+
+def test_stack_arrays_rejects_empty_and_ragged():
+    with pytest.raises(ValueError, match="zero arrays"):
+        stack_arrays([])
+    with pytest.raises(ValueError, match="share one shape"):
+        stack_arrays([np.zeros((3, 4)), np.zeros((3, 5))])
+
+
+def test_batched_row_extrema_single_query():
+    a = ARRAYS[0]
+    (vals, cols), = batched_row_extrema(Pram(CRCW_COMMON, 1 << 40), [a])
+    ref = repro.solve("rowmin", a)
+    np.testing.assert_array_equal(vals, ref.values)
+    np.testing.assert_array_equal(cols, ref.witnesses)
 
 
 def test_batch_result_container_api():

@@ -14,21 +14,7 @@ def test_defaults():
     assert cfg.strategy == "auto"
     assert cfg.cache is False and cfg.strict is True and cfg.checked is False
     assert cfg.faults is None and cfg.retries == 0 and cfg.certify is False
-    assert cfg.shards is None and cfg.shard_timeout is None
     assert cfg.kernel_tier is None and cfg.tile_bytes is None
-
-
-@pytest.mark.parametrize("bad", [0, -0.5, float("inf"), float("nan"), "30"])
-def test_bad_shard_timeout_rejected(bad):
-    with pytest.raises(ValueError, match="shard_timeout"):
-        ExecutionConfig(shard_timeout=bad)
-
-
-def test_shard_timeout_accepted_and_fingerprinted():
-    cfg = ExecutionConfig(shard_timeout=2.5)
-    assert cfg.shard_timeout == 2.5
-    assert cfg.fingerprint() != ExecutionConfig().fingerprint()
-    assert cfg.with_overrides(shard_timeout=None).shard_timeout is None
 
 
 # --------------------------------------------------------------------- #
@@ -62,8 +48,8 @@ def test_tile_bytes_accepted_and_fingerprinted():
 
 
 def test_env_tier_and_tile_validated_parent_side(monkeypatch):
-    """Malformed env values fail with a ValueError naming the variable
-    before any worker is spawned, exactly like REPRO_SHARDS."""
+    """Malformed env values fail at resolve time with a ValueError
+    naming the variable."""
     from repro.kernels.registry import (
         _reload_env_defaults,
         resolve_kernel_tier,

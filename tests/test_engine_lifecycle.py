@@ -1,10 +1,10 @@
 """The staged query lifecycle: executor chain, admission, fallback.
 
 :mod:`repro.engine.lifecycle` replaced the ``Session._execute_*``
-branches with three :class:`~repro.engine.lifecycle.Executor`
-implementations walked in priority order (sharded → fused → serial).
+branches with two :class:`~repro.engine.lifecycle.Executor`
+implementations walked in priority order (fused → serial).
 These tests pin the chain's contract: admission decisions, group-dict
-contents, metric ordering, recoverable-fallback behavior, and the
+contents, metric ordering, error propagation, and the
 ledger/tracing stage wrappers — independent of the bit-identity
 snapshots (tests/test_engine_snapshots.py covers those).
 """
@@ -18,12 +18,10 @@ from repro.engine.lifecycle import (
     SERIAL,
     FusedExecutor,
     SerialExecutor,
-    ShardedExecutor,
     execute_bucket,
     fused_ready,
     ledger_swap,
     run_plans,
-    shard_width,
 )
 from repro.engine.planner import plan_query
 from repro.monge.generators import random_monge
@@ -50,21 +48,13 @@ def _counters():
 # --------------------------------------------------------------------- #
 class TestChain:
     def test_priority_order(self):
-        assert [type(e) for e in EXECUTORS] == [
-            ShardedExecutor, FusedExecutor, SerialExecutor
-        ]
+        assert [type(e) for e in EXECUTORS] == [FusedExecutor, SerialExecutor]
 
     def test_serial_is_terminal_and_admits_everything(self):
         s = Session("sequential")
         assert EXECUTORS[-1] is SERIAL
         assert SERIAL.admit(s, _plans(s, 1)) == {}
         assert SERIAL.fused is False
-        assert SERIAL.shards_used({}) == 1
-
-    def test_sharded_is_a_fused_executor(self):
-        # fallback hands the bucket to the next chain entry; the sharded
-        # executor must therefore be a strict specialization of fused
-        assert isinstance(EXECUTORS[0], FusedExecutor)
 
 
 # --------------------------------------------------------------------- #
@@ -76,7 +66,7 @@ class TestAdmission:
         bucket = _plans(s, 1)
         assert FusedExecutor().admit(s, bucket) is None
         results, group = execute_bucket(s, bucket)
-        assert group["fused"] is False and group["shards"] == 1
+        assert group["fused"] is False
 
     def test_pair_bucket_fuses(self):
         s = Session("pram-crcw")
@@ -92,24 +82,6 @@ class TestAdmission:
         assert all(p.fused_key is not None for p in bucket)
         assert fused_ready(s, bucket[0]) is False
         assert FusedExecutor().admit(s, bucket) is None
-
-    def test_sharded_requires_width(self):
-        s = Session("pram-crcw")
-        cfg = s._derive_config(None, {"shards": 1})
-        bucket = _plans(s, 4, cfg=cfg)
-        assert shard_width(s, bucket) == 1
-        assert ShardedExecutor().admit(s, bucket) is None
-        # fused still takes it
-        assert FusedExecutor().admit(s, bucket) == {}
-
-    def test_shard_width_caps_at_bucket_size(self):
-        s = Session("pram-crcw")
-        cfg = s._derive_config(None, {"shards": 8})
-        bucket = _plans(s, 3, cfg=cfg)
-        assert shard_width(s, bucket) == 3
-        admission = ShardedExecutor().admit(s, bucket)
-        assert admission == {"shards": 3}
-        assert ShardedExecutor().shards_used(admission) == 3
 
     def test_processor_budget_disqualifies_fusion(self):
         s = Session("pram-crcw", physical_processors=64)
@@ -134,7 +106,6 @@ class TestExecuteBucket:
             "shape": (6, 6),
             "count": 3,
             "fused": True,
-            "shards": 1,
         }
         assert _counters().get("engine.batch.fused_queries") == 3
 
@@ -167,36 +138,9 @@ class TestExecuteBucket:
 
 
 # --------------------------------------------------------------------- #
-# recoverable fallback
+# no fallback: executor errors propagate
 # --------------------------------------------------------------------- #
 class TestFallback:
-    def test_shard_error_falls_back_to_fused(self, monkeypatch):
-        from repro.shard.executor import ShardError
-
-        reset_metrics()
-        s = Session("pram-crcw")
-        cfg = s._derive_config(None, {"shards": 2})
-        bucket = _plans(s, 4, cfg=cfg)
-        assert ShardedExecutor().admit(s, bucket) == {"shards": 2}
-
-        def boom(self, session, bucket, admission):
-            raise ShardError("worker pool unavailable")
-
-        monkeypatch.setattr(ShardedExecutor, "execute", boom)
-        results, group = execute_bucket(s, bucket)
-        # the fused executor took the bucket: answers intact, fallback
-        # metric bumped, sharded_queries NOT counted
-        assert len(results) == 4
-        assert group["fused"] is True and group["shards"] == 1
-        c = _counters()
-        assert c.get("shard.fallbacks") == 1
-        assert c.get("engine.batch.fused_queries") == 4
-        assert "engine.batch.sharded_queries" not in c
-
-        ref = SERIAL.execute_plan(Session("pram-crcw"), bucket[0])
-        np.testing.assert_array_equal(ref.values, results[0].values)
-        assert ref.snapshot == results[0].snapshot
-
     def test_non_recoverable_error_propagates(self, monkeypatch):
         s = Session("pram-crcw")
         bucket = _plans(s, 2)

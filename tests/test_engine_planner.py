@@ -5,8 +5,7 @@ tests pin the three boundaries the lifecycle refactor must not move:
 
 - mixed ``kernel_tier`` (or ``tile_bytes``) never fuses — one bucket
   runs under exactly one tier;
-- ``shard_only`` fault plans (query- or session-level) still fuse —
-  they chaos-test the shard executor, never the machines;
+- any fault plan (query- or session-level) keeps its queries serial;
 - the ``prepare`` entry shape never reaches a fused bucket —
   ``submatrix_max`` is not batchable, so its plans are always
   singleton buckets and a prepared handle never appears in
@@ -73,41 +72,32 @@ class TestMixedTierNeverFuses:
 # --------------------------------------------------------------------- #
 # fault plans
 # --------------------------------------------------------------------- #
-class TestShardOnlyFaultsStillFuse:
-    def test_shard_only_query_plan_fuses(self):
-        faults = FaultPlan(seed=3, worker_kill=0.5)
-        assert faults.shard_only
-        cfg = ExecutionConfig(faults=faults)
-        plans = [_plan(cfg, index=i) for i in range(2)]
-        assert all(p.fused_key is not None for p in plans)
-        assert len(_buckets(plans)) == 1
+# The presence of a plan disqualifies fusion, not its rates: an all-zero
+# plan and a low rate that may never fire keep queries serial too.
+FAULT_PLANS = {
+    "zero": lambda: FaultPlan(seed=3),
+    "processor_drop": lambda: FaultPlan(seed=3, processor_drop=0.5),
+    "low_processor_drop": lambda: FaultPlan(seed=1, processor_drop=0.01),
+    "message_corrupt": lambda: FaultPlan(seed=9, message_corrupt=0.2),
+    "mixed": lambda: FaultPlan(seed=9, message_corrupt=0.2, link_drop=0.1),
+}
 
-    def test_machine_fault_plan_never_fuses(self):
-        faults = FaultPlan(seed=3, processor_drop=0.5)
-        assert not faults.shard_only
-        cfg = ExecutionConfig(faults=faults)
-        plan = _plan(cfg)
-        assert plan.fused_key is None
 
-    def test_mixed_fault_plan_never_fuses(self):
-        # one machine-level kind poisons an otherwise shard-only plan
-        faults = FaultPlan(seed=3, worker_kill=0.5, link_drop=0.1)
-        assert not faults.shard_only
-        assert _plan(ExecutionConfig(faults=faults)).fused_key is None
-
-    def test_shard_only_session_faults_still_fuse(self):
-        session_faults = FaultPlan(seed=9, task_delay=0.4, shm_corrupt=0.1)
-        assert session_faults.shard_only
-        cfg = ExecutionConfig()
-        plans = [_plan(cfg, index=i, session_faults=session_faults)
+class TestFaultPlansNeverFuse:
+    @pytest.mark.parametrize("kind", list(FAULT_PLANS))
+    @pytest.mark.parametrize("level", ["query", "session"])
+    def test_any_fault_plan_disqualifies_fusion(self, level, kind):
+        faults = FAULT_PLANS[kind]()
+        if level == "query":
+            cfg, session = ExecutionConfig(faults=faults), Session("pram-crcw")
+        else:
+            cfg, session = ExecutionConfig(), Session("pram-crcw", faults=faults)
+        plans = [_plan(cfg, index=i, session_faults=session.faults)
                  for i in range(2)]
-        assert all(p.fused_key is not None for p in plans)
-        assert len(_buckets(plans)) == 1
-
-    def test_machine_session_faults_never_fuse(self):
-        session_faults = FaultPlan(seed=9, message_corrupt=0.2)
-        plan = _plan(ExecutionConfig(), session_faults=session_faults)
-        assert plan.fused_key is None
+        assert all(p.fused_key is None for p in plans)
+        assert len(_buckets(plans)) == 2
+        batch = session.solve_many("rowmin", [p.data for p in plans], config=cfg)
+        assert all(not g["fused"] for g in batch.groups)
 
 
 # --------------------------------------------------------------------- #

@@ -3,9 +3,9 @@
 The tentpole contract (DESIGN.md §13): tiers change wall-clock and
 memory residency only.  Values, witnesses, per-query ledger snapshots,
 trace totals, and certificates are bit-identical across ``reference``,
-``fused``, and ``blocked`` for serial, fused-batch, sharded, and
-fault-injected sharded execution; the blocked tier additionally keeps
-the peak resident tile within its byte budget.
+``fused``, and ``blocked`` for serial and fused-batch execution; the
+blocked tier additionally keeps the peak resident tile within its byte
+budget.
 """
 
 import warnings
@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engine import CapabilityError, ExecutionConfig, Session, registry
+from repro.engine import CapabilityError, Session, registry
 from repro.kernels import (
     DEFAULT_TILE_BYTES,
     ChargeFan,  # noqa: F401 - re-export is part of the package surface
     KernelTier,
     all_tiers,
-    available_tiers,
     eval_grouped_min,
     get_tier,
     kernel_tier,
@@ -42,7 +41,6 @@ from repro.obs.metrics import metrics
 from repro.pram.fastpath import fast_path, fast_path_enabled, set_fast_path
 from repro.pram.machine import Pram
 from repro.pram.models import CRCW_COMMON
-from repro.resilience.faults import FaultPlan
 
 ARRAYS = [random_monge(33, 24, np.random.default_rng(400 + k)) for k in range(4)]
 STAIRCASE = random_staircase_monge(11, 13, np.random.default_rng(41))
@@ -74,13 +72,10 @@ def _assert_identical(ref, got):
 # --------------------------------------------------------------------- #
 def test_builtin_tiers_registered():
     names = [t.name for t in all_tiers()]
-    assert names[:4] == ["reference", "fused", "blocked", "numba"]
+    assert names == ["reference", "fused", "blocked"]
     assert not get_tier("reference").fused
     assert get_tier("fused").fused and not get_tier("fused").out_of_core
     assert get_tier("blocked").fused and get_tier("blocked").out_of_core
-    assert get_tier("numba").requires == "numba"
-    for name in ("reference", "fused", "blocked"):
-        assert name in available_tiers()  # numpy-only tiers always work
 
 
 def test_get_tier_unknown_lists_known_names():
@@ -95,7 +90,7 @@ def test_register_tier_roundtrip():
     try:
         assert register_tier(tier) is tier
         assert get_tier("_test") is tier
-        assert "_test" in available_tiers()
+        assert tier in all_tiers()
     finally:
         _TIERS.pop("_test", None)
 
@@ -246,17 +241,8 @@ def test_set_tile_bytes_rejects_nonpositive():
 
 
 # --------------------------------------------------------------------- #
-# unavailable tiers are capability errors naming an alternative
+# undeclared tiers are capability errors naming an alternative
 # --------------------------------------------------------------------- #
-def test_unavailable_numba_tier_is_capability_error():
-    if get_tier("numba").available:
-        pytest.skip("numba importable here; stub tier is selectable")
-    with pytest.raises(CapabilityError, match="nearest .* 'fused'"):
-        set_kernel_tier("numba")
-    with pytest.raises(CapabilityError, match="numba"):
-        repro.solve("rowmin", ARRAYS[0], kernel_tier="numba")
-
-
 def test_backends_declare_their_tiers():
     assert "blocked" in registry.lookup("rowmin", "pram-crcw").kernel_tiers
     seq = registry.lookup("rowmin", "sequential")
@@ -270,7 +256,7 @@ def test_backends_declare_their_tiers():
 
 
 # --------------------------------------------------------------------- #
-# tier bit-identity gate: serial, fused batch, sharded, chaos
+# tier bit-identity gate: serial, fused batch
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize(
@@ -296,20 +282,6 @@ def test_fused_batch_bit_identity_across_tiers(tier):
         _assert_identical(ref, got)
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_sharded_bit_identity_across_tiers(tier):
-    refs = [repro.solve("rowmin", a, kernel_tier="reference") for a in ARRAYS]
-    batch = Session("pram-crcw").solve_many(
-        "rowmin", ARRAYS, shards=2, kernel_tier=tier, tile_bytes=TINY_TILE
-    )
-    # sharding rides on the fused batch path; the reference tier keeps
-    # the per-query serial pipeline (still bit-identical, just unsharded)
-    expected = 2 if get_tier(tier).fused else 1
-    assert batch.groups[0]["shards"] == expected
-    for ref, got in zip(refs, batch):
-        _assert_identical(ref, got)
-
-
 def test_certified_blocked_tier_bit_identical():
     ref = repro.solve("rowmin", ARRAYS[0], certify=True)
     got = repro.solve(
@@ -318,29 +290,6 @@ def test_certified_blocked_tier_bit_identical():
     )
     assert ref.certified and got.certified and got.certificate.ok
     _assert_identical(ref, got)
-
-
-@pytest.mark.parametrize(
-    "plan_kw",
-    [dict(worker_kill=1.0), dict(task_delay=1.0, delay_s=0.4)],
-    ids=["kill", "straggler"],
-)
-def test_chaos_composes_with_blocked_tier(plan_kw):
-    """Supervision recovery and the blocked tier are orthogonal layers:
-    a re-run shard replays the identical tier-scoped charge sequence."""
-    refs = [repro.solve("rowmin", a, kernel_tier="reference") for a in ARRAYS]
-    metrics().reset()
-    plan = FaultPlan(seed=13, **plan_kw)
-    kw = dict(shards=2, faults=plan, kernel_tier="blocked", tile_bytes=TINY_TILE)
-    if "task_delay" in plan_kw:
-        kw["shard_timeout"] = 0.1
-    batch = Session("pram-crcw").solve_many(
-        [("rowmin", a) for a in ARRAYS], config=ExecutionConfig(**kw)
-    )
-    for ref, got in zip(refs, batch):
-        _assert_identical(ref, got)
-    c = metrics().snapshot()["counters"]
-    assert c["shard.retries"] > 0 or c.get("shard.timeouts", 0) > 0
 
 
 # --------------------------------------------------------------------- #

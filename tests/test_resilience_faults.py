@@ -46,39 +46,6 @@ def test_plan_deterministic_same_seed():
     assert drive(a) != drive(c)  # astronomically unlikely to coincide
 
 
-def test_shard_kinds_validated_and_shard_only_property():
-    from repro.resilience import MACHINE_FAULT_KINDS, SHARD_FAULT_KINDS
-
-    assert set(SHARD_FAULT_KINDS) == {
-        "worker_kill", "task_delay", "shm_corrupt", "result_drop",
-    }
-    with pytest.raises(ValueError):
-        FaultPlan(worker_kill=1.1)
-    with pytest.raises(ValueError):
-        FaultPlan(delay_s=-0.5)
-    assert not FaultPlan().shard_only  # nothing fires at all
-    assert FaultPlan(worker_kill=0.5).shard_only
-    assert FaultPlan(task_delay=0.1, shm_corrupt=0.1).shard_only
-    # any machine-level rate disqualifies
-    assert not FaultPlan(worker_kill=0.5, processor_drop=0.01).shard_only
-    assert not FaultPlan(processor_drop=0.5).shard_only
-    assert set(MACHINE_FAULT_KINDS).isdisjoint(SHARD_FAULT_KINDS)
-
-
-def test_fires_keyed_is_order_independent():
-    a = FaultPlan(seed=9, worker_kill=0.5)
-    b = FaultPlan(seed=9, worker_kill=0.5)
-    keys = [(k, attempt) for k in range(4) for attempt in range(3)]
-    fwd = [a.fires_keyed("worker_kill", key) for key in keys]
-    rev = [b.fires_keyed("worker_kill", key) for key in reversed(keys)]
-    assert fwd == list(reversed(rev))  # pure function of (seed, kind, key)
-    assert a.counts() == b.counts()
-    # disarmed and zero-rate draws never fire
-    a.disarm()
-    assert not a.fires_keyed("worker_kill", (0, 0))
-    assert not b.fires_keyed("task_delay", (0, 0))  # rate 0
-
-
 def test_zero_rate_kind_consumes_no_draws():
     # Interleaving a zero-rate kind must not perturb the stream of a
     # live kind: the sequences below agree draw-for-draw.

@@ -14,12 +14,11 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.engine import ExecutionConfig, Session
+from repro.engine import Session
 from repro.monge.generators import random_monge, random_staircase_monge
 from repro.obs import metrics, reset_metrics
 from repro.resilience.faults import FaultPlan
 from repro.serve import QueryService, ServiceConfig, serve_solve
-from repro.shard.config import set_default_start_method
 
 WINDOW = ServiceConfig(min_window=0.001, max_window=0.030, max_batch=64)
 
@@ -146,47 +145,6 @@ def test_faulty_request_retries_accounted_to_that_request_only():
     counters = metrics().snapshot()["counters"]
     # machine faults disqualify fusion: the chaotic request ran serially
     assert counters["serve.fused_requests"] == 4
-
-
-def test_faulty_shard_under_the_service_recovers_bit_identical():
-    """Shard-only chaos (every worker attempt killed) below a fused
-    bucket: supervision retries/quarantines inside the shard layer and
-    each client still gets the bit-identical answer, with recovery
-    visible on the ``shard.*`` counters."""
-    data = [random_monge(12, 9, np.random.default_rng(500 + k)) for k in range(4)]
-    refs = [
-        Session("pram-crcw").solve("rowmin", a, config=ExecutionConfig(shards=1))
-        for a in data
-    ]
-    reset_metrics()
-    plan = FaultPlan(seed=29, worker_kill=1.0)
-    assert plan.shard_only  # keeps the bucket fusable (DESIGN.md §12)
-
-    async def body():
-        svc = QueryService(
-            "pram-crcw",
-            policy=WINDOW,
-            config=ExecutionConfig(shards=2, faults=plan),
-        )
-        async with svc:
-            return await asyncio.gather(*(svc.solve("rowmin", a) for a in data))
-
-    prev = set_default_start_method("thread")
-    try:
-        results = asyncio.run(body())
-    finally:
-        set_default_start_method(prev)
-
-    for want, got in zip(refs, results):
-        np.testing.assert_array_equal(want.values, got.values)
-        np.testing.assert_array_equal(want.witnesses, got.witnesses)
-        assert want.snapshot == got.snapshot
-    counters = metrics().snapshot()["counters"]
-    assert counters["serve.fused_requests"] == 4
-    # recovery really happened under the service
-    assert counters["shard.retries"] > 0
-    assert counters["shard.partial_fallbacks"] == 2
-    assert plan.counts()["worker_kill"] > 0
 
 
 def test_concurrent_prepare_and_solve_share_the_executor_safely():
