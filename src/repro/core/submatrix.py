@@ -25,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.monge.arrays import CachedArray, ImplicitArray, as_search_array
+from repro.monge.arrays import CachedArray, as_search_array
 from repro.monge.index import check_rectangle
 
 __all__ = [
@@ -89,13 +89,9 @@ def submatrix_max_sequential(data, *, cache: bool = False
         a = CachedArray(a)
     r0, r1, c0, c1 = check_rectangle(a.shape, rows, cols)
     sub = a.submatrix(np.arange(r0, r1), np.arange(c0, c1))
-    h, w = r1 - r0, c1 - c0
     # Monge row-flipped is inverse-Monge; its negation is Monge again and
     # leftmost minima in reversed row order are the leftmost maxima.
-    flip = ImplicitArray(
-        lambda r, c: -sub.eval(h - 1 - r, c, checked=False), (h, w)
-    )
-    mins, argcols = row_minima(flip)
+    mins, argcols = row_minima(sub.flip_rows().negate())
     return _reduce_row_maxima(-mins[::-1], argcols[::-1], r0, c0)
 
 

@@ -318,20 +318,13 @@ def _seq_rowmin(machine, data, cfg, strategy):
 
 
 def _seq_rowmax(machine, data, cfg, strategy):
-    import numpy as np
-
-    from repro.monge.arrays import ImplicitArray, as_search_array
+    from repro.monge.arrays import as_search_array
     from repro.monge.smawk import row_minima
 
     _require_sequential_capable(cfg, "rowmax")
-    a = as_search_array(data)
-    m, n = a.shape
-    if m == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
     # Monge row-flipped is inverse-Monge; its negation is Monge again and
     # leftmost minima in reversed row order are the leftmost maxima.
-    flip = ImplicitArray(lambda r, c: -a.eval(m - 1 - r, c, checked=False), (m, n))
-    vals, cols = row_minima(flip)
+    vals, cols = row_minima(as_search_array(data).flip_rows().negate())
     return -vals[::-1], cols[::-1].copy()
 
 

@@ -108,12 +108,26 @@ class SearchArray:
     def negate(self) -> "SearchArray":
         return _Negated(self)
 
+    def flip_rows(self) -> "SearchArray":
+        return _RowFlipped(self)
+
     def flip_cols(self) -> "SearchArray":
         return _ColFlipped(self)
 
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> "SearchArray":
         """The (virtual) subarray indexed by ``rows`` × ``cols``."""
         return _Submatrix(self, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
+
+    def _buffer(self):
+        """``(view, sign, chain)`` when every entry is ``sign * view[i, j]``
+        of one dense NumPy buffer, else ``None``.
+
+        ``view`` is a strided view of the buffer, never a copy.
+        ``chain`` is this array and every array an ``eval`` on it passes
+        through down to the buffer's owner: the arrays whose
+        ``eval_count`` that ``eval`` would advance.
+        """
+        return None
 
 
 class ExplicitArray(SearchArray):
@@ -125,6 +139,9 @@ class ExplicitArray(SearchArray):
 
     def _eval(self, rows, cols):
         return self.data[rows, cols]
+
+    def _buffer(self):
+        return self.data, 1.0, (self,)
 
 
 class ImplicitArray(SearchArray):
@@ -290,47 +307,91 @@ class MongeComposite:
         return ImplicitArray(fn, (r, q))
 
 
-class _Transposed(SearchArray):
-    def __init__(self, base: SearchArray) -> None:
-        super().__init__((base.shape[1], base.shape[0]))
+class _Oriented(SearchArray):
+    """A re-indexing or sign change of ``base``, entry for entry.
+
+    Over a dense buffer it is a strided view of that buffer (see
+    :meth:`SearchArray._buffer`); :meth:`_orient` maps the base's view
+    and sign to this array's, or returns ``None`` when no basic view
+    expresses it.
+    """
+
+    def __init__(self, base: SearchArray, shape: Tuple[int, int] | None = None) -> None:
+        super().__init__(base.shape if shape is None else shape)
         self.base = base
+
+    def _buffer(self):
+        inner = self.base._buffer()
+        if inner is None:
+            return None
+        view, sign, chain = inner
+        oriented = self._orient(view, sign)
+        return None if oriented is None else (*oriented, (self, *chain))
+
+    def _orient(self, view: np.ndarray, sign: float):
+        raise NotImplementedError
+
+
+class _Transposed(_Oriented):
+    def __init__(self, base: SearchArray) -> None:
+        super().__init__(base, (base.shape[1], base.shape[0]))
 
     def _eval(self, rows, cols):
         return self.base.eval(cols, rows, checked=False)
 
+    def _orient(self, view, sign):
+        return view.T, sign
 
-class _Negated(SearchArray):
-    def __init__(self, base: SearchArray) -> None:
-        super().__init__(base.shape)
-        self.base = base
 
+class _Negated(_Oriented):
     def _eval(self, rows, cols):
         return -self.base.eval(rows, cols, checked=False)
 
+    def _orient(self, view, sign):
+        return view, -sign
 
-class _ColFlipped(SearchArray):
-    def __init__(self, base: SearchArray) -> None:
-        super().__init__(base.shape)
-        self.base = base
 
+class _RowFlipped(_Oriented):
+    def _eval(self, rows, cols):
+        return self.base.eval(self.shape[0] - 1 - rows, cols, checked=False)
+
+    def _orient(self, view, sign):
+        return view[::-1], sign
+
+
+class _ColFlipped(_Oriented):
     def _eval(self, rows, cols):
         return self.base.eval(rows, self.shape[1] - 1 - cols, checked=False)
 
+    def _orient(self, view, sign):
+        return view[:, ::-1], sign
 
-class _Submatrix(SearchArray):
+
+class _Submatrix(_Oriented):
     def __init__(self, base: SearchArray, rows: np.ndarray, cols: np.ndarray) -> None:
         m, n = base.shape
         if rows.size and (rows.min() < 0 or rows.max() >= m):
             raise IndexError("submatrix row indices out of range")
         if cols.size and (cols.min() < 0 or cols.max() >= n):
             raise IndexError("submatrix column indices out of range")
-        super().__init__((rows.size, cols.size))
-        self.base = base
+        super().__init__(base, (rows.size, cols.size))
         self.rows = rows
         self.cols = cols
 
     def _eval(self, rows, cols):
         return self.base.eval(self.rows[rows], self.cols[cols], checked=False)
+
+    def _orient(self, view, sign):
+        rs, cs = _as_slice(self.rows), _as_slice(self.cols)
+        return None if rs is None or cs is None else (view[rs, cs], sign)
+
+
+def _as_slice(idx: np.ndarray):
+    """``idx`` as a basic slice when it is a contiguous increasing range."""
+    start = int(idx[0]) if idx.size else 0
+    if (np.diff(idx) != 1).any():
+        return None
+    return slice(start, start + idx.size)
 
 
 def as_search_array(x) -> SearchArray:

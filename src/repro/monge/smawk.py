@@ -24,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.monge.arrays import SearchArray, as_search_array
+from repro.monge.arrays import as_search_array
 
 __all__ = ["smawk", "row_minima", "row_maxima"]
 
@@ -46,12 +46,19 @@ def smawk(array) -> Tuple[np.ndarray, np.ndarray]:
     if n == 0:
         raise ValueError("cannot take row minima of a zero-column array")
 
-    # Local accessor: fall back to per-entry eval; ExplicitArray fast path.
-    data = getattr(a, "data", None)
-    if data is not None:
+    # Entry accessor.  Over a dense buffer (an ExplicitArray, or a chain
+    # of orientation wrappers over one) read scalars from its strided
+    # view and count them locally; anything else goes through ``eval``.
+    buffer = a._buffer()
+    count = 0
+    if buffer is not None:
+        view, sign, chain = buffer
+        item = view.item
+
         def ev(i: int, j: int) -> float:
-            a.eval_count += 1
-            return data[i, j]
+            nonlocal count
+            count += 1
+            return sign * item(i, j)
     else:
         def ev(i: int, j: int) -> float:
             return float(a.eval(np.array([i]), np.array([j]))[0])
@@ -95,10 +102,19 @@ def smawk(array) -> Tuple[np.ndarray, np.ndarray]:
         # advance lower bounds for the *next* even rows via their
         # predecessors: handled by `lo = hi` above (positions monotone).
 
-    solve(list(range(m)), list(range(n)))
+    try:
+        solve(list(range(m)), list(range(n)))
+    finally:
+        # every array in the chain reads as if each entry went through eval
+        if buffer is not None:
+            for arr in chain:
+                arr.eval_count += count
 
     rows_idx = np.arange(m)
-    values = a.eval(rows_idx, out_col) if data is None else data[rows_idx, out_col]
+    if buffer is not None and len(chain) == 1:
+        values = view[rows_idx, out_col]  # a bare ExplicitArray: uncounted
+    else:
+        values = a.eval(rows_idx, out_col)
     return np.asarray(values, dtype=np.float64), out_col
 
 

@@ -59,6 +59,7 @@ def test_views_transpose_negate_flip():
     np.testing.assert_array_equal(a.transpose().materialize(), a.data.T)
     np.testing.assert_array_equal(a.negate().materialize(), -a.data)
     np.testing.assert_array_equal(a.flip_cols().materialize(), a.data[:, ::-1])
+    np.testing.assert_array_equal(a.flip_rows().materialize(), a.data[::-1])
 
 
 def test_submatrix_view():

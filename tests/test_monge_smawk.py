@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monge.arrays import ExplicitArray, ImplicitArray
+from repro.monge.arrays import CachedArray, ExplicitArray, ImplicitArray
 from repro.monge.generators import (
     chain_distance_array,
     convex_position_points,
     random_inverse_monge,
     random_monge,
+    random_staircase_monge,
 )
 from repro.monge.smawk import row_maxima, row_minima, smawk
 
@@ -123,3 +124,214 @@ def test_smawk_property_random_instances(seed):
     bv, bc = brute_leftmost_minima(a.data)
     np.testing.assert_allclose(v, bv)
     np.testing.assert_array_equal(c, bc)
+
+
+# ---- dense-buffer path: differential against the per-entry path ------- #
+
+def _rect(k):
+    """A nonempty contiguous index range inside ``range(k)``."""
+    return np.arange(k // 4, k - k // 4)
+
+
+CHAINS = {
+    "bare": [],
+    "negate": [lambda x: x.negate()],
+    "flip_rows": [lambda x: x.flip_rows()],
+    "flip_cols": [lambda x: x.flip_cols()],
+    "transpose": [lambda x: x.transpose()],
+    "submatrix": [lambda x: x.submatrix(_rect(x.shape[0]), _rect(x.shape[1]))],
+    "flip_rows_negate": [lambda x: x.flip_rows(), lambda x: x.negate()],
+    "submatrix_flip_rows_negate": [
+        lambda x: x.submatrix(_rect(x.shape[0]), _rect(x.shape[1])),
+        lambda x: x.flip_rows(),
+        lambda x: x.negate(),
+    ],
+}
+
+
+def _build(base, steps):
+    """``[base, step1(base), ...]``: every array of the chain, base first."""
+    arrays = [base]
+    for step in steps:
+        arrays.append(step(arrays[-1]))
+    return arrays
+
+
+def _per_entry(top):
+    """``top`` behind an ImplicitArray: SMAWK can only read it per entry."""
+    return ImplicitArray(lambda r, c: top.eval(r, c, checked=False), top.shape)
+
+
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (5, 17), (17, 5), (80, 80), (257, 64)])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_buffer_path_matches_per_entry_path(chain, shape, integer):
+    """Same comparisons, answers and per-array counts as through ``eval``;
+    chains that are not Monge (``flip_rows`` alone) must agree too."""
+    base = random_monge(*shape, np.random.default_rng([*shape, integer]), integer=integer)
+    arrays = _build(base, CHAINS[chain])
+    twins = _build(ExplicitArray(base.data.copy()), CHAINS[chain])
+    view, sign, links = arrays[-1]._buffer()
+    assert links == tuple(reversed(arrays)) and np.shares_memory(view, base.data)
+
+    v, c = smawk(arrays[-1])
+    ov, oc = smawk(_per_entry(twins[-1]))
+
+    np.testing.assert_array_equal(v, ov)
+    np.testing.assert_array_equal(c, oc)
+    got = [x.eval_count for x in arrays]
+    want = [x.eval_count for x in twins]
+    if chain == "bare":
+        # a bare ExplicitArray's final m-entry fetch is not counted
+        want[0] -= arrays[-1].shape[0]
+    assert got == want
+    np.testing.assert_array_equal(sign * view, twins[-1].materialize())
+
+
+def test_buffer_path_credits_counts_when_the_search_raises():
+    """An all-infinite odd row leaves no minimum to bound the even rows:
+    both paths raise after the same evaluations, and count them."""
+    dense = np.array([[0.0, 1.0, 2.0], [np.inf, np.inf, np.inf], [0.0, 1.0, 2.0]])
+    a, twin = ExplicitArray(dense), ExplicitArray(dense)
+    with pytest.raises(KeyError):
+        smawk(a)
+    with pytest.raises(KeyError):
+        smawk(_per_entry(twin))
+    assert a.eval_count == twin.eval_count > 0
+
+
+def _cached(rng):
+    return CachedArray(random_monge(40, 30, rng))
+
+
+def _staircase(rng):
+    return random_staircase_monge(40, 30, rng, boundary=np.full(40, 30))
+
+
+def _implicit(rng):
+    b = random_monge(40, 30, rng)
+    return ImplicitArray(lambda r, c: b.data[r, c], b.shape)
+
+
+def _fancy(rng):
+    return random_monge(80, 80, rng).submatrix(np.arange(0, 80, 2), np.arange(1, 80, 3))
+
+
+@pytest.mark.parametrize("make", [_cached, _staircase, _implicit, _fancy])
+@pytest.mark.parametrize("chain", ["bare", "flip_rows_negate", "submatrix_flip_rows_negate"])
+def test_fallback_types_stay_per_entry(make, chain):
+    arrays = _build(make(np.random.default_rng(3)), CHAINS[chain])
+    twins = _build(make(np.random.default_rng(3)), CHAINS[chain])
+    assert arrays[-1]._buffer() is None
+
+    v, c = smawk(arrays[-1])
+    ov, oc = smawk(_per_entry(twins[-1]))
+
+    np.testing.assert_array_equal(v, ov)
+    np.testing.assert_array_equal(c, oc)
+    assert [x.eval_count for x in arrays] == [x.eval_count for x in twins]
+    if make is _cached:
+        assert (arrays[0].hits, arrays[0].misses) == (twins[0].hits, twins[0].misses)
+        assert arrays[0].raw_eval_count == twins[0].raw_eval_count
+
+
+def test_fallback_counts_pinned():
+    """Values, witnesses and counts of the per-entry types, as measured
+    before the dense-buffer path existed."""
+    from repro.core.submatrix import submatrix_max_sequential
+    from repro.monge.staircase_seq import row_minima_staircase_blocks
+
+    a = random_monge(80, 80, np.random.default_rng(5))
+    cached = CachedArray(a)
+    _, w = submatrix_max_sequential((cached, (5, 70), (3, 77)))
+    assert w.tolist() == [5, 3]
+    assert (cached.eval_count, cached.hits, cached.misses, a.eval_count) == (584, 152, 432, 432)
+
+    st = random_staircase_monge(60, 50, np.random.default_rng(7))
+    _, w = row_minima_staircase_blocks(st)
+    assert (int(w.sum()), st.eval_count, st.base.eval_count) == (1139, 1984, 1984)
+
+    a = random_monge(80, 80, np.random.default_rng(8))
+    sub = a.submatrix(np.arange(0, 80, 2), np.arange(1, 80, 3))
+    _, w = smawk(sub)
+    assert (int(w.sum()), sub.eval_count, a.eval_count) == (1039, 160, 160)
+
+    b = random_monge(50, 70, np.random.default_rng(9))
+    im = ImplicitArray(lambda r, c: b.eval(r, c, checked=False), b.shape)
+    _, w = smawk(im)
+    assert (int(w.sum()), im.eval_count, b.eval_count) == (3405, 384, 384)
+
+
+@pytest.mark.parametrize("problem", ["rowmin", "rowmax", "rowmax_inverse"])
+def test_sequential_solve_copies_nothing_of_size_mn(problem):
+    """The buffer path reads views: an m·n copy at n=1024 would be 8.4 MB."""
+    import tracemalloc
+
+    from repro.engine import Session
+
+    gen = random_inverse_monge if problem == "rowmax_inverse" else random_monge
+    a = gen(1024, 1024, np.random.default_rng(0))
+    session = Session("sequential")
+    session.solve(problem, gen(8, 8, np.random.default_rng(1)))  # warm up
+    tracemalloc.start()
+    try:
+        session.solve(problem, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{problem}: peak {peak / 2**20:.2f} MB"
+
+
+# ---- evaluation counts the paper's tables report ---------------------- #
+
+PINNED_SHAPES = [(80, 80), (37, 61), (61, 37)]
+PINNED_RECTS = [((5, 70), (3, 77)), ((0, 37), (10, 40)), ((20, 61), (0, 37))]
+
+
+@pytest.mark.parametrize("problem, counts", [
+    ("rowmin", [420, 242, 229]),
+    ("rowmax", [603, 382, 370]),
+    ("rowmax_inverse", [500, 279, 290]),
+])
+def test_sequential_eval_counts_pinned(problem, counts):
+    """Table 1.1's sequential baseline: the input's ``eval_count`` after a
+    sequential solve, fixed at the values these seeds have always given."""
+    from repro.engine import Session
+
+    gen = random_inverse_monge if problem == "rowmax_inverse" else random_monge
+    session = Session("sequential")
+    got = []
+    for seed, shape in zip((1, 2, 3), PINNED_SHAPES):
+        a = gen(*shape, np.random.default_rng(seed))
+        session.solve(problem, a)
+        got.append(a.eval_count)
+    assert got == counts
+
+
+def test_sequential_staircase_and_submatrix_eval_counts_pinned():
+    from repro.engine import Session
+
+    session = Session("sequential")
+    got = []
+    for seed, shape in zip((1, 2, 3), PINNED_SHAPES):
+        dense = random_staircase_monge(*shape, np.random.default_rng(seed)).materialize()
+        a = ExplicitArray(dense)
+        session.solve("staircase_min", a)
+        got.append(a.eval_count)
+    assert got == [10870, 3952, 3451]
+    got = []
+    for seed, shape, (rows, cols) in zip((1, 2, 3), PINNED_SHAPES, PINNED_RECTS):
+        a = random_monge(*shape, np.random.default_rng(seed))
+        session.solve("submatrix_max", (a, rows, cols))
+        got.append(a.eval_count)
+    assert got == [582, 230, 260]
+
+
+@pytest.mark.parametrize("n, evals", [(128, 1235), (512, 5020)])
+def test_figure_1_1_sequential_eval_counts(n, evals):
+    """EXPERIMENTS.md's Figure 1.1 column, with the chains built as in
+    ``benchmarks/bench_fig_1_1.py``."""
+    pts = convex_position_points(2 * n, np.random.default_rng(n))
+    a = chain_distance_array(pts[:n], pts[n:])
+    row_maxima(a)
+    assert a.eval_count == evals
