@@ -11,7 +11,7 @@ CRCW engine session:
     one :meth:`Session.solve_many` call — the planner buckets all ``B``
     queries into a single fused sweep
     (:func:`repro.core.rowmin_pram.batched_row_extrema`) whose
-    :class:`~repro.pram.fastpath.ChargeFan` replays each query's serial
+    :class:`~repro.kernels.chargefan.ChargeFan` replays each query's serial
     charges.
 
 Equivalence is asserted on every run, smoke or full: values and

@@ -6,7 +6,7 @@ configurations, each pinned to a kernel tier (DESIGN.md §13):
 
 ``ref``
     the ``reference`` tier: primitives execute their round-by-round
-    NumPy loops (the old ``REPRO_FAST_PATH=0`` semantics);
+    NumPy loops;
 ``fast``
     the ``fused`` tier — vectorized grouped-extremum kernels + charge
     replay (the default);

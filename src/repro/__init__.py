@@ -22,8 +22,8 @@ A production-grade reproduction of Aggarwal, Kravets, Park, and Sen
   the paper's tables;
 - :mod:`repro.kernels` — the kernel-tier registry: named execution
   tiers (``reference`` / ``fused`` / ``blocked``) selected via
-  ``kernel_tier=`` / ``REPRO_KERNEL_TIER``, all charging identical
-  ledgers (DESIGN.md §13);
+  ``kernel_tier=`` / ``tier_context`` / ``REPRO_KERNEL_TIER``, all
+  charging identical ledgers (DESIGN.md §13);
 - :mod:`repro.serve` — the async query service: concurrent clients'
   requests are held for an adaptive fusion window and executed as
   fused ``solve_many`` buckets, with admission control, per-request

@@ -12,8 +12,8 @@ on malformed input:
   of silently running with a default.
 
 Nothing here caches: callers that want resolve-once semantics (the
-lazily-resolved module defaults in :mod:`repro.kernels.registry`) keep
-their own ``_UNSET`` latches.
+environment defaults in :mod:`repro.kernels.registry`) memoize the
+parsed value themselves.
 """
 
 from __future__ import annotations

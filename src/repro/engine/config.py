@@ -45,14 +45,15 @@ consolidates all of it:
     ``"reference"`` (round-by-round), ``"fused"`` (vectorized NumPy
     with ledger charge replay), or ``"blocked"`` (fused kernels
     streaming over byte-budgeted row tiles).  ``None`` (default)
-    defers to the process-wide tier — itself ``REPRO_KERNEL_TIER``,
-    then the deprecated ``REPRO_FAST_PATH`` shim, then ``"fused"``.
-    Results, witnesses, ledger snapshots, traces, and certificates are
-    bit-identical across tiers (the fused-kernel invariant).
+    defers to the caller's :func:`~repro.kernels.registry.tier_context`,
+    then ``REPRO_KERNEL_TIER``, then ``"fused"``; the engine resolves
+    it once, when it plans the query.  Results, witnesses, ledger
+    snapshots, traces, and certificates are bit-identical across tiers
+    (the fused-kernel invariant).
 ``tile_bytes``
     Byte budget for one resident candidate tile in the ``blocked``
-    tier.  ``None`` (default) defers to ``REPRO_TILE_BYTES`` (itself
-    unset → 64 MiB); ignored by the dense tiers.
+    tier.  ``None`` (default) defers to the caller's ``tier_context``,
+    then ``REPRO_TILE_BYTES``, then 64 MiB; ignored by the dense tiers.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from typing import List, Optional, Tuple
 
 from repro.engine.planner import QueryPlan, group_plans
 from repro.engine.result import SearchResult
+from repro.kernels.registry import get_tier, tier_context
 from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer
 from repro.pram.ledger import CostLedger
@@ -120,8 +121,8 @@ class _SerialTrace:
     spans on the resilient path, and the final :class:`Trace` assembly.
     Every method is a no-op when tracing is off."""
 
-    def __init__(self, plan: QueryPlan, backend: str, kernel_tier: str,
-                 qledger, fault_plan, track_attempts: bool) -> None:
+    def __init__(self, plan: QueryPlan, backend: str, qledger, fault_plan,
+                 track_attempts: bool) -> None:
         cfg = plan.config
         self.tracer = Tracer() if cfg.trace else None
         self.qledger = qledger
@@ -139,7 +140,7 @@ class _SerialTrace:
                 backend=backend,
                 strategy=plan.strategy,
                 shape=plan.shape,
-                kernel_tier=kernel_tier,
+                kernel_tier=plan.kernel[0],
             )
             if qledger is not None:
                 self.tracer.bind(qledger, self.solve_span)
@@ -197,12 +198,11 @@ def fused_ready(session, plan: QueryPlan) -> bool:
     """Machine-level fusion conditions.  A bucket that fails these runs
     serially — same results, same per-query snapshots, just no shared
     sweep."""
-    from repro.kernels.registry import get_tier, resolve_kernel_tier
     from repro.pram.machine import Pram
 
     if plan.fused_key is None:
         return False
-    if not get_tier(resolve_kernel_tier(plan.config.kernel_tier)).fused:
+    if not get_tier(plan.kernel[0]).fused:
         # the reference tier has no stacked-sweep kernel: every query
         # runs its own round-by-round simulation
         return False
@@ -267,10 +267,7 @@ class SerialExecutor(Executor):
 
     def execute_plan(self, session, plan: QueryPlan) -> SearchResult:
         """Run one plan serially and settle it into a SearchResult."""
-        from repro.kernels.registry import resolve_kernel_tier, tier_context
-
         spec, cfg, data = plan.spec, plan.config, plan.data
-        kernel_tier = resolve_kernel_tier(cfg.kernel_tier)
         nodes = spec.nodes_for(plan.shape) if spec.nodes_for is not None else 2
         machine = session.machine(nodes)
 
@@ -283,7 +280,7 @@ class SerialExecutor(Executor):
         # records charges straight onto the solve span
         track_attempts = cfg.retries > 0 and spec.machine != "none"
         tracing = _SerialTrace(
-            plan, session.backend, kernel_tier, qledger, fault_plan, track_attempts
+            plan, session.backend, qledger, fault_plan, track_attempts
         )
 
         def attempt():
@@ -301,7 +298,7 @@ class SerialExecutor(Executor):
 
         with ledger_swap(machine, qledger, fault_plan):
             try:
-                with tier_context(cfg.kernel_tier, cfg.tile_bytes):
+                with tier_context(*plan.kernel):
                     values, witnesses, certificate, retries = run_attempts(
                         spec, plan, fault_plan, attempt
                     )
@@ -359,11 +356,9 @@ class FusedExecutor(Executor):
     def execute(self, session, bucket, admission) -> List[SearchResult]:
         from repro.core.rowmin_pram import batched_row_extrema
         from repro.kernels.chargefan import ChargeFan
-        from repro.kernels.registry import resolve_kernel_tier, tier_context
 
         spec = bucket[0].spec
         cfg = bucket[0].config
-        kernel_tier = resolve_kernel_tier(cfg.kernel_tier)
         nodes = spec.nodes_for(bucket[0].shape) if spec.nodes_for is not None else 2
         machine = session.machine(nodes)
         limit = machine.ledger.processor_limit
@@ -389,7 +384,7 @@ class FusedExecutor(Executor):
                 shape=bucket[0].shape,
                 count=len(bucket),
                 fused=True,
-                kernel_tier=kernel_tier,
+                kernel_tier=bucket[0].kernel[0],
             )
             sweep_span = tracer.begin("stacked-sweep", "sweep", parent=bucket_span)
             tracer.bind(scratch, sweep_span)
@@ -409,7 +404,7 @@ class FusedExecutor(Executor):
 
         with ledger_swap(machine, scratch, None):
             try:
-                with tier_context(cfg.kernel_tier, cfg.tile_bytes):
+                with tier_context(*bucket[0].kernel):
                     outs = batched_row_extrema(
                         machine,
                         [p.data for p in bucket],

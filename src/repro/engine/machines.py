@@ -5,9 +5,9 @@ simulated machine: PRAM backends get a :class:`~repro.pram.machine.Pram`
 (or :class:`~repro.pram.scheduling.BrentPram` when a physical budget is
 given), network backends get a :class:`~repro.core.network_machine.NetworkMachine`
 over the named topology, and the sequential backend gets no machine at
-all.  The clone/compose helpers that used to live (twice) in
-:mod:`repro.core.accounting` and :mod:`repro.apps.string_edit` now live
-here; the old import paths re-export them.
+all.  The clone/compose helpers (:func:`fresh_clone`,
+:func:`charge_parallel`) live here too; :mod:`repro.engine` re-exports
+them.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ The engine executes every query in three stages (DESIGN.md §9):
 **plan**
     :func:`plan_query` lowers one ``(problem, data, config)`` request to
     a declarative :class:`QueryPlan` — the registry spec, the resolved
-    strategy, the shape class, and a *fused key* saying which batch
-    bucket (if any) the query may share.
+    strategy, the shape class, the resolved ``(kernel tier, tile
+    bytes)`` pair, and a *fused key* saying which batch bucket (if any)
+    the query may share.
 
 **group**
     :func:`group_plans` buckets compatible plans.  Plans with equal,
@@ -34,10 +35,12 @@ A plan is *fusable* (``fused_key is not None``) iff all of:
   keep the serial error/empty contracts).
 
 Two fusable plans share a bucket iff their keys agree: same problem,
-backend, strategy, shape, and :meth:`ExecutionConfig.fingerprint` —
-which includes the ``kernel_tier`` / ``tile_bytes`` pair, so mixed-tier
-queries never fuse: one bucket runs under exactly one kernel tier
-(DESIGN.md §13).
+backend, strategy, shape, :meth:`ExecutionConfig.fingerprint`, and
+resolved ``(kernel tier, tile bytes)`` pair, so mixed-tier queries
+never fuse: one bucket runs under exactly one kernel tier (DESIGN.md
+§13).  The pair is resolved here, once per query — config, else the
+caller's :func:`~repro.kernels.registry.tier_context`, else the
+environment — and the executors scope it around the execution.
 The session adds machine-level conditions at execution time (plain
 :class:`~repro.pram.machine.Pram`, a fused-class kernel tier, unbounded
 processor budget); a bucket that fails those simply runs serially —
@@ -52,6 +55,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.engine.config import ExecutionConfig
 from repro.engine.registry import SolverSpec
 from repro.engine.registry import registry as _global_registry
+from repro.kernels.registry import resolve_kernel_tier, resolve_tile_bytes
 
 __all__ = ["QueryPlan", "shape_of", "plan_query", "group_plans"]
 
@@ -100,6 +104,8 @@ class QueryPlan:
     shape: Tuple[int, ...]
     spec: SolverSpec
     config: ExecutionConfig
+    #: The resolved ``(kernel tier name, tile bytes)`` the query runs under.
+    kernel: Tuple[str, int]
     #: Batch-compatibility bucket key; ``None`` means "must run serially".
     fused_key: Optional[Tuple] = None
 
@@ -109,6 +115,7 @@ def _fused_key(
     strategy: str,
     shape: Tuple[int, ...],
     cfg: ExecutionConfig,
+    kernel: Tuple[str, int],
     session_faults,
 ) -> Optional[Tuple]:
     """Apply the batch-compatibility rules (module docstring)."""
@@ -126,7 +133,7 @@ def _fused_key(
         return None
     if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
         return None
-    return (spec.problem, spec.backend, strategy, shape, cfg.fingerprint())
+    return (spec.problem, spec.backend, strategy, shape, cfg.fingerprint(), kernel)
 
 
 def plan_query(
@@ -150,6 +157,7 @@ def plan_query(
     shape = shape_of(problem, data)
     strategy = cfg.resolve_strategy(problem, backend == "pram-crcw")
     spec.check_strategy(strategy)
+    kernel = (resolve_kernel_tier(cfg.kernel_tier), resolve_tile_bytes(cfg.tile_bytes))
     return QueryPlan(
         index=index,
         problem=problem,
@@ -159,7 +167,8 @@ def plan_query(
         shape=shape,
         spec=spec,
         config=cfg,
-        fused_key=_fused_key(spec, strategy, shape, cfg, session_faults),
+        kernel=kernel,
+        fused_key=_fused_key(spec, strategy, shape, cfg, kernel, session_faults),
     )
 
 
@@ -174,15 +183,15 @@ def group_plans(plans: Sequence[QueryPlan]) -> List[List[QueryPlan]]:
 
     **Stability contract (DESIGN.md §15).**  Grouping is stateless and
     deterministic: re-lowering the same ``(problem, data, config)``
-    request always yields an identical fused key (the key is built
-    purely from declarative plan fields — never from ``id()``\\ s,
-    arrival order, or planner state), and calling this function
-    repeatedly over interleaved arrivals partitions exactly as one
-    all-at-once call would.  The query service depends on this to
-    bucket *incrementally* as requests arrive: the fused key is the
-    bucketing contract, and ``QueryService`` re-lowers each plan at
-    flush time and asserts the key unchanged
-    (tests/test_engine_planner.py pins both properties).
+    request under the same kernel pair always yields an identical fused
+    key (the key is built purely from declarative plan fields — never
+    from ``id()``\\ s, arrival order, or planner state), and calling
+    this function repeatedly over interleaved arrivals partitions
+    exactly as one all-at-once call would.  The query service depends
+    on this to bucket *incrementally* as requests arrive: the fused key
+    is the bucketing contract, and ``QueryService`` re-lowers each plan
+    at flush time, under the plan's own kernel pair, and asserts the key
+    unchanged (tests/test_engine_planner.py pins both properties).
     """
     buckets: List[List[QueryPlan]] = []
     by_key: dict = {}

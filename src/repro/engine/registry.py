@@ -150,10 +150,11 @@ class SolverSpec:
     def check_kernel_tier(self, tier: Optional[str]) -> None:
         """Raise :class:`CapabilityError` on an undeclared tier.
 
-        ``None`` (defer to the process default) always passes — the
-        default tier degrades to the dense kernels wherever a solver
-        cannot honor it, whereas an *explicit* request must be honored
-        exactly or refused with the nearest supported alternative.
+        ``None`` (defer to the caller's scope or the environment) always
+        passes — the default tier degrades to the dense kernels wherever
+        a solver cannot honor it, whereas an *explicit* request must be
+        honored exactly or refused with the nearest supported
+        alternative.
         """
         if tier is None:
             return

@@ -221,11 +221,9 @@ class Session:
             retries=result.retries,
             within_bound=within_bound,
         ))
-        from repro.kernels.registry import resolve_kernel_tier
-
         m = metrics()
         m.counter("engine.queries").inc()
-        m.counter(f"kernel.tier.{resolve_kernel_tier(plan.config.kernel_tier)}").inc()
+        m.counter(f"kernel.tier.{plan.kernel[0]}").inc()
         snap = result.snapshot
         if snap is not None:
             m.counter("engine.rounds").inc(snap["rounds"])

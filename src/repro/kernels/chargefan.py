@@ -1,12 +1,10 @@
 """Per-query ledger fan-out for fused batched sweeps.
 
-Home of :class:`ChargeFan`, moved here from :mod:`repro.pram.fastpath`
-when tier selection grew into the kernel registry (DESIGN.md §13).  The
-class is tier-independent: every fused-class tier (``fused``,
-``blocked``) charges batched sweeps through it, and the
-``blocked`` tier's streaming chokepoint replays the identical per-owner
-sequences because the fan works on owner/width metadata, never on the
-candidate values themselves.
+:class:`ChargeFan` is tier-independent (DESIGN.md §13): every
+fused-class tier (``fused``, ``blocked``) charges batched sweeps
+through it, and the ``blocked`` tier's streaming chokepoint replays the
+identical per-owner sequences because the fan works on owner/width
+metadata, never on the candidate values themselves.
 """
 
 from __future__ import annotations

@@ -168,9 +168,10 @@ class MetricsRegistry:
         return h
 
     # ------------------------------------------------------------------ #
-    def _derived(self) -> dict:
-        """Rates computed from raw counters (absent denominators → omitted)."""
-        c = {name: inst.value for name, inst in self._counters.items()}
+    @staticmethod
+    def _derived(c: Dict[str, float]) -> dict:
+        """Rates computed from raw counter values (absent denominators →
+        omitted)."""
         out = {}
         hits = c.get("cache.hits", 0)
         misses = c.get("cache.misses", 0)
@@ -193,12 +194,22 @@ class MetricsRegistry:
         return out
 
     def snapshot(self) -> dict:
-        """A plain-dict view of every instrument plus derived rates."""
+        """A plain-dict view of every instrument plus derived rates.
+
+        The instrument dicts are copied under the lock that guards their
+        insertions, so another thread creating a first-time instrument
+        cannot change them mid-iteration.
+        """
+        with self._lock:
+            counters = sorted(self._counters.items())
+            gauges = sorted(self._gauges.items())
+            histograms = sorted(self._histograms.items())
+        values = {k: v.value for k, v in counters}
         return {
-            "counters": {k: v.value for k, v in sorted(self._counters.items())},
-            "gauges": {k: v.value for k, v in sorted(self._gauges.items())},
-            "histograms": {k: v.summary() for k, v in sorted(self._histograms.items())},
-            "derived": self._derived(),
+            "counters": values,
+            "gauges": {k: v.value for k, v in gauges},
+            "histograms": {k: v.summary() for k, v in histograms},
+            "derived": self._derived(values),
         }
 
     def reset(self) -> None:

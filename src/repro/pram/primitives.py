@@ -16,9 +16,9 @@ Conventions
 
 Fast path
 ---------
-When the active kernel tier is fused-class
-(:func:`repro.kernels.registry.fused_kernels_enabled`, the default),
-the grouped-extremum strategies and
+When the kernel tier in force is fused-class
+(``current_tier().fused``, see :mod:`repro.kernels.registry`; the
+default), the grouped-extremum strategies and
 :func:`replicate_by_counts` compute their results with fused NumPy
 reductions (:func:`_grouped_min_fused`, ``np.repeat``) and *replay* the
 reference execution's ledger charges arithmetically.  Results and
@@ -39,7 +39,7 @@ from typing import Callable, Literal, Tuple
 import numpy as np
 
 from repro._util.bits import ceil_div, ceil_log2, ceil_sqrt
-from repro.kernels.registry import fused_kernels_enabled
+from repro.kernels.registry import current_tier
 from repro.pram.ledger import notify_kernel
 from repro.pram.machine import Pram
 
@@ -245,7 +245,7 @@ def replicate_by_counts(pram: Pram, values: np.ndarray, counts: np.ndarray) -> n
     values = np.asarray(values, dtype=np.float64)
     if counts.shape != values.shape:
         raise ValueError("values and counts must have equal length")
-    if fused_kernels_enabled() and not hasattr(pram, "network_prefix_scan"):
+    if current_tier().fused and not hasattr(pram, "network_prefix_scan"):
         # Fast path: one np.repeat instead of scatter + copy-scan, with
         # the reference execution's charges replayed verbatim.
         total = int(counts.sum())
@@ -425,7 +425,7 @@ def _grouped_min_fused(values, offsets, widths):
 def _grouped_min_binary(pram, values, offsets, widths, max_w):
     """Segmented (value, index) min-scan; leftmost ties via index order."""
     n = values.size
-    if fused_kernels_enabled():
+    if current_tier().fused:
         out_v, out_i = _grouped_min_fused(values, offsets, widths)
         if max_w > 1:
             d = 1
@@ -527,7 +527,7 @@ def _grouped_min_allpairs(pram, values, offsets, widths):
     n_groups = widths.size
     out_v = np.full(n_groups, np.inf)
     out_i = np.full(n_groups, -1, dtype=np.int64)
-    if fused_kernels_enabled():
+    if current_tier().fused:
         out_v, out_i = _grouped_min_fused(values, offsets, widths)
         total_pairs = sum(cnt * width * width for width, cnt in _width_class_counts(widths))
         if total_pairs:
@@ -558,7 +558,7 @@ def _grouped_min_doubly_log(pram, values, offsets, widths):
     n_groups = widths.size
     out_v = np.full(n_groups, np.inf)
     out_i = np.full(n_groups, -1, dtype=np.int64)
-    if fused_kernels_enabled() and not np.isneginf(values).any():
+    if current_tier().fused and not np.isneginf(values).any():
         # Reference semantics here disqualify +inf entries (idx -1
         # before the recursion), so all-∞ groups report (inf, -1); a
         # -inf entry additionally eliminates candidates in a way that

@@ -45,6 +45,7 @@ from repro.engine.lifecycle import run_plans
 from repro.engine.planner import QueryPlan, plan_query
 from repro.engine.result import SearchResult
 from repro.engine.session import Session
+from repro.kernels.registry import tier_context
 from repro.obs.metrics import metrics
 from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.window import WindowController
@@ -582,8 +583,10 @@ class QueryService:
     def _check_stable_keys(self, requests: List[_Request]) -> None:
         """The bucketing contract: what we grouped incrementally must be
         exactly what the planner would group in one ``solve_many`` call.
-        Re-lower every plan and require an identical fused key (and one
-        shared key across the bucket)."""
+        Re-lower every plan, under the kernel pair it was planned with
+        (the flusher runs outside the submitter's ``tier_context``), and
+        require an identical fused key (and one shared key across the
+        bucket)."""
         keys = {r.plan.fused_key for r in requests}
         if len(keys) != 1:
             raise AssertionError(
@@ -592,11 +595,12 @@ class QueryService:
         if not self.policy.verify_keys:
             return
         for r in requests:
-            replanned = plan_query(
-                r.plan.problem, r.plan.data, r.plan.config,
-                self._session.backend, index=r.plan.index,
-                session_faults=self._session.faults,
-            )
+            with tier_context(*r.plan.kernel):
+                replanned = plan_query(
+                    r.plan.problem, r.plan.data, r.plan.config,
+                    self._session.backend, index=r.plan.index,
+                    session_faults=self._session.faults,
+                )
             if replanned.fused_key != r.plan.fused_key:
                 raise AssertionError(
                     f"fused key drifted between admission and flush for "

@@ -5,12 +5,9 @@ same-shape queries produces values, witnesses, and per-query ledger
 snapshots bit-identical to the same queries run serially; results come
 back strictly in input order regardless of how the planner bucketed
 them; and every disqualifying knob (faults, retries, ``strict=False``,
-non-batchable problems, fast path off) falls back to the unchanged
-serial path.
+non-batchable problems, the ``reference`` kernel tier) falls back to
+the unchanged serial path.
 """
-
-import importlib
-import sys
 
 import numpy as np
 import pytest
@@ -27,7 +24,6 @@ from repro.engine import (
 from repro.kernels import current_tier
 from repro.monge.arrays import ExplicitArray
 from repro.monge.generators import random_composite, random_monge
-from repro.pram.fastpath import fast_path
 from repro.pram.machine import Pram
 from repro.pram.models import CRCW_COMMON
 from repro.resilience.faults import FaultPlan
@@ -39,7 +35,7 @@ COMPOSITE = random_composite(4, 4, 4, RNG)
 
 def _fused(count):
     """How many of ``count`` fusable queries run fused: all of them, or
-    none when the active kernel tier has no stacked-sweep kernel (CI
+    none when the default kernel tier has no stacked-sweep kernel (CI
     runs this module under every pinned tier)."""
     return count if current_tier().fused else 0
 
@@ -155,10 +151,11 @@ def test_unfusable_queries_interleave_in_order():
 # --------------------------------------------------------------------- #
 # disqualifiers fall back to the serial path (same answers)
 # --------------------------------------------------------------------- #
-def test_fast_path_off_falls_back_serially():
-    with fast_path(False):
-        batch = Session("pram-crcw").solve_many("rowmin", ARRAYS[:4])
-        assert batch.fused_queries == 0
+def test_reference_tier_falls_back_serially():
+    batch = Session("pram-crcw").solve_many(
+        "rowmin", ARRAYS[:4], ExecutionConfig(kernel_tier="reference")
+    )
+    assert batch.fused_queries == 0
     ref = Session("pram-crcw")
     for a, got in zip(ARRAYS[:4], batch):
         want = ref.solve("rowmin", a)
@@ -292,21 +289,3 @@ def test_farthest_neighbors_session_matches_sequential():
     np.testing.assert_array_equal(got[1], want[1])
     assert s.ledger.rounds > before
 
-
-def test_accounting_shim_warns_and_still_reexports():
-    # the shim warns once per symbol per process (see
-    # test_accounting_shim.py): reset the record so the accesses
-    # genuinely re-fire
-    import repro.engine.machines as _machines
-
-    _machines._accounting_shim_warned = set()
-    sys.modules.pop("repro.core.accounting", None)
-    mod = importlib.import_module("repro.core.accounting")
-    with pytest.warns(DeprecationWarning, match="repro.engine.machines.fresh_clone"):
-        shim_fresh_clone = mod.fresh_clone
-    with pytest.warns(DeprecationWarning, match="repro.engine.machines.charge_parallel"):
-        shim_charge_parallel = mod.charge_parallel
-    from repro.engine.machines import charge_parallel, fresh_clone
-
-    assert shim_fresh_clone is fresh_clone
-    assert shim_charge_parallel is charge_parallel

@@ -18,6 +18,7 @@ import pytest
 import repro
 from repro.engine import ExecutionConfig, Session
 from repro.engine.planner import group_plans, plan_query, shape_of
+from repro.kernels import tier_context
 from repro.monge.generators import random_monge
 from repro.resilience.faults import FaultPlan
 
@@ -67,6 +68,19 @@ class TestMixedTierNeverFuses:
         cfg = ExecutionConfig()
         plans = [_plan(cfg, index=i) for i in range(2)]
         assert len(_buckets(plans)) == 1
+
+    def test_caller_tier_context_resolves_at_plan_time(self):
+        cfg = ExecutionConfig()
+        outside = _plan(cfg, index=0)
+        # "blocked" unless the environment already defaults to it
+        scoped = "reference" if outside.kernel[0] == "blocked" else "blocked"
+        with tier_context(scoped):
+            inside = _plan(cfg, index=1)
+            explicit = _plan(ExecutionConfig(kernel_tier="fused"), index=2)
+        assert inside.kernel[0] == scoped
+        assert explicit.kernel[0] == "fused"  # the config beats the scope
+        assert inside.fused_key != outside.fused_key
+        assert len(_buckets([outside, inside])) == 2
 
 
 # --------------------------------------------------------------------- #

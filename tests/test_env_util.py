@@ -62,14 +62,13 @@ class TestAdopters:
         from repro.kernels import registry as kreg
 
         monkeypatch.setenv("REPRO_KERNEL_TIER", "turbo")
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
         kreg._reload_env_defaults()
         try:
             with pytest.raises(ValueError, match=r"REPRO_KERNEL_TIER must be one of"):
-                kreg.current_tier_name()
+                kreg.current_tier()
             monkeypatch.setenv("REPRO_KERNEL_TIER", "Blocked")
             kreg._reload_env_defaults()
-            assert kreg.current_tier_name() == "blocked"
+            assert kreg.current_tier().name == "blocked"
         finally:
             monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
             kreg._reload_env_defaults()

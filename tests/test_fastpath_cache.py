@@ -36,7 +36,7 @@ from repro.monge.generators import (
     random_monge,
     random_staircase_monge,
 )
-from repro.pram.fastpath import fast_path, fast_path_enabled, set_fast_path
+from repro.kernels import tier_context
 from repro.pram.ledger import CostLedger
 from repro.pram.machine import Pram
 from repro.pram.models import CRCW_COMMON, CREW
@@ -51,24 +51,6 @@ def _crcw(n: int) -> BrentPram:
 def _crew(n: int) -> BrentPram:
     phys = max(1, int(n / math.log2(max(2.0, math.log2(max(2, n))))))
     return BrentPram(CREW, 1 << 44, phys, ledger=CostLedger())
-
-
-# --------------------------------------------------------------------- #
-# fast-path switch
-# --------------------------------------------------------------------- #
-def test_fast_path_switch_scopes():
-    initial = fast_path_enabled()
-    try:
-        with fast_path(False):
-            assert not fast_path_enabled()
-            with fast_path(True):
-                assert fast_path_enabled()
-            assert not fast_path_enabled()
-        assert fast_path_enabled() == initial
-        set_fast_path(False)
-        assert not fast_path_enabled()
-    finally:
-        set_fast_path(initial)
 
 
 # --------------------------------------------------------------------- #
@@ -172,7 +154,7 @@ def test_grouped_min_fused_matches_reference(strategy):
         out = {}
         for enabled in (True, False):
             m = Pram(CRCW_COMMON, 1 << 40, ledger=CostLedger())
-            with fast_path(enabled):
+            with tier_context("fused" if enabled else "reference"):
                 v, i = grouped_min(m, vals.copy(), offsets, strategy=strategy)
             out[enabled] = (v, i, m.ledger.snapshot())
         assert np.array_equal(out[True][0], out[False][0]), (trial, strategy)
@@ -190,7 +172,7 @@ def test_scan_primitives_fused_match_reference():
         out = {}
         for enabled in (True, False):
             m = Pram(CRCW_COMMON, 1 << 40, ledger=CostLedger())
-            with fast_path(enabled):
+            with tier_context("fused" if enabled else "reference"):
                 r = replicate_by_counts(m, values.copy(), counts.copy())
                 b = broadcast(m, 3.5, bsize)
             out[enabled] = (r, b, m.ledger.snapshot())
@@ -203,7 +185,7 @@ def test_scan_primitives_fused_match_reference():
 # end-to-end acceptance: results + ledger identical across all configs
 # --------------------------------------------------------------------- #
 def _configs():
-    # (fast_path, cache); reference first
+    # (fused kernels, cache); reference first
     return [(False, False), (True, False), (False, True), (True, True)]
 
 
@@ -211,7 +193,7 @@ def _assert_invariant(run):
     """``run(machine, cache)`` -> result arrays; compare all configs."""
     baseline = None
     for fp, cache in _configs():
-        with fast_path(fp):
+        with tier_context("fused" if fp else "reference"):
             machine, result = run(cache)
         snap = machine.ledger.snapshot()
         if baseline is None:

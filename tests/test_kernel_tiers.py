@@ -1,14 +1,18 @@
-"""Kernel-tier registry, selection precedence, and blocked-tier identity.
+"""Kernel-tier registry, selection precedence, thread isolation, and
+blocked-tier identity.
 
 The tentpole contract (DESIGN.md §13): tiers change wall-clock and
 memory residency only.  Values, witnesses, per-query ledger snapshots,
 trace totals, and certificates are bit-identical across ``reference``,
 ``fused``, and ``blocked`` for serial and fused-batch execution; the
 blocked tier additionally keeps the peak resident tile within its byte
-budget.
+budget.  A query's tier is its own: queries running at the same time in
+other threads neither see nor change it.
 """
 
-import warnings
+import sys
+import threading
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -18,27 +22,22 @@ from repro.engine import CapabilityError, Session, registry
 from repro.kernels import (
     DEFAULT_TILE_BYTES,
     ChargeFan,  # noqa: F401 - re-export is part of the package surface
-    KernelTier,
     all_tiers,
+    current_tier,
     eval_grouped_min,
     get_tier,
-    kernel_tier,
-    register_tier,
     resolve_kernel_tier,
     resolve_tile_bytes,
-    set_kernel_tier,
-    set_tile_bytes,
     tier_context,
-    tile_bytes_override,
 )
-from repro.kernels.registry import _reload_env_defaults, _TIERS
+from repro.kernels.registry import _reload_env_defaults
 from repro.monge.generators import (
     random_composite,
     random_monge,
     random_staircase_monge,
 )
+from repro.obs import kernel_hook
 from repro.obs.metrics import metrics
-from repro.pram.fastpath import fast_path, fast_path_enabled, set_fast_path
 from repro.pram.machine import Pram
 from repro.pram.models import CRCW_COMMON
 
@@ -53,12 +52,10 @@ TINY_TILE = 512
 
 @pytest.fixture(autouse=True)
 def _pristine_tier_state():
-    """Every test starts and ends on the env-resolved default state."""
+    """Every test starts and ends on freshly read environment defaults."""
     _reload_env_defaults()
-    set_tile_bytes(None)
     yield
     _reload_env_defaults()
-    set_tile_bytes(None)
 
 
 def _assert_identical(ref, got):
@@ -85,29 +82,18 @@ def test_get_tier_unknown_lists_known_names():
         get_tier("warp")
 
 
-def test_register_tier_roundtrip():
-    tier = KernelTier(name="_test", description="test-only", fused=True)
-    try:
-        assert register_tier(tier) is tier
-        assert get_tier("_test") is tier
-        assert tier in all_tiers()
-    finally:
-        _TIERS.pop("_test", None)
-
-
-def test_set_kernel_tier_and_context():
-    prev = set_kernel_tier("blocked")
-    try:
+def test_tier_context_nests_and_explicit_tier_wins():
+    default = resolve_kernel_tier(None)
+    with tier_context("blocked"):
         assert resolve_kernel_tier(None) == "blocked"
-        with kernel_tier("reference"):
+        with tier_context("reference"):
             assert resolve_kernel_tier(None) == "reference"
         assert resolve_kernel_tier(None) == "blocked"
-        # explicit request wins over the active tier, and is validated
+        # explicit request wins over the scope, and is validated
         assert resolve_kernel_tier("fused") == "fused"
         with pytest.raises(ValueError, match="unknown kernel tier"):
             resolve_kernel_tier("warp")
-    finally:
-        set_kernel_tier(prev)
+    assert resolve_kernel_tier(None) == default
 
 
 def test_tier_context_yields_effective_name_and_restores():
@@ -122,93 +108,18 @@ def test_tier_context_yields_effective_name_and_restores():
 
 
 # --------------------------------------------------------------------- #
-# environment precedence (REPRO_KERNEL_TIER > REPRO_FAST_PATH > fused)
+# environment precedence (tier_context > REPRO_KERNEL_TIER > fused)
 # --------------------------------------------------------------------- #
 def test_env_tier_selects_and_validates(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_TIER", "blocked")
     _reload_env_defaults()
     assert resolve_kernel_tier(None) == "blocked"
+    with tier_context("reference"):
+        assert resolve_kernel_tier(None) == "reference"  # scope beats env
     monkeypatch.setenv("REPRO_KERNEL_TIER", "warp9")
     _reload_env_defaults()
     with pytest.raises(ValueError, match="REPRO_KERNEL_TIER"):
         resolve_kernel_tier(None)
-
-
-def test_legacy_fast_path_env_maps_and_warns_once(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
-    _reload_env_defaults()
-    with pytest.warns(DeprecationWarning, match="REPRO_FAST_PATH is deprecated"):
-        assert resolve_kernel_tier(None) == "reference"
-    assert not fast_path_enabled()
-    # warn-once: a second resolution after resetting only the active
-    # tier (not the latch) stays silent
-    from repro.kernels import registry as _reg
-
-    _reg._ACTIVE = _reg._UNSET
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert resolve_kernel_tier(None) == "reference"
-
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    _reload_env_defaults()
-    with pytest.warns(DeprecationWarning):
-        assert resolve_kernel_tier(None) == "fused"
-
-
-def test_both_env_vars_coherent_tier_wins_silently(monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    monkeypatch.setenv("REPRO_KERNEL_TIER", "blocked")
-    _reload_env_defaults()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # coherent pair: no deprecation noise
-        assert resolve_kernel_tier(None) == "blocked"
-    monkeypatch.setenv("REPRO_FAST_PATH", "no")
-    monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
-    _reload_env_defaults()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert resolve_kernel_tier(None) == "reference"
-
-
-def test_conflicting_env_vars_raise(monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
-    monkeypatch.setenv("REPRO_KERNEL_TIER", "fused")
-    _reload_env_defaults()
-    with pytest.raises(ValueError, match="conflicting kernel selection"):
-        resolve_kernel_tier(None)
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
-    _reload_env_defaults()
-    with pytest.raises(ValueError, match="conflicting kernel selection"):
-        resolve_kernel_tier(None)
-
-
-# --------------------------------------------------------------------- #
-# the deprecation shim keeps the boolean surface coherent
-# --------------------------------------------------------------------- #
-def test_set_fast_path_maps_booleans():
-    prev = set_fast_path(False)
-    assert isinstance(prev, bool)
-    assert resolve_kernel_tier(None) == "reference" and not fast_path_enabled()
-    set_fast_path(True)
-    assert resolve_kernel_tier(None) == "fused" and fast_path_enabled()
-
-
-def test_set_fast_path_true_keeps_active_fused_class_tier():
-    set_kernel_tier("blocked")
-    assert set_fast_path(True) is True  # already fused-class: no demotion
-    assert resolve_kernel_tier(None) == "blocked"
-
-
-def test_fast_path_context_restores_exact_tier_name():
-    set_kernel_tier("blocked")
-    with fast_path(False):
-        assert resolve_kernel_tier(None) == "reference"
-    assert resolve_kernel_tier(None) == "blocked"  # name, not just the bool
-    with fast_path(True):
-        assert resolve_kernel_tier(None) == "blocked"
-    assert resolve_kernel_tier(None) == "blocked"
 
 
 # --------------------------------------------------------------------- #
@@ -219,9 +130,11 @@ def test_tile_bytes_precedence(monkeypatch):
     monkeypatch.setenv("REPRO_TILE_BYTES", "8192")
     _reload_env_defaults()
     assert resolve_tile_bytes(None) == 8192
-    with tile_bytes_override(2048):
-        assert resolve_tile_bytes(None) == 2048  # override beats env
-        assert resolve_tile_bytes(1024) == 1024  # explicit beats override
+    with tier_context(tile_bytes=2048):
+        assert resolve_tile_bytes(None) == 2048  # scope beats env
+        assert resolve_tile_bytes(1024) == 1024  # explicit beats scope
+        with tier_context("blocked"):
+            assert resolve_tile_bytes(None) == 2048  # inner scope keeps it
     assert resolve_tile_bytes(None) == 8192
 
 
@@ -233,9 +146,10 @@ def test_tile_bytes_env_validation_names_variable(monkeypatch, bad):
         resolve_tile_bytes(None)
 
 
-def test_set_tile_bytes_rejects_nonpositive():
+def test_tile_bytes_rejects_nonpositive():
     with pytest.raises(ValueError, match="tile_bytes"):
-        set_tile_bytes(0)
+        with tier_context(tile_bytes=0):
+            pass
     with pytest.raises(ValueError, match="tile_bytes"):
         resolve_tile_bytes(-8)
 
@@ -247,7 +161,7 @@ def test_backends_declare_their_tiers():
     assert "blocked" in registry.lookup("rowmin", "pram-crcw").kernel_tiers
     seq = registry.lookup("rowmin", "sequential")
     assert seq.kernel_tiers == ("reference",)
-    seq.check_kernel_tier(None)  # unset: defers to the process default
+    seq.check_kernel_tier(None)  # unset: defers to the scope / environment
     seq.check_kernel_tier("reference")
     with pytest.raises(CapabilityError, match="sequential"):
         seq.check_kernel_tier("fused")
@@ -290,6 +204,58 @@ def test_certified_blocked_tier_bit_identical():
     )
     assert ref.certified and got.certified and got.certificate.ok
     _assert_identical(ref, got)
+
+
+# --------------------------------------------------------------------- #
+# concurrent queries each run under their own tier
+# --------------------------------------------------------------------- #
+#: Rounds of four simultaneous solves; sized so a shared process-wide
+#: tier is caught on every run while the test stays near one second.
+ISOLATION_ROUNDS = 100
+
+
+def test_concurrent_queries_keep_their_own_tier():
+    """Four threads solve at once under ``reference``, ``fused``,
+    ``blocked`` and the default tier.  Every kernel chokepoint a thread
+    reaches sees that thread's tier, the default is unchanged afterwards,
+    and every answer and ledger snapshot equals a sequential
+    ``reference`` solve."""
+    a = random_monge(128, 128, np.random.default_rng(7))
+    want = repro.solve("rowmin", a, kernel_tier="reference")
+    default = resolve_kernel_tier(None)
+    tiers = ("reference", "fused", "blocked", None)
+    seen = defaultdict(list)  # thread ident -> tier name at each kernel
+    results = defaultdict(list)
+    barrier = threading.Barrier(len(tiers))
+
+    def record(ledger, name, size):
+        seen[threading.get_ident()].append(current_tier().name)
+
+    def worker(tier):
+        for _ in range(ISOLATION_ROUNDS):
+            barrier.wait(timeout=30)
+            results[tier].append(repro.solve("rowmin", a, kernel_tier=tier))
+
+    threads = {tier: threading.Thread(target=worker, args=(tier,)) for tier in tiers}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with kernel_hook(record):
+            for thread in threads.values():
+                thread.start()
+            for thread in threads.values():
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert resolve_kernel_tier(None) == default
+    for tier, thread in threads.items():
+        assert not thread.is_alive()
+        reads = seen[thread.ident]
+        assert reads and set(reads) == {tier or default}, (tier, set(reads))
+        assert len(results[tier]) == ISOLATION_ROUNDS
+        for got in results[tier]:
+            _assert_identical(want, got)
 
 
 # --------------------------------------------------------------------- #

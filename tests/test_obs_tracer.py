@@ -7,6 +7,8 @@ fused batches, resilient retries, and network backends.
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.obs import (
     reset_metrics,
     round_hook,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.pram import CostLedger
 from repro.resilience.faults import FaultPlan
 
@@ -310,6 +313,44 @@ def test_metrics_reset_and_instrument_semantics():
     assert snap["histograms"]["h"]["buckets"]["2^3"] == 1
     reset_metrics()
     assert metrics().snapshot()["counters"] == {}
+
+
+def test_metrics_snapshot_while_another_thread_creates_instruments():
+    """A snapshot taken while another thread creates first-time
+    instruments must not fail with "dictionary changed size during
+    iteration"."""
+    m = MetricsRegistry()
+    created = 100_000
+    done = threading.Event()
+    errors = []
+
+    def writer():
+        try:
+            for i in range(created):
+                m.counter(f"c.{i}").inc()
+        finally:
+            done.set()
+
+    def reader():
+        try:
+            while not done.is_set():
+                m.snapshot()
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader), threading.Thread(target=writer)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(m.snapshot()["counters"]) == created
 
 
 # --------------------------------------------------------------------- #

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.engine import Session
+from repro.kernels import current_tier, resolve_kernel_tier, tier_context
 from repro.monge.generators import random_monge, random_staircase_monge
-from repro.obs import metrics, reset_metrics
+from repro.obs import kernel_hook, metrics, reset_metrics
 from repro.resilience.faults import FaultPlan
 from repro.serve import QueryService, ServiceConfig, serve_solve
 
@@ -33,6 +34,13 @@ def _assert_same(want, got):
     np.testing.assert_array_equal(want.values, got.values)
     np.testing.assert_array_equal(want.witnesses, got.witnesses)
     assert want.snapshot == got.snapshot
+
+
+def _fused(count):
+    """How many of ``count`` fusable requests run fused: all of them, or
+    none when the default kernel tier has no stacked-sweep kernel (CI
+    runs this module under every pinned tier)."""
+    return count if current_tier().fused else 0
 
 
 # --------------------------------------------------------------------- #
@@ -67,7 +75,37 @@ def test_concurrent_clients_get_their_own_answers():
     counters = metrics().snapshot()["counters"]
     assert counters["serve.completed"] == len(specs)
     # the six same-shape rowmins and four rowmaxes each fused
-    assert counters["serve.fused_requests"] == 10
+    assert counters["serve.fused_requests"] == _fused(10)
+
+
+def test_request_keeps_its_submitters_tier():
+    """A request runs under the tier its submitter's ``tier_context``
+    set at admission, although it executes later on the worker thread,
+    and requests planned under different tiers never share a bucket."""
+    data = [random_monge(10, 10, np.random.default_rng(700 + k)) for k in range(6)]
+    tiers = ["reference", None, "blocked"] * 2
+    expected = {tier or resolve_kernel_tier(None) for tier in tiers}
+    seen = set()
+
+    async def client(svc, a, tier):
+        if tier is None:
+            return await svc.solve("rowmin", a)
+        with tier_context(tier):
+            return await svc.solve("rowmin", a)
+
+    async def body():
+        async with QueryService("pram-crcw", policy=WINDOW) as svc:
+            return await asyncio.gather(
+                *(client(svc, a, tier) for a, tier in zip(data, tiers))
+            )
+
+    with kernel_hook(lambda ledger, name, size: seen.add(current_tier().name)):
+        results = asyncio.run(body())
+    assert seen == expected
+    assert metrics().snapshot()["counters"]["serve.buckets"] >= len(expected)
+    ref = Session("pram-crcw")
+    for a, got in zip(data, results):
+        _assert_same(ref.solve("rowmin", a), got)
 
 
 def test_burst_fuses_into_one_bucket():
@@ -144,7 +182,7 @@ def test_faulty_request_retries_accounted_to_that_request_only():
         _assert_same(ref.solve("rowmin", a), got)
     counters = metrics().snapshot()["counters"]
     # machine faults disqualify fusion: the chaotic request ran serially
-    assert counters["serve.fused_requests"] == 4
+    assert counters["serve.fused_requests"] == _fused(4)
 
 
 def test_concurrent_prepare_and_solve_share_the_executor_safely():

@@ -15,15 +15,14 @@ import numpy as np
 import pytest
 
 import repro
-from repro.pram.fastpath import fast_path
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_rowmin_n64.jsonl"
 TIMESTAMP_KEYS = ("t0_us", "t1_us")
 
 
-def _pinned_result():
+def _pinned_result(**overrides):
     a = repro.generators.random_monge(64, 64, np.random.default_rng(0))
-    return repro.solve("rowmin", a, trace=True)
+    return repro.solve("rowmin", a, trace=True, **overrides)
 
 
 def _strip(rows):
@@ -48,13 +47,12 @@ def test_golden_file_is_timestamped_and_charged():
     assert sum(r["rounds"] for r in rows) == 57  # Table 1.1 pinned run
 
 
-def test_fast_path_does_not_change_span_tree():
+def test_reference_tier_does_not_change_span_tree():
     """The vectorized fast path must replay the *same* charge sequence —
     identical span tree, charge deltas, and kernel events — as the
     scalar reference path."""
     fast = _pinned_result().trace.structure()
-    with fast_path(False):
-        slow = _pinned_result().trace.structure()
+    slow = _pinned_result(kernel_tier="reference").trace.structure()
     assert fast == slow
 
 
