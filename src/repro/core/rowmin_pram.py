@@ -48,12 +48,7 @@ import numpy as np
 
 from repro._util.bits import ceil_sqrt_array
 from repro._util.ragged import ragged as _ragged
-from repro.monge.arrays import (
-    CachedArray,
-    ImplicitArray,
-    SearchArray,
-    as_search_array,
-)
+from repro.monge.arrays import CachedArray, SearchArray, as_search_array
 from repro.kernels.api import eval_grouped_min
 from repro.kernels.chargefan import ChargeFan
 from repro.pram.machine import Pram
@@ -91,10 +86,6 @@ class _Batch:
 
     def __len__(self) -> int:
         return self.rs.size
-
-    @property
-    def total_rows(self) -> int:
-        return int(self.rcount.sum())
 
     def row_offsets(self) -> np.ndarray:
         out = np.zeros(len(self) + 1, dtype=np.int64)
@@ -209,17 +200,9 @@ def _row_maxima_impl(
         if reason is not None:
             degrade.warn_degraded("monge_row_maxima_pram", reason, "dense row scan")
             return degrade.brute_rows(pram, a.materialize(), mode="max")
-    m, _ = a.shape
-
-    class _Flip(SearchArray):
-        def __init__(self, base):
-            super().__init__(base.shape)
-            self.base = base
-
-        def _eval(self, rows, cols):
-            return -self.base.eval(m - 1 - rows, cols, checked=False)
-
-    vals, cols = _row_minima_impl(pram, _Flip(a), strategy=strategy, cache=cache)
+    vals, cols = _row_minima_impl(
+        pram, _extremum_view(a, "rowmax"), strategy=strategy, cache=cache
+    )
     return -vals[::-1], cols[::-1].copy()
 
 
@@ -235,7 +218,9 @@ def _inverse_row_maxima_impl(
                 "inverse_monge_row_maxima_pram", reason, "dense row scan"
             )
             return degrade.brute_rows(pram, a.materialize(), mode="max")
-    vals, cols = _row_minima_impl(pram, a.negate(), strategy=strategy, cache=cache)
+    vals, cols = _row_minima_impl(
+        pram, _extremum_view(a, "rowmax_inverse"), strategy=strategy, cache=cache
+    )
     return -vals, cols
 
 
@@ -251,61 +236,30 @@ def _solve_batch(pram: Pram, arr: SearchArray, batch: _Batch, fan: Optional[Char
     each query's serial charge sequence exactly (see
     :class:`~repro.kernels.chargefan.ChargeFan`).
     """
-    B = len(batch)
-    total_rows = batch.total_rows
-    vals = np.full(total_rows, np.inf)
-    cols = np.full(total_rows, -1, dtype=np.int64)
-    if B == 0:
-        return vals, cols
-    row_off = batch.row_offsets()
-
+    if len(batch) == 0:
+        return np.empty(0), np.empty(0, dtype=np.int64)
     small = batch.rcount <= _SMALL_ROWS
-    big = ~small
+    if small.all():
+        # the grouped minima already come out in batch-row order
+        return _solve_small(pram, arr, batch, fan)
 
-    # ---- direct solve for small-row subproblems (batched) ------------- #
+    row_off = batch.row_offsets()
+    total_rows = int(row_off[-1])
+    vals = np.empty(total_rows)
+    cols = np.empty(total_rows, dtype=np.int64)
+    # rows phase (c) fills: everything but small-subproblem and sampled rows
     if small.any():
-        sb = batch.select(small)
-        sb_rowoff = sb.row_offsets()
-        # one candidate group per (subproblem, row); width = ccount
-        widths = np.repeat(sb.ccount, sb.rcount)
-        local_col, owner_rowgrp, offsets = _ragged(widths)
-        # owner_rowgrp indexes (subproblem, row) pairs flattened
-        lr, owner_prob, _ = _ragged(sb.rcount)  # local row per group
-        g_rows = sb.rs[owner_prob] + lr * sb.rstride[owner_prob]
-        rows_flat = np.repeat(g_rows, widths)
-        cols_flat = sb.cs[owner_prob][owner_rowgrp] + local_col
-        # allocation is uniform-per-subproblem: O(1) rounds
-        pram.charge(rounds=1, processors=max(1, widths.size))
-        if fan is not None:
-            group_counts = fan.counts(sb.owner, sb.rcount)
-            fan.charge(group_counts)
-        if fan is not None:
-            # fan charges land on disjoint per-owner ledgers, so issuing
-            # them before the (possibly tiled) evaluation preserves every
-            # sub-account's serial charge sequence exactly
-            fan.charge(fan.counts(sb.owner, sb.rcount * sb.ccount))
-        gv, gi = eval_grouped_min(
-            pram,
-            lambda lo, hi: arr.eval(rows_flat[lo:hi], cols_flat[lo:hi], checked=False),
-            rows_flat.size,
-            offsets,
-        )
-        if fan is not None:
-            fan.grouped_min(widths, np.repeat(sb.owner, sb.rcount))
-        got_cols = np.where(gi >= 0, cols_flat[np.maximum(gi, 0)], -1)
-        # scatter back into the global output layout
-        dest = _dest_positions(row_off, small, sb.rcount)
-        vals[dest] = gv
-        cols[dest] = got_cols
-        pram.charge(rounds=1, processors=max(1, gv.size))
-        if fan is not None:
-            fan.charge(group_counts)
+        small_rows = np.repeat(small, batch.rcount)
+        vals[small_rows], cols[small_rows] = _solve_small(pram, arr, batch.select(small), fan)
+        interior = ~small_rows
+        big = ~small
+        bb = batch.select(big)
+        big_start = row_off[:-1][big]
+    else:
+        interior = np.ones(total_rows, dtype=bool)
+        bb = batch
+        big_start = row_off[:-1]
 
-    if not big.any():
-        return vals, cols
-
-    bb = batch.select(big)
-    nb = len(bb)
     # ---- phase (b): sampled rows ------------------------------------- #
     s = ceil_sqrt_array(bb.rcount)
     u = bb.rcount // s                      # number of sampled rows, >= 1
@@ -313,13 +267,15 @@ def _solve_batch(pram: Pram, arr: SearchArray, batch: _Batch, fan: Optional[Char
     nchunk = -(-bb.ccount // v)             # <= u chunks
 
     # children: for each subproblem, nchunk chunks of sampled rows
-    ch_local, ch_owner, _ = _ragged(nchunk)
+    ch_local, ch_owner, child_start = _ragged(nchunk)
+    ch_v = v[ch_owner]
+    ch_skip = ch_local * ch_v
     child_b = _Batch(
-        rs=bb.rs[ch_owner] + (s[ch_owner] - 1) * bb.rstride[ch_owner],
-        rstride=bb.rstride[ch_owner] * s[ch_owner],
+        rs=(bb.rs + (s - 1) * bb.rstride)[ch_owner],
+        rstride=(bb.rstride * s)[ch_owner],
         rcount=u[ch_owner],
-        cs=bb.cs[ch_owner] + ch_local * v[ch_owner],
-        ccount=np.minimum(v[ch_owner], bb.ccount[ch_owner] - ch_local * v[ch_owner]),
+        cs=bb.cs[ch_owner] + ch_skip,
+        ccount=np.minimum(ch_v, bb.ccount[ch_owner] - ch_skip),
         owner=None if bb.owner is None else bb.owner[ch_owner],
     )
     pram.charge(rounds=2, processors=max(1, len(child_b)))  # O(1) spawn/allocation
@@ -327,73 +283,59 @@ def _solve_batch(pram: Pram, arr: SearchArray, batch: _Batch, fan: Optional[Char
         fan.charge(fan.counts(bb.owner, nchunk), rounds=2)
     with pram.obs_phase("sampled-rows"):
         vb, cb = _solve_batch(pram, arr, child_b, fan)
-    child_rowoff = child_b.row_offsets()
 
-    # combine: per (subproblem, sampled row), min over its chunk winners
-    # candidates ordered (prob, row, chunk) — chunk order = column order,
-    # so grouped_min's first-position tie-break is the leftmost column.
-    cand_counts = np.repeat(nchunk, u)  # one group per sampled row
-    cand_local_chunk, cand_group, cand_offsets = _ragged(cand_counts)
-    # group index -> (prob, local sampled row)
-    g_localrow, g_prob, _ = _ragged(u)
-    # child index of (prob, chunk): child_start[prob] + chunk
-    child_start = np.zeros(nb + 1, dtype=np.int64)
-    np.cumsum(nchunk, out=child_start[1:])
-    cand_child = child_start[:-1][g_prob[cand_group]] + cand_local_chunk
-    cand_flat = child_rowoff[cand_child] + g_localrow[cand_group]
+    # combine: per (subproblem, sampled row), min over its chunk winners.
+    # Child rows are laid out (prob, chunk, row), candidates (prob, row,
+    # chunk) — chunk order = column order, so grouped_min's
+    # first-position tie-break is the leftmost column.
+    g_localrow, g_prob, _ = _ragged(u)      # one group per sampled row
+    cand_counts = nchunk[g_prob]
+    cand_offsets = np.zeros(cand_counts.size + 1, dtype=np.int64)
+    np.cumsum(cand_counts, out=cand_offsets[1:])
+    # candidate (prob, row k, chunk c) is row k of child child_start[prob] + c
+    cand_child = np.arange(cand_offsets[-1]) + np.repeat(
+        child_start[g_prob] - cand_offsets[:-1], cand_counts
+    )
+    cand_flat = child_b.row_offsets()[cand_child] + np.repeat(g_localrow, cand_counts)
     pram.charge(rounds=2, processors=max(1, cand_flat.size))  # gather winners
     if fan is not None:
         fan.charge(fan.counts(bb.owner, u * nchunk), rounds=2)
-    sv, si = grouped_min(pram, vb[cand_flat], cand_offsets)
+    sampled_vals, si = grouped_min(pram, vb[cand_flat], cand_offsets)
     if fan is not None:
-        fan.grouped_min(cand_counts, np.repeat(bb.owner, u))
+        fan.grouped_min(cand_counts, bb.owner[g_prob])
     sampled_cols = np.where(si >= 0, cb[cand_flat[np.maximum(si, 0)]], -1)
-    sampled_vals = sv
 
-    # write sampled-row results into output
-    big_rowoff_dest = row_off[:-1][big]
-    dest_sampled = (
-        np.repeat(big_rowoff_dest, u)
-        + (g_localrow + 1) * s[g_prob] - 1
-    )
+    # write sampled-row results into output: local row (k+1)·s - 1
+    dest_sampled = (big_start - 1)[g_prob] + (g_localrow + 1) * s[g_prob]
     vals[dest_sampled] = sampled_vals
     cols[dest_sampled] = sampled_cols
+    interior[dest_sampled] = False
     pram.charge(rounds=1, processors=max(1, dest_sampled.size))
     if fan is not None:
         fan.charge(fan.counts(bb.owner, u))
 
     # ---- phase (c): interior blocks ----------------------------------- #
-    # Block k of a subproblem: local rows (k·s - s + 1 + s-1-boundary)…
     # Using sampled local rows S_k = (k+1)s - 1 (k = 0..u-1):
     #   block 0: rows [0, S_0-1], cols [cs, c_0]
     #   block k: rows [S_{k-1}+1, S_k - 1], cols [c_{k-1}, c_k]
     #   block u: rows [S_{u-1}+1, rcount-1], cols [c_{u-1}, cs+ccount-1]
-    blk_counts = u + 1
-    blk_local, blk_owner, _ = _ragged(blk_counts)
+    blk_local, blk_owner, _ = _ragged(u + 1)
     s_o = s[blk_owner]
-    u_o = u[blk_owner]
-    r0 = np.where(blk_local == 0, 0, blk_local * s_o)          # S_{k-1}+1 = k·s
-    r1 = np.where(blk_local == u_o, bb.rcount[blk_owner] - 1, (blk_local + 1) * s_o - 2)
-    rows_in_block = np.maximum(0, r1 - r0 + 1)
-
-    # column bounds from sampled minima (global col indices)
-    grp_start = np.zeros(nb + 1, dtype=np.int64)
-    np.cumsum(u, out=grp_start[1:])
-    # previous sampled minima (or cs), next sampled minima (or cs+ccount-1)
-    prev_idx = grp_start[:-1][blk_owner] + blk_local - 1
-    next_idx = grp_start[:-1][blk_owner] + blk_local
+    last = blk_local == u[blk_owner]
+    rows_in_block = np.where(last, (bb.rcount - u * s)[blk_owner], s_o - 1)
+    # block k of owner o sits at flat index (sampled rows before o) + o + k,
+    # so its neighbouring sampled minima are c[blk - o - 1] and c[blk - o]
+    nxt = np.arange(blk_local.size) - blk_owner
     c_lo = np.where(
-        blk_local == 0, bb.cs[blk_owner], _safe_take(sampled_cols, prev_idx)
+        blk_local == 0, bb.cs[blk_owner], sampled_cols.take(nxt - 1, mode="clip")
     )
     c_hi = np.where(
-        blk_local == u_o,
-        bb.cs[blk_owner] + bb.ccount[blk_owner] - 1,
-        _safe_take(sampled_cols, next_idx),
+        last, (bb.cs + bb.ccount - 1)[blk_owner], sampled_cols.take(nxt, mode="clip")
     )
     keep = rows_in_block > 0
     kept_qowner = None if bb.owner is None else bb.owner[blk_owner][keep]
     child_c = _Batch(
-        rs=(bb.rs[blk_owner] + r0 * bb.rstride[blk_owner])[keep],
+        rs=(bb.rs[blk_owner] + blk_local * s_o * bb.rstride[blk_owner])[keep],
         rstride=bb.rstride[blk_owner][keep],
         rcount=rows_in_block[keep],
         cs=c_lo[keep],
@@ -406,17 +348,46 @@ def _solve_batch(pram: Pram, arr: SearchArray, batch: _Batch, fan: Optional[Char
     with pram.obs_phase("interior-blocks"):
         vc, cc = _solve_batch(pram, arr, child_c, fan)
 
-    # scatter interior results back: destination rows are contiguous runs
-    kept_owner = blk_owner[keep]
-    kept_r0 = r0[keep]
-    local_i, blk_of, _ = _ragged(rows_in_block[keep])
-    dest_interior = row_off[:-1][big][kept_owner[blk_of]] + kept_r0[blk_of] + local_i
-    vals[dest_interior] = vc
-    cols[dest_interior] = cc
-    pram.charge(rounds=1, processors=max(1, dest_interior.size))
+    # blocks tile the non-sampled rows of each big subproblem in order
+    vals[interior] = vc
+    cols[interior] = cc
+    pram.charge(rounds=1, processors=max(1, vc.size))
     if fan is not None:
-        fan.charge(fan.counts(kept_qowner, rows_in_block[keep]))
+        fan.charge(fan.counts(kept_qowner, child_c.rcount))
     return vals, cols
+
+
+def _solve_small(pram: Pram, arr: SearchArray, sb: _Batch, fan: Optional[ChargeFan]):
+    """Direct solve of small-row subproblems: one candidate group per
+    (subproblem, row) of width ``ccount``, results in batch-row order."""
+    lr, prob, _ = _ragged(sb.rcount)
+    widths = sb.ccount[prob]
+    offsets = np.zeros(widths.size + 1, dtype=np.int64)
+    np.cumsum(widths, out=offsets[1:])
+    total = int(offsets[-1])
+    rows_flat = np.repeat(sb.rs[prob] + lr * sb.rstride[prob], widths)
+    cols_flat = np.repeat(sb.cs[prob] - offsets[:-1], widths) + np.arange(total)
+    # allocation is uniform-per-subproblem: O(1) rounds
+    pram.charge(rounds=1, processors=max(1, widths.size))
+    if fan is not None:
+        group_counts = fan.counts(sb.owner, sb.rcount)
+        fan.charge(group_counts)
+        # fan charges land on disjoint per-owner ledgers, so issuing
+        # them before the (possibly tiled) evaluation preserves every
+        # sub-account's serial charge sequence exactly
+        fan.charge(fan.counts(sb.owner, sb.rcount * sb.ccount))
+    gv, gi = eval_grouped_min(
+        pram,
+        lambda lo, hi: arr.eval(rows_flat[lo:hi], cols_flat[lo:hi], checked=False),
+        total,
+        offsets,
+    )
+    if fan is not None:
+        fan.grouped_min(widths, sb.owner[prob])
+    pram.charge(rounds=1, processors=max(1, gv.size))
+    if fan is not None:
+        fan.charge(group_counts)
+    return gv, np.where(gi >= 0, cols_flat[np.maximum(gi, 0)], -1)
 
 
 def _safe_take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -425,13 +396,6 @@ def _safe_take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if a.size == 0:
         return np.zeros(idx.shape, dtype=a.dtype if hasattr(a, "dtype") else np.int64)
     return a[clipped]
-
-
-def _dest_positions(row_off, mask, rcounts) -> np.ndarray:
-    """Flat output positions of the rows of masked subproblems."""
-    starts = row_off[:-1][mask]
-    local, owner, _ = _ragged(rcounts)
-    return starts[owner] + local
 
 
 # --------------------------------------------------------------------- #
@@ -487,19 +451,15 @@ class _StackedArray(SearchArray):
 def _extremum_view(a: SearchArray, problem: str) -> SearchArray:
     """The Monge-minima view whose leftmost row minima solve ``problem``.
 
-    Mirrors the per-query transforms of the serial implementations
-    (row-flip negation for ``rowmax``, plain negation for
-    ``rowmax_inverse``), applied lazily — no per-part copies.  Float
-    negation is exact, so values stay bit-identical to the serial views.
+    Row-flip negation for ``rowmax``, plain negation for
+    ``rowmax_inverse``, applied lazily — no per-part copies.  The serial
+    implementations solve the same views, so the fused sweep's values
+    are bit-identical to theirs.
     """
     if problem == "rowmin":
         return a
-    m = a.shape[0]
     if problem == "rowmax":
-        return ImplicitArray(
-            lambda rows, cols, a=a, m=m: -a.eval(m - 1 - rows, cols, checked=False),
-            a.shape,
-        )
+        return a.flip_rows().negate()
     if problem == "rowmax_inverse":
         return a.negate()
     raise ValueError(f"unknown batched problem {problem!r}")

@@ -94,7 +94,7 @@ def _staircase_maxima_impl(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`staircase_row_maxima_pram`."""
     from repro.core.banded import banded_row_maxima_pram
-    from repro.monge.arrays import SearchArray as _SA, as_search_array as _asa
+    from repro.monge.arrays import as_search_array as _asa
 
     if not strict:
         reason = degrade.staircase_reason(array)
@@ -102,22 +102,14 @@ def _staircase_maxima_impl(
             degrade.warn_degraded("staircase_row_maxima_pram", reason, "dense row scan")
             return degrade.brute_rows(pram, _asa(array).materialize(), mode="max")
     arr, f = effective_boundary(array)
-    m, n = arr.shape
+    m = arr.shape[0]
     if m == 0:
         return np.empty(0), np.empty(0, dtype=np.int64)
     if cache:
         arr = CachedArray(arr)
-
-    class _RowFlip(_SA):
-        def __init__(self):
-            super().__init__((m, n))
-
-        def _eval(self, rows, cols):
-            return arr.eval(m - 1 - rows, cols, checked=False)
-
     lo = np.zeros(m, dtype=np.int64)
     hi = f[::-1].copy()  # nondecreasing after the flip
-    vals, cols = banded_row_maxima_pram(pram, _RowFlip(), lo, hi)
+    vals, cols = banded_row_maxima_pram(pram, arr.flip_rows(), lo, hi)
     return vals[::-1].copy(), cols[::-1].copy()
 
 _SMALL_ROWS = 4
@@ -234,51 +226,25 @@ def _effective_widths(f, batch: _StairBatch, rows_global, owner):
 
 
 def _stair_solve(pram: Pram, arr: SearchArray, f: np.ndarray, batch: _StairBatch):
-    B = len(batch)
-    total_rows = int(batch.rcount.sum())
-    vals = np.full(total_rows, np.inf)
-    cols = np.full(total_rows, -1, dtype=np.int64)
-    if B == 0 or total_rows == 0:
-        return vals, cols
-    row_off = batch.row_offsets()
-
+    if len(batch) == 0 or not batch.rcount.any():
+        return np.empty(0), np.empty(0, dtype=np.int64)
     small = batch.rcount <= _SMALL_ROWS
-    big = ~small
+    if small.all():
+        # the grouped minima already come out in batch-row order
+        return _stair_small(pram, arr, f, batch)
 
-    # ---- base case: brute grouped minimum over finite prefixes -------- #
+    row_off = batch.row_offsets()
+    vals = np.full(int(row_off[-1]), np.inf)
+    cols = np.full(int(row_off[-1]), -1, dtype=np.int64)
     if small.any():
-        sb = batch.select(small)
-        lr, owner, _ = _ragged(sb.rcount)
-        rows_g = sb.rs[owner] + lr
-        widths = _effective_widths(f, sb, rows_g, owner)
-        local_col, rowgrp, offsets = _ragged(widths)
-        rows_flat = np.repeat(rows_g, widths)
-        cols_flat = sb.cs[owner][rowgrp] + local_col
-        pram.charge(rounds=2, processors=max(1, widths.size))
-        if cols_flat.size:
-            gv, gi = eval_grouped_min(
-                pram,
-                lambda lo, hi: arr.eval(
-                    rows_flat[lo:hi], cols_flat[lo:hi], checked=False
-                ),
-                cols_flat.size,
-                offsets,
-            )
-        else:
-            gv = np.full(widths.size, np.inf)
-            gi = np.full(widths.size, -1, dtype=np.int64)
-        dest = np.repeat(row_off[:-1][small], sb.rcount) + lr
-        vals[dest] = gv
-        if cols_flat.size:
-            cols[dest] = np.where(gi >= 0, cols_flat[np.maximum(gi, 0)], -1)
-        else:
-            cols[dest] = -1
-        pram.charge(rounds=1, processors=max(1, dest.size))
-
-    if not big.any():
-        return vals, cols
-
-    bb = batch.select(big)
+        small_rows = np.repeat(small, batch.rcount)
+        vals[small_rows], cols[small_rows] = _stair_small(pram, arr, f, batch.select(small))
+        big = ~small
+        bb = batch.select(big)
+        big_start = row_off[:-1][big]
+    else:
+        bb = batch
+        big_start = row_off[:-1]
     nb = len(bb)
     s = ceil_sqrt_array(bb.rcount)
     u = bb.rcount // s  # sampled rows per subproblem (>= 1)
@@ -293,7 +259,7 @@ def _stair_solve(pram: Pram, arr: SearchArray, f: np.ndarray, batch: _StairBatch
     # block j of a subproblem: sampled rows 0..j × columns [g_{j+1}, g_j)
     g_next = np.where(
         samp_local_k + 1 < u[samp_owner],
-        _shift_within(g, samp_off, -1),
+        _shift_within(g, -1),
         0,
     )
     blk_width = g - g_next
@@ -308,35 +274,26 @@ def _stair_solve(pram: Pram, arr: SearchArray, f: np.ndarray, batch: _StairBatch
     pram.charge(rounds=2, processors=max(1, len(mb)))
     with pram.obs_phase("sampled-blocks"):
         bvals, bcols = _solve_batch(pram, arr, mb)
-    mb_rowoff = mb.row_offsets()
 
     # combine: sampled row k gathers winners of its blocks j >= k,
-    # ordered j descending (leftmost column ranges first).
-    kept_idx = np.nonzero(blk_keep)[0]                  # flat sampled index of each block
+    # ordered j descending (leftmost column ranges first).  Block j's
+    # rows are sampled rows 0..j, so its results are the candidates
+    # (block, k) for k = 0..j, already flat in that order.
     kept_j = samp_local_k[blk_keep]                     # block's j within its subproblem
-    kept_owner = samp_owner[blk_keep]
-    # per sampled row k: number of kept blocks with j >= k in same owner
-    # build candidate list: iterate blocks; each block j contributes to rows 0..j
-    contrib_counts = kept_j + 1                         # block j covers rows 0..j
-    c_local, c_blk, _ = _ragged(contrib_counts)         # c_local = row index k within block
-    cand_owner = kept_owner[c_blk]
-    cand_k = c_local                                    # sampled row index k (0..j)
-    cand_val = bvals[mb_rowoff[c_blk] + cand_k]
-    cand_col = bcols[mb_rowoff[c_blk] + cand_k]
+    cand_k, c_blk, _ = _ragged(kept_j + 1)
     # group by (owner, k), candidates ordered by j DESC within the group
-    grp_id = samp_off[:-1][cand_owner] + cand_k
+    grp_id = samp_off[:-1][samp_owner[blk_keep]][c_blk] + cand_k
     order = np.lexsort((-kept_j[c_blk], grp_id))
-    cand_val = cand_val[order]
-    cand_col = cand_col[order]
-    grp_sorted = grp_id[order]
-    counts = np.bincount(grp_id, minlength=int(u.sum()))
+    cand_val = bvals[order]
+    cand_col = bcols[order]
+    counts = np.bincount(grp_id, minlength=samp_local_k.size)
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     pram.charge(rounds=3, processors=max(1, cand_val.size))  # gather + route
     sv, si = grouped_min(pram, cand_val, offsets)
     c_pos = _pick(cand_col, si)  # global col of c_k
     # write sampled rows' results
-    dest_samp = np.repeat(row_off[:-1][big], u) + (samp_local_k + 1) * s[samp_owner] - 1
+    dest_samp = (big_start - 1)[samp_owner] + (samp_local_k + 1) * s[samp_owner]
     vals[dest_samp] = sv
     cols[dest_samp] = c_pos
     pram.charge(rounds=1, processors=max(1, dest_samp.size))
@@ -374,11 +331,10 @@ def _stair_solve(pram: Pram, arr: SearchArray, f: np.ndarray, batch: _StairBatch
     pram.charge(rounds=2, processors=max(1, len(mgb)))
     with pram.obs_phase("interior-monge"):
         mg_vals, mg_cols = _solve_batch(pram, arr, mgb)
-    mg_rowoff = mgb.row_offsets()
 
     # ---- phase 4: overhang + tail staircase recursions ----------------- #
     # overhang of block k: interior rows × columns [cs+g_k, cs+g_{k-1})
-    g_prev = np.where(samp_local_k > 0, _shift_within(g, samp_off, +1), bb.ccount[samp_owner])
+    g_prev = np.where(samp_local_k > 0, _shift_within(g, +1), bb.ccount[samp_owner])
     over_w = np.maximum(0, g_prev - g)
     has_over = (blk_rows > 0) & (over_w > 0)
     # tail block: rows below the last sampled row, full remaining range,
@@ -411,35 +367,51 @@ def _stair_solve(pram: Pram, arr: SearchArray, f: np.ndarray, batch: _StairBatch
     pram.charge(rounds=2, processors=max(1, len(stb)))
     with pram.obs_phase("stair-recursion"):
         st_vals, st_cols = _stair_solve(pram, arr, f, stb)
-    st_rowoff = stb.row_offsets()
 
     # ---- phase 5: combine interior rows -------------------------------- #
+    # output position of each block's first interior row
+    blk_start = big_start[samp_owner] + blk_r0
     # Monge-region results
     if len(mgb):
-        kept = np.nonzero(has_monge)[0]
-        li, bo, _ = _ragged(mgb.rcount)
-        dest = (
-            np.repeat(row_off[:-1][big][samp_owner[kept]], mgb.rcount)
-            + np.repeat(blk_r0[kept], mgb.rcount)
-            + li
-        )
+        li, _, _ = _ragged(mgb.rcount)
+        dest = np.repeat(blk_start[has_monge], mgb.rcount) + li
         _combine_min(vals, cols, dest, mg_vals, mg_cols)
         pram.charge(rounds=1, processors=max(1, dest.size))
     # staircase (overhang + tail) results
     if len(stb):
-        over_idx = np.nonzero(has_over)[0]
-        tail_idx = np.nonzero(has_tail)[0]
-        owner_rows_start = np.concatenate([
-            np.repeat(row_off[:-1][big][samp_owner[over_idx]], blk_rows[over_idx])
-            + np.repeat(blk_r0[over_idx], blk_rows[over_idx]),
-            np.repeat(row_off[:-1][big][tail_idx], tail_rows[tail_idx])
-            + np.repeat(tail_r0[tail_idx], tail_rows[tail_idx]),
-        ])
+        st_start = np.concatenate([blk_start[has_over], (big_start + tail_r0)[has_tail]])
         li2, _, _ = _ragged(st_rcount)
-        dest2 = owner_rows_start + li2
+        dest2 = np.repeat(st_start, st_rcount) + li2
         _combine_min(vals, cols, dest2, st_vals, st_cols)
         pram.charge(rounds=1, processors=max(1, dest2.size))
     return vals, cols
+
+
+def _stair_small(pram: Pram, arr: SearchArray, f: np.ndarray, sb: _StairBatch):
+    """Base case: brute grouped minimum over each row's finite prefix,
+    results in batch-row order."""
+    lr, owner, _ = _ragged(sb.rcount)
+    rows_g = sb.rs[owner] + lr
+    widths = _effective_widths(f, sb, rows_g, owner)
+    offsets = np.zeros(widths.size + 1, dtype=np.int64)
+    np.cumsum(widths, out=offsets[1:])
+    total = int(offsets[-1])
+    pram.charge(rounds=2, processors=max(1, widths.size))
+    if total:
+        rows_flat = np.repeat(rows_g, widths)
+        cols_flat = np.repeat(sb.cs[owner] - offsets[:-1], widths) + np.arange(total)
+        gv, gi = eval_grouped_min(
+            pram,
+            lambda lo, hi: arr.eval(rows_flat[lo:hi], cols_flat[lo:hi], checked=False),
+            total,
+            offsets,
+        )
+        gc = np.where(gi >= 0, cols_flat[np.maximum(gi, 0)], -1)
+    else:
+        gv = np.full(widths.size, np.inf)
+        gc = np.full(widths.size, -1, dtype=np.int64)
+    pram.charge(rounds=1, processors=max(1, gv.size))
+    return gv, gc
 
 
 def _pick(src: np.ndarray, gi: np.ndarray) -> np.ndarray:
@@ -449,12 +421,12 @@ def _pick(src: np.ndarray, gi: np.ndarray) -> np.ndarray:
     return np.where(gi >= 0, src[np.maximum(gi, 0)], -1)
 
 
-def _shift_within(x: np.ndarray, offsets: np.ndarray, direction: int) -> np.ndarray:
-    """Shift ``x`` by one within each segment delimited by ``offsets``.
+def _shift_within(x: np.ndarray, direction: int) -> np.ndarray:
+    """Shift ``x`` by one place.
 
-    ``direction=-1`` brings the *next* element (segment-final gets 0),
-    ``+1`` brings the *previous* (segment-initial gets 0).  Values
-    outside segments are masked by callers.
+    ``direction=-1`` brings the *next* element (the last gets 0),
+    ``+1`` brings the *previous* (the first gets 0).  Values that cross
+    a segment boundary are masked by callers.
     """
     out = np.zeros_like(x)
     if direction < 0:

@@ -41,7 +41,7 @@ import numpy as np
 from repro._util.bits import ceil_sqrt
 from repro._util.ragged import ragged as _ragged
 from repro._util.validation import as_float_tensor
-from repro.monge.arrays import CachedArray, MongeComposite, SearchArray
+from repro.monge.arrays import CachedArray, MongeComposite
 from repro.pram.machine import Pram
 from repro.kernels.api import eval_grouped_min
 from repro.resilience import degrade
@@ -140,26 +140,8 @@ def _tube_maxima_impl(
         if reason is not None:
             degrade.warn_degraded("tube_maxima_pram", reason, "dense cube scan")
             return _degraded_tube(pram, c, "tube_maxima_pram", "max")
-    p, q, r = c.shape
-    D, E = c.D, c.E
-
-    class _FlipD(SearchArray):
-        def __init__(self):
-            super().__init__((p, q))
-
-        def _eval(self, rows, cols):
-            return -D.eval(p - 1 - rows, cols, checked=False)
-
-    class _FlipE(SearchArray):
-        def __init__(self):
-            super().__init__((q, r))
-
-        def _eval(self, rows, cols):
-            return -E.eval(rows, r - 1 - cols, checked=False)
-
-    vals, args = _tube_minima_impl(
-        pram, MongeComposite(_FlipD(), _FlipE()), scheme=scheme, cache=cache
-    )
+    flipped = MongeComposite(c.D.flip_rows().negate(), c.E.flip_cols().negate())
+    vals, args = _tube_minima_impl(pram, flipped, scheme=scheme, cache=cache)
     return -vals[::-1, ::-1], args[::-1, ::-1].copy()
 
 

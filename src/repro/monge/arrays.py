@@ -76,7 +76,8 @@ class SearchArray:
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        rows, cols = np.broadcast_arrays(rows, cols)
+        if rows.shape != cols.shape:
+            rows, cols = np.broadcast_arrays(rows, cols)
         if checked and rows.size:
             m, n = self.shape
             if ((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)).any():

@@ -48,22 +48,6 @@ def _sparse_table(pram: Pram, x: np.ndarray) -> list[np.ndarray]:
     return table
 
 
-def _range_min(table: list[np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorized min over half-open windows ``[lo, hi)`` (hi > lo)."""
-    length = hi - lo
-    k = np.maximum(0, np.ceil(np.log2(np.maximum(length, 1))).astype(int))
-    k = np.where((1 << k) > length, k - 1, k)  # largest 2**k <= length
-    k = np.maximum(k, 0)
-    out = np.full(lo.shape, np.inf)
-    for kk in np.unique(k):
-        sel = k == kk
-        t = table[kk]
-        a = lo[sel]
-        b = hi[sel] - (1 << kk)
-        out[sel] = np.minimum(t[a], t[b])
-    return out
-
-
 def nearest_smaller_left(pram: Pram, x: np.ndarray) -> np.ndarray:
     """Index of nearest strictly-smaller value to the left (-1 if none)."""
     x = np.asarray(x, dtype=np.float64)
@@ -101,18 +85,15 @@ def nearest_smaller_left_threshold(
     K = ceil_log2(max(2, n))
     # Binary descent: maintain pos = candidate "rightmost index that may
     # still be the answer"; shrink by powers of two while the window
-    # (pos-2^k, pos] contains no value < threshold.
+    # (pos-2^k, pos] contains no value < threshold.  That window is
+    # exactly the sparse-table cell table[k][pos - 2^k + 1], one gather.
     pos = positions - 1
     target = thresholds
     for k in range(K, -1, -1):
-        step = 1 << k
-        lo = pos - step + 1
-        can = (pos >= 0) & (lo >= 0)
-        wmin = np.full(nq, np.inf)
-        if can.any():
-            wmin[can] = _range_min(table, lo[can], pos[can] + 1)
-        jump = can & (wmin >= target)
-        pos = np.where(jump, pos - step, pos)
+        if k < len(table):  # a longer window starts left of index 0
+            lo = pos - (1 << k) + 1
+            jump = (lo >= 0) & (table[k].take(lo, mode="clip") >= target)
+            pos = np.where(jump, lo - 1, pos)
         pram.charge(rounds=1, processors=max(n, nq))
     # Handle prefixes whose whole window lacked a smaller value.
     ok = pos >= 0

@@ -359,13 +359,13 @@ def _grouped_extremum(
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim != 1 or offsets.size == 0:
         raise ValueError("offsets must be a nonempty 1-D array")
-    widths = np.diff(offsets)
-    if offsets[0] != 0 or offsets[-1] != values.size or (widths < 0).any():
+    widths = offsets[1:] - offsets[:-1]
+    if offsets[0] != 0 or offsets[-1] != values.size or widths.min(initial=0) < 0:
         raise ValueError("offsets must start at 0, end at len(values), and be nondecreasing")
     n_groups = widths.size
     if n_groups == 0:
         return np.empty(0), np.empty(0, dtype=np.int64)
-    max_w = int(widths.max(initial=0))
+    max_w = int(widths.max())
     if max_w == 0:
         return np.full(n_groups, np.inf), np.full(n_groups, -1, dtype=np.int64)
 
@@ -375,7 +375,7 @@ def _grouped_extremum(
 
     if strategy == "auto":
         if pram.model.is_crcw:
-            pair_budget = int((widths.astype(np.int64) ** 2).sum())
+            pair_budget = int(np.dot(widths, widths))
             # Brent machines time-slice, so strategy choice must respect
             # the *physical* width or all-pairs degenerates to O(n) slices.
             budget = getattr(pram, "physical_processors", pram.processors)
@@ -405,20 +405,25 @@ def _grouped_min_fused(values, offsets, widths):
     groups report ``(inf, -1)``; ties break to the smallest flat index.
     """
     n_groups = widths.size
+    starts = offsets[:-1]
+    ne = None
+    if n_groups == 0 or widths.min() == 0:
+        # Consecutive nonempty groups are contiguous in the flat array
+        # (empty groups occupy zero width), so their starts segment it.
+        ne = np.nonzero(widths > 0)[0]
+        if ne.size == 0:
+            return np.full(n_groups, np.inf), np.full(n_groups, -1, dtype=np.int64)
+        starts, widths = starts[ne], widths[ne]
+    gmin = np.minimum.reduceat(values, starts)
+    cand = np.where(values == np.repeat(gmin, widths),
+                    np.arange(values.size, dtype=np.int64), values.size)
+    argm = np.where(gmin < np.inf, np.minimum.reduceat(cand, starts), -1)
+    if ne is None:
+        return gmin, argm
     out_v = np.full(n_groups, np.inf)
     out_i = np.full(n_groups, -1, dtype=np.int64)
-    ne = np.nonzero(widths > 0)[0]
-    if ne.size == 0:
-        return out_v, out_i
-    # Consecutive nonempty groups are contiguous in the flat array
-    # (empty groups occupy zero width), so their starts segment it.
-    starts = offsets[:-1][ne]
-    gmin = np.minimum.reduceat(values, starts)
-    cand = np.where(values == np.repeat(gmin, widths[ne]),
-                    np.arange(values.size, dtype=np.int64), values.size)
-    argm = np.minimum.reduceat(cand, starts)
     out_v[ne] = gmin
-    out_i[ne] = np.where(gmin < np.inf, argm, -1)
+    out_i[ne] = argm
     return out_v, out_i
 
 
@@ -434,7 +439,7 @@ def _grouped_min_binary(pram, values, offsets, widths, max_w):
                 d <<= 1
         else:
             pram.charge(rounds=1, processors=max(1, n))
-        pram.charge(rounds=1, processors=max(1, int((widths > 0).sum())))
+        pram.charge(rounds=1, processors=max(1, int(np.count_nonzero(widths))))
         return out_v, out_i
     heads = np.zeros(n, dtype=bool)
     nonempty = widths > 0
@@ -477,15 +482,9 @@ def _width_classes(widths: np.ndarray) -> list[tuple[int, np.ndarray]]:
     Returns ``(padded_width, group_indices)`` pairs; padding a group to
     at most twice its width keeps the processor overcount ≤ 4x.
     """
-    out = []
     nonempty = np.nonzero(widths > 0)[0]
-    if nonempty.size == 0:
-        return out
-    classes = np.maximum(0, np.ceil(np.log2(np.maximum(widths[nonempty], 1))).astype(int))
-    classes[widths[nonempty] == 1] = 0
-    for c in np.unique(classes):
-        out.append((1 << int(c), nonempty[classes == c]))
-    return out
+    classes = _padded_class(widths[nonempty])
+    return [(1 << int(c), nonempty[classes == c]) for c in np.unique(classes)]
 
 
 def _width_class_counts(widths: np.ndarray) -> list[tuple[int, int]]:
@@ -495,13 +494,17 @@ def _width_class_counts(widths: np.ndarray) -> list[tuple[int, int]]:
     the fast paths charge per class but never gather the members, so a
     ``bincount`` over class labels replaces the ``unique`` sort.
     """
-    w = widths[widths > 0]
-    if w.size == 0:
-        return []
-    classes = np.maximum(0, np.ceil(np.log2(np.maximum(w, 1))).astype(int))
-    classes[w == 1] = 0
-    counts = np.bincount(classes)
+    counts = np.bincount(_padded_class(widths[widths > 0]))
     return [(1 << int(c), int(counts[c])) for c in np.nonzero(counts)[0]]
+
+
+_POWERS_OF_TWO = np.int64(1) << np.arange(63, dtype=np.int64)
+
+
+def _padded_class(w: np.ndarray) -> np.ndarray:
+    """``ceil(lg w)`` of positive widths, exactly: the index of the first
+    power of two ``>= w``."""
+    return _POWERS_OF_TWO.searchsorted(w)
 
 
 def _padded_matrix(values, offsets, widths, group_ids, width):
@@ -605,8 +608,8 @@ def resolve_grouped_strategy(crcw: bool, budget: int, widths: np.ndarray) -> str
     processors (the *physical* budget on Brent machines)."""
     if not crcw:
         return "binary"
-    pair_budget = int((np.asarray(widths, dtype=np.int64) ** 2).sum())
-    return "allpairs" if pair_budget <= budget else "doubly_log"
+    widths = np.asarray(widths, dtype=np.int64)
+    return "allpairs" if int(np.dot(widths, widths)) <= budget else "doubly_log"
 
 
 def replay_grouped_min_charges(
@@ -644,7 +647,7 @@ def replay_grouped_min_charges(
                 d <<= 1
         else:
             target.charge(rounds=1, processors=max(1, n))
-        target.charge(rounds=1, processors=max(1, int((widths > 0).sum())))
+        target.charge(rounds=1, processors=max(1, int(np.count_nonzero(widths))))
         return
     if strategy == "allpairs":
         # charge per padded width class — exactly what the serial

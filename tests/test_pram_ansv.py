@@ -9,6 +9,7 @@ from repro.pram import CREW, CostLedger, Pram
 from repro.pram.ansv import (
     all_nearest_smaller_values,
     nearest_smaller_left,
+    nearest_smaller_left_threshold,
     nearest_smaller_right,
 )
 
@@ -88,3 +89,65 @@ def test_matches_bruteforce(xs):
     x = np.array(xs, dtype=float)
     np.testing.assert_array_equal(nearest_smaller_left(make(), x), brute_left(x))
     np.testing.assert_array_equal(nearest_smaller_right(make(), x), brute_right(x))
+
+
+# --------------------------------------------------------------------- #
+# threshold form (Lemma 2.2 bracketing, as the staircase recursion calls it)
+# --------------------------------------------------------------------- #
+def brute_threshold(x, thresholds, positions):
+    """Largest ``j < positions[q]`` with ``x[j] < thresholds[q]``, else -1."""
+    out = []
+    for t, p in zip(thresholds, positions):
+        j = p - 1
+        while j >= 0 and not x[j] < t:
+            j -= 1
+        out.append(j)
+    return np.array(out, dtype=np.int64)
+
+
+_ENTRY = st.one_of(st.integers(0, 6).map(float), st.just(np.inf))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_threshold_form_matches_bruteforce(data):
+    x = np.array(data.draw(st.lists(_ENTRY, min_size=1, max_size=70)))
+    n = x.size
+    nq = data.draw(st.integers(1, 40))
+    # thresholds equal to entries are common: the comparison is strict
+    thresholds = np.array(data.draw(st.lists(_ENTRY, min_size=nq, max_size=nq)))
+    positions = np.array(
+        data.draw(st.lists(st.integers(0, n), min_size=nq, max_size=nq)), dtype=np.int64
+    )
+    positions[0] = data.draw(st.sampled_from([0, n]))
+    got = nearest_smaller_left_threshold(make(), x, thresholds, positions)
+    np.testing.assert_array_equal(got, brute_threshold(x, thresholds, positions))
+
+
+def test_threshold_form_all_infinite_entries():
+    x = np.full(9, np.inf)
+    got = nearest_smaller_left_threshold(
+        make(), x, np.array([np.inf, 1.0, np.inf]), np.array([9, 9, 0])
+    )
+    np.testing.assert_array_equal(got, [-1, -1, -1])
+
+
+def test_threshold_form_pinned_n4096():
+    """Answers match the oracle and the ledger is the pinned one: one
+    round per sparse-table level, one per descent step, one epilogue."""
+    n = 4096
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=n)
+    x[rng.random(n) < 0.1] = np.inf
+    thresholds = rng.normal(size=n)
+    thresholds[::7] = x[rng.integers(0, n, size=thresholds[::7].size)]
+    positions = rng.integers(0, n + 1, size=n)
+    positions[:2] = [0, n]
+    pram = make()
+    got = nearest_smaller_left_threshold(pram, x, thresholds, positions)
+    below = (x[None, :] < thresholds[:, None]) & (np.arange(n)[None, :] < positions[:, None])
+    want = np.where(below.any(axis=1), n - 1 - np.argmax(below[:, ::-1], axis=1), -1)
+    np.testing.assert_array_equal(got, want)
+    assert pram.ledger.snapshot() == {
+        "rounds": 26, "work": 98318, "peak_processors": 4096, "phases": {},
+    }

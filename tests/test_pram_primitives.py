@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util.bits import ceil_log2
+from repro.kernels import tier_context
 from repro.pram import CRCW_COMMON, CREW, EREW, CostLedger, Pram
 from repro.pram.primitives import (
     broadcast,
@@ -285,3 +286,65 @@ def test_grouped_min_property_random_partitions(data):
         v, i = grouped_min(make(model), values, offsets, strategy=strategy)
         np.testing.assert_array_equal(v, ref_v, err_msg=strategy)
         np.testing.assert_array_equal(i, ref_i, err_msg=strategy)
+
+
+# --------------------------------------------------------------------- #
+# padded width classes (the all-pairs and doubly-log charge replays)
+# --------------------------------------------------------------------- #
+def _expected_classes(widths):
+    """``(padded_width, group_count)`` pairs built from exact integers."""
+    counts = {}
+    for w in (int(x) for x in widths if x > 0):
+        padded = 1 << ceil_log2(w)
+        counts[padded] = counts.get(padded, 0) + 1
+    return sorted(counts.items())
+
+
+def _allpairs_bill(widths):
+    """``(rounds, peak_processors, work)`` of one all-pairs grouped min."""
+    pairs = sum(cnt * w * w for w, cnt in _expected_classes(widths))
+    return (3, pairs, 3 * pairs) if pairs else (0, 0, 0)
+
+
+def _billed(ledger):
+    return ledger.rounds, ledger.peak_processors, ledger.work
+
+
+_WIDTH_CASES = {
+    "every_width_to_4096": np.arange(1, 4097, dtype=np.int64),
+    "random_below_2_40": np.random.default_rng(5).integers(1, 1 << 40, size=2000),
+    "with_empty_groups": np.array([0, 3, 0, 0, 1, 2, 0, 4, 5, 0], dtype=np.int64),
+    "all_empty": np.zeros(6, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WIDTH_CASES))
+def test_width_class_counts_match_exact_ceil_log2(case):
+    from repro.pram.primitives import _width_class_counts, _width_classes
+
+    widths = _WIDTH_CASES[case]
+    assert _width_class_counts(widths) == _expected_classes(widths)
+    # the reference path's bucketing agrees, member for member
+    members = [(w, gids.tolist()) for w, gids in _width_classes(widths)]
+    assert [(w, len(g)) for w, g in members] == _expected_classes(widths)
+    for w, gids in members:
+        assert all(w // 2 < widths[g] <= w for g in gids)
+
+
+@pytest.mark.parametrize("case", sorted(_WIDTH_CASES))
+def test_allpairs_bill_matches_exact_classes(case):
+    from repro.pram.primitives import replay_grouped_min_charges
+
+    widths = _WIDTH_CASES[case]
+    ledger = CostLedger()
+    replay_grouped_min_charges(ledger, widths, crcw=True, budget=1, strategy="allpairs")
+    assert _billed(ledger) == _allpairs_bill(widths)
+    if widths.sum() <= 4096:
+        # the all-pairs kernel bills the same padded classes on every tier
+        offsets = np.concatenate([[0], np.cumsum(widths)])
+        values = np.random.default_rng(2).normal(size=int(offsets[-1]))
+        for tier in ("reference", "fused"):
+            pram = make(CRCW_COMMON)
+            with tier_context(tier):
+                grouped_min(pram, values, offsets, strategy="allpairs")
+            assert _billed(pram.ledger) == _allpairs_bill(widths), tier
