@@ -6,11 +6,11 @@ Two load shapes against a live :class:`~repro.serve.QueryService`
 ``closed``
     ``C`` concurrent clients each submit ``R`` same-shape ``rowmin``
     queries back-to-back (a new request the moment the previous answer
-    lands).  Run twice — ``fused`` (adaptive window, default-style
-    policy) vs ``unbatched`` (``max_batch=1``: every request is its own
-    bucket, the window machinery disabled) — and compare throughput.
-    The speedup is the service's reason to exist: requests that arrive
-    together execute as one fused sweep.
+    lands).  Run twice — ``fused`` (the default policy: dispatch when
+    idle) vs ``unbatched`` (``max_batch=1``: every request is its own
+    bucket) — and compare throughput.  The speedup is the service's
+    reason to exist: requests that queue together execute as one fused
+    sweep.
 ``open``
     Requests arrive on a fixed schedule (one every ``gap`` seconds)
     regardless of completions; per-request latency is sampled raw
@@ -55,13 +55,12 @@ from repro.serve import QueryService, ServiceConfig
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "BENCH_serve.json")
 
-#: The adaptive-window policy under test (windows sized so holding is
-#: mostly hidden behind executor busy time at the bench sizes).
-FUSED = ServiceConfig(min_window=0.0005, max_window=0.005,
-                      target_width=16, max_batch=64)
-#: The comparison policy: every request is its own bucket — the service
-#: still admits/schedules, but fusion is off.
-UNBATCHED = ServiceConfig(min_window=0.0, max_window=0.0, max_batch=1)
+#: The policy under test: the default (dispatch when idle; requests that
+#: queue while the executor is busy run as one fused bucket).
+FUSED = ServiceConfig()
+#: The comparison policy: ``max_batch=1``, so every request is its own
+#: bucket — the service still admits/schedules, but fusion is off.
+UNBATCHED = ServiceConfig(max_batch=1)
 
 
 def make_requests(total: int, n: int) -> list:
@@ -231,10 +230,7 @@ def run_matrix(smoke: bool, repeats: int) -> Dict:
         )
     return {
         "meta": {**environment_fingerprint(), "smoke": smoke, "repeats": repeats,
-                 "policy_fused": {"min_window": FUSED.min_window,
-                                  "max_window": FUSED.max_window,
-                                  "target_width": FUSED.target_width,
-                                  "max_batch": FUSED.max_batch},
+                 "policy_fused": {"max_batch": FUSED.max_batch},
                  "policy_unbatched": {"max_batch": UNBATCHED.max_batch}},
         "workloads": workloads,
         "metrics": obs_snapshot(),
@@ -293,7 +289,7 @@ def test_smoke_equivalence(tmp_path):
 
 
 def test_served_speedup_acceptance():
-    """Acceptance: fused service ≥1.5× the window-disabled service for
+    """Acceptance: fused service ≥1.5× the ``max_batch=1`` service for
     16 closed-loop clients at n=512."""
     rec = run_closed(512, clients=16, per_client=4, repeats=3)
     assert rec["identical"], rec["violations"]

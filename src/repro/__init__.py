@@ -25,8 +25,8 @@ A production-grade reproduction of Aggarwal, Kravets, Park, and Sen
   ``kernel_tier=`` / ``tier_context`` / ``REPRO_KERNEL_TIER``, all
   charging identical ledgers (DESIGN.md §13);
 - :mod:`repro.serve` — the async query service: concurrent clients'
-  requests are held for an adaptive fusion window and executed as
-  fused ``solve_many`` buckets, with admission control, per-request
+  requests that queue while the executor is busy run as fused
+  ``solve_many`` buckets, with admission control, per-request
   deadlines, and ``serve.*`` observability (DESIGN.md §15).
 
 Quickstart::
@@ -97,4 +97,4 @@ __all__ = [
     "CapabilityError",
 ]
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"

@@ -1,14 +1,15 @@
-"""Async query serving with adaptive micro-batching (DESIGN.md §15).
+"""Async query serving with micro-batching (DESIGN.md §15).
 
 The paper's premise is that grouped Monge searches are cheaper together
 than apart; :meth:`Session.solve_many` proves it offline
 (BENCH_batch.json).  :class:`QueryService` makes real concurrent
 traffic get that speedup automatically: an asyncio front door that
-holds compatible requests for a short adaptive fusion window — the
-hardware fan-in-arbiter trade of a bounded hold for throughput — and
-lowers each bucket through the existing planner and staged lifecycle,
-so served answers are bit-identical to direct :meth:`Session.solve`
-calls and inherit kernel tiers, resilience, and tracing unchanged.
+buckets compatible requests and dispatches a bucket as soon as the
+executor is idle, so requests that arrive while it is busy run as one
+fused sweep and a request on an idle service runs at once.  Each bucket
+is lowered through the existing planner and staged lifecycle, so served
+answers are bit-identical to direct :meth:`Session.solve` calls and
+inherit kernel tiers, resilience, and tracing unchanged.
 
 Quickstart::
 
@@ -27,7 +28,7 @@ Quickstart::
 
 Determinism seams for tests: a :class:`VirtualClock` (time moves only
 via ``await clock.advance(dt)``) and an :class:`InlineExecutor`
-(buckets run synchronously on the loop thread) make every window,
+(buckets run synchronously on the loop thread) make every dispatch,
 deadline, and shedding path reproducible without wall-clock sleeps.
 """
 
@@ -43,12 +44,10 @@ from repro.serve.service import (
     ThreadExecutor,
     serve_solve,
 )
-from repro.serve.window import WindowController
 
 __all__ = [
     "QueryService",
     "ServiceConfig",
-    "WindowController",
     "Clock",
     "MonotonicClock",
     "VirtualClock",

@@ -1,11 +1,11 @@
 """The scheduler seam: wall clocks and the deterministic virtual clock.
 
-Every time-dependent decision in :mod:`repro.serve` — fusion-window
-expiry, per-request deadlines, admission-wait backpressure — goes
+Every time-dependent decision in :mod:`repro.serve` — per-request
+deadlines, admission-wait backpressure, queue-time metrics — goes
 through a :class:`Clock` rather than ``time.monotonic`` /
 ``asyncio.sleep`` directly.  Production uses :class:`MonotonicClock`;
 the test suite uses :class:`VirtualClock`, which only moves when a test
-calls :meth:`~VirtualClock.advance`, so every window/deadline/shedding
+calls :meth:`~VirtualClock.advance`, so every deadline/shedding
 behavior is exercised deterministically with **no wall-clock sleeps**
 (tests/test_serve_service.py pins this; DESIGN.md §15).
 """
@@ -26,7 +26,7 @@ class Clock:
     ``now()`` is a monotonically non-decreasing float of seconds;
     ``sleep(delay)`` is an awaitable that resolves once ``now()`` has
     advanced by at least ``delay``.  Sleeps must tolerate cancellation
-    (the batcher races them against its wake-up event).
+    (admission waits race them against a slot-free event).
     """
 
     def now(self) -> float:
@@ -61,8 +61,8 @@ class VirtualClock(Clock):
 
         clock = VirtualClock()
         service = QueryService("pram-crcw", clock=clock, ...)
-        task = asyncio.create_task(service.solve("rowmin", a))
-        await clock.advance(0.05)        # window elapses; bucket flushes
+        task = asyncio.create_task(service.solve("rowmin", a, deadline=0.05))
+        await clock.advance(0.01)        # time moves only here
         result = await task
     """
 
@@ -88,7 +88,7 @@ class VirtualClock(Clock):
 
         A bounded number of zero-sleep yields is enough for the service
         (each wake-up triggers a short, non-reentrant cascade: batcher
-        cycle → flush → inline execution → future callbacks)."""
+        cycle → dispatch → inline execution → future callbacks)."""
         for _ in range(rounds):
             await asyncio.sleep(0)
 

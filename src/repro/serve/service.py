@@ -1,15 +1,16 @@
-"""The async query service: adaptive micro-batching over the engine.
+"""The async query service: micro-batching over the engine.
 
 :class:`QueryService` is the long-running front door (DESIGN.md §15).
 Many concurrent clients ``await service.solve(...)``; the service plans
-each request immediately (capability errors surface at submit time),
+each request immediately (capability errors surface at submit time) and
 buckets fusable plans by the planner's **fused key** — the same key
 :func:`repro.engine.planner.group_plans` uses, so incremental bucketing
-cannot drift from batch semantics — and holds each bucket for an
-adaptive fusion window (:class:`~repro.serve.window.WindowController`).
-A bucket flushes when its window elapses, when it reaches the
-``max_batch`` size cap, or at drain; flushed buckets run through the
-ordinary staged lifecycle (:func:`repro.engine.lifecycle.run_plans`),
+cannot drift from batch semantics.  A bucket is dispatched as soon as
+nothing is in flight, when it reaches the ``max_batch`` size cap, or at
+drain: requests that arrive while the executor is busy accumulate and
+run as one fused bucket when it frees, so load sets the batch width and
+an idle service runs a request at once.  Dispatched buckets run through
+the ordinary staged lifecycle (:func:`repro.engine.lifecycle.run_plans`),
 so fused buckets inherit kernel tiers, resilience, and tracing
 unchanged, and every answer is bit-identical to a direct
 :meth:`Session.solve`.
@@ -18,17 +19,17 @@ Admission control is a bounded queue: past ``max_pending`` in-flight
 requests a submit either sheds immediately
 (:class:`ServiceOverloadedError`) or, with ``admission_wait > 0``,
 backpressures for up to that long before shedding.  Per-request
-deadlines drop expired work *before* execution (at flush, and again
-when the bucket reaches the executor) with
-:class:`RequestExpiredError`.  :meth:`QueryService.drain` stops intake,
-flushes everything immediately, and waits for in-flight work.
+deadlines drop expired work *before* execution (when its bucket reaches
+the executor) with :class:`RequestExpiredError`.
+:meth:`QueryService.drain` stops intake, dispatches everything
+immediately, and waits for in-flight work.
 
 Every time-dependent decision goes through the injectable
 :class:`~repro.serve.clock.Clock`, and execution goes through an
 injectable executor (:class:`ThreadExecutor` by default — one worker
 thread keeps the event loop responsive while the CPU-bound sweep runs;
 :class:`InlineExecutor` for deterministic tests), so the whole
-window/deadline/shedding state machine is testable without wall-clock
+dispatch/deadline/shedding state machine is testable without wall-clock
 sleeps.
 """
 
@@ -38,7 +39,7 @@ import asyncio
 import concurrent.futures
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.engine.config import ExecutionConfig
 from repro.engine.lifecycle import run_plans
@@ -48,7 +49,6 @@ from repro.engine.session import Session
 from repro.kernels.registry import tier_context
 from repro.obs.metrics import metrics
 from repro.serve.clock import Clock, MonotonicClock
-from repro.serve.window import WindowController
 
 __all__ = [
     "ServiceConfig",
@@ -126,18 +126,11 @@ class ThreadExecutor:
 class ServiceConfig:
     """Tuning knobs for one :class:`QueryService`.
 
-    ``min_window`` / ``max_window``
-        Clamp bounds (seconds) for the adaptive fusion window.  Setting
-        ``max_window=0`` disables holding — every request flushes
-        immediately (the serial-per-request baseline in
-        ``bench_serve.py``).
-    ``target_width``
-        Requests one window aims to collect (drives the EWMA window).
-    ``ewma_alpha``
-        Smoothing factor for the interarrival EWMA.
     ``max_batch``
-        Size cap: a bucket this wide flushes without waiting out its
-        window.
+        Size cap on a bucket's execution width: a bucket this wide is
+        dispatched even while the executor is busy, and a wider one is
+        split into ``max_batch``-wide chunks.  ``1`` turns fusion off
+        (the unbatched baseline in ``bench_serve.py``).
     ``max_pending``
         Admission bound on in-flight requests (admitted, not yet
         settled).
@@ -153,10 +146,6 @@ class ServiceConfig:
         drift from what one ``solve_many`` call would have grouped.
     """
 
-    min_window: float = 0.0
-    max_window: float = 0.02
-    target_width: int = 16
-    ewma_alpha: float = 0.2
     max_batch: int = 64
     max_pending: int = 1024
     admission_wait: float = 0.0
@@ -164,9 +153,6 @@ class ServiceConfig:
     verify_keys: bool = True
 
     def __post_init__(self) -> None:
-        # WindowController re-validates the window bounds and EWMA knobs
-        WindowController(self.min_window, self.max_window,
-                         target_width=self.target_width, alpha=self.ewma_alpha)
         if not isinstance(self.max_batch, int) or self.max_batch < 1:
             raise ValueError(f"max_batch must be an int >= 1, got {self.max_batch!r}")
         if not isinstance(self.max_pending, int) or self.max_pending < 1:
@@ -183,14 +169,9 @@ class ServiceConfig:
                 f"got {self.default_deadline}"
             )
 
-    def controller(self) -> WindowController:
-        return WindowController(self.min_window, self.max_window,
-                                target_width=self.target_width,
-                                alpha=self.ewma_alpha)
-
 
 # --------------------------------------------------------------------- #
-# request / bucket bookkeeping
+# request bookkeeping
 # --------------------------------------------------------------------- #
 class _Request:
     __slots__ = ("plan", "future", "arrival", "expires")
@@ -204,16 +185,6 @@ class _Request:
 
     def expired(self, now: float) -> bool:
         return self.expires is not None and now >= self.expires
-
-
-class _Bucket:
-    __slots__ = ("key", "requests", "opened_at", "flush_at")
-
-    def __init__(self, key, opened_at: float, flush_at: float) -> None:
-        self.key = key
-        self.requests: List[_Request] = []
-        self.opened_at = opened_at
-        self.flush_at = flush_at
 
 
 # --------------------------------------------------------------------- #
@@ -232,7 +203,7 @@ class QueryService:
         instead of owning a fresh one (its config becomes the
         per-request default).
     policy:
-        The :class:`ServiceConfig` (window bounds, admission, deadlines).
+        The :class:`ServiceConfig` (batch cap, admission, deadlines).
     config:
         Default :class:`ExecutionConfig` override for the owned session.
     clock:
@@ -270,8 +241,7 @@ class QueryService:
         self._clock = clock if clock is not None else MonotonicClock()
         self._owns_executor = executor is None
         self._executor = executor if executor is not None else ThreadExecutor()
-        self._controller = self.policy.controller()
-        self._buckets: dict = {}
+        self._buckets: dict = {}  # bucket key -> queued requests
         self._inflight: set = set()
         self._pending = 0
         self._closed = False
@@ -300,10 +270,6 @@ class QueryService:
     def closed(self) -> bool:
         return self._closed
 
-    def current_window(self) -> float:
-        """The fusion window a bucket opened now would be held for."""
-        return self._controller.window()
-
     # -- lifecycle ------------------------------------------------------ #
     async def __aenter__(self) -> "QueryService":
         self.start()
@@ -322,9 +288,9 @@ class QueryService:
             )
 
     async def drain(self) -> None:
-        """Graceful shutdown: refuse new work, flush every open bucket
+        """Graceful shutdown: refuse new work, dispatch every open bucket
         immediately, wait for in-flight executions, release the
-        executor.  Idempotent; held requests are *served*, not dropped
+        executor.  Idempotent; queued requests are *served*, not dropped
         (deadlines still apply at execution)."""
         self._closed = True
         self._wakeup.set()
@@ -356,6 +322,8 @@ class QueryService:
         ``deadline`` is seconds from *now* (defaults to the policy's
         ``default_deadline``); a request still unexecuted when it
         expires fails with :class:`RequestExpiredError`.  Raises
+        :class:`ValueError` for a deadline that is not positive (before
+        admission, so the request is neither counted nor shed),
         :class:`ServiceOverloadedError` when admission sheds it and
         :class:`ServiceClosedError` after :meth:`drain`.
         """
@@ -366,23 +334,22 @@ class QueryService:
         # plan immediately: capability errors belong to the submitter,
         # not to whichever bucket the request would have joined
         plan = self._session._plan(problem, data, cfg, index=next(self._seq))
+        if deadline is None:
+            deadline = self.policy.default_deadline
+        # a malformed request is the caller's error, not admitted traffic:
+        # reject it before it can be shed or counted
+        if deadline is not None and not deadline > 0:
+            raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
         await self._admit()
 
         now = self._clock.now()
-        m = metrics()
-        m.counter("serve.requests").inc()
-        self._controller.observe_arrival(now)
-        if deadline is None:
-            deadline = self.policy.default_deadline
-        if deadline is not None and not deadline > 0:
-            self._release_slot()
-            raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
+        metrics().counter("serve.requests").inc()
         expires = None if deadline is None else now + deadline
 
         request = _Request(
             plan, asyncio.get_running_loop().create_future(), now, expires
         )
-        self._enqueue(request, now)
+        self._enqueue(request)
         return await request.future
 
     async def solve_many(
@@ -396,7 +363,7 @@ class QueryService:
 
         Unlike :meth:`Session.solve_many` this is just a convenience
         fan-out: each query is admitted (and shed / expired)
-        individually, and fusion happens through the ordinary window."""
+        individually, and fusion happens through ordinary bucketing."""
         coros = []
         for item in queries:
             if len(item) == 2:
@@ -418,9 +385,9 @@ class QueryService:
                       config: Optional[ExecutionConfig] = None, **overrides):
         """Build (or fetch) a prepared handle through the service.
 
-        ``prepare`` bypasses the fusion window — index builds are not
-        fusable — but runs on the service executor behind the same
-        serialization lock as bucket execution."""
+        ``prepare`` bypasses bucketing — index builds are not fusable —
+        but runs on the service executor behind the same serialization
+        lock as bucket execution."""
         if self._closed:
             raise ServiceClosedError("service is draining; no new work accepted")
         metrics().counter("serve.prepares").inc()
@@ -491,70 +458,51 @@ class QueryService:
             await asyncio.gather(waiter, sleeper, return_exceptions=True)
 
     # -- bucketing ------------------------------------------------------ #
-    def _enqueue(self, request: _Request, now: float) -> None:
+    def _enqueue(self, request: _Request) -> None:
         plan = request.plan
-        if plan.fused_key is not None:
-            key = plan.fused_key
-            hold = self._controller.window()
-        else:
-            # unfusable plans gain nothing from holding: flush at once
-            key = ("serial", plan.index)
-            hold = 0.0
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = _Bucket(key, now, now + hold)
-            self._buckets[key] = bucket
-            if plan.fused_key is not None:
-                metrics().histogram("serve.window_s").observe(hold)
-        bucket.requests.append(request)
+        # unfusable plans get a bucket of their own and run serially
+        key = plan.fused_key if plan.fused_key is not None else ("serial", plan.index)
+        self._buckets.setdefault(key, []).append(request)
         self._wakeup.set()
 
     async def _batch_loop(self) -> None:
+        # woken by every submit and every finished bucket (``_settled``)
         while True:
             self._wakeup.clear()
-            now = self._clock.now()
-            for bucket in self._ready_buckets(now):
+            for bucket in self._ready_buckets():
                 self._dispatch(bucket)
-            if self._closed and not self._buckets:
-                return
             if self._closed:
-                continue
-            delay = None
-            if self._buckets:
-                soonest = min(b.flush_at for b in self._buckets.values())
-                delay = max(0.0, soonest - now)
-                if delay == 0.0:
-                    continue
-            await self._sleep_or_wakeup(delay)
-
-    def _ready_buckets(self, now: float) -> List[_Bucket]:
-        ready = [
-            b for b in self._buckets.values()
-            if self._closed or now >= b.flush_at
-            or len(b.requests) >= self.policy.max_batch
-        ]
-        for bucket in ready:
-            del self._buckets[bucket.key]
-        return ready
-
-    async def _sleep_or_wakeup(self, delay: Optional[float]) -> None:
-        if delay is None:
+                return
             await self._wakeup.wait()
-            return
-        await self._race_event(self._wakeup, delay)
 
-    def _dispatch(self, bucket: _Bucket) -> None:
+    def _ready_buckets(self) -> List[List[_Request]]:
+        """Every bucket when the service is closed or nothing is in
+        flight, else only those already ``max_batch`` wide.  Idleness is
+        read once per pass, so buckets that queued together (a rowmin
+        and a rowmax bucket, say) are dispatched together."""
+        idle = not self._inflight
+        ready = [
+            key for key, requests in self._buckets.items()
+            if self._closed or idle or len(requests) >= self.policy.max_batch
+        ]
+        return [self._buckets.pop(key) for key in ready]
+
+    def _dispatch(self, bucket: List[_Request]) -> None:
         # a bucket may outgrow ``max_batch`` between batcher passes
         # (submissions keep landing while earlier work holds the
         # executor); the cap bounds *execution* width, so oversized
         # buckets are split into max_batch-wide chunks here
         cap = self.policy.max_batch
-        for i in range(0, len(bucket.requests), cap):
+        for i in range(0, len(bucket), cap):
             task = asyncio.get_running_loop().create_task(
-                self._run_bucket(bucket.requests[i:i + cap])
+                self._run_bucket(bucket[i:i + cap])
             )
             self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+            task.add_done_callback(self._settled)
+
+    def _settled(self, task: asyncio.Task) -> None:
+        self._inflight.discard(task)
+        self._wakeup.set()  # the executor may be idle: dispatch what queued
 
     # -- execution ------------------------------------------------------ #
     def _expire(self, request: _Request, now: float) -> None:
@@ -584,7 +532,7 @@ class QueryService:
         """The bucketing contract: what we grouped incrementally must be
         exactly what the planner would group in one ``solve_many`` call.
         Re-lower every plan, under the kernel pair it was planned with
-        (the flusher runs outside the submitter's ``tier_context``), and
+        (the bucket runs outside the submitter's ``tier_context``), and
         require an identical fused key (and one shared key across the
         bucket)."""
         keys = {r.plan.fused_key for r in requests}
@@ -603,7 +551,7 @@ class QueryService:
                 )
             if replanned.fused_key != r.plan.fused_key:
                 raise AssertionError(
-                    f"fused key drifted between admission and flush for "
+                    f"fused key drifted between admission and execution for "
                     f"request {r.plan.index}: {r.plan.fused_key!r} -> "
                     f"{replanned.fused_key!r}; group_plans must be stable "
                     f"under repeated invocation (DESIGN.md §15)"
@@ -612,11 +560,15 @@ class QueryService:
     async def _run_bucket(self, requests: List[_Request]) -> None:
         m = metrics()
         async with self._exec_lock:
-            # deadlines are re-checked *here* — a request may expire while
+            # deadlines are checked *here* — a request may expire while
             # earlier buckets hold the executor
-            live = self._reap(requests, self._clock.now())
+            now = self._clock.now()
+            live = self._reap(requests, now)
             if not live:
                 return
+            queued = m.histogram("serve.queue_s")
+            for request in live:
+                queued.observe(now - request.arrival)
             try:
                 self._check_stable_keys(live)
                 plans = [r.plan for r in live]
@@ -657,8 +609,8 @@ async def serve_solve(
 ) -> SearchResult:
     """Spin a throwaway service for one query (mainly for smoke tests).
 
-    Real deployments keep one :class:`QueryService` alive — the fusion
-    window only pays off across many concurrent submitters."""
+    Real deployments keep one :class:`QueryService` alive — fusion only
+    pays off across many concurrent submitters."""
     service = QueryService(backend, policy=policy)
     async with service:
         return await service.solve(problem, data, **overrides)

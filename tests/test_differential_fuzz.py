@@ -212,19 +212,18 @@ def test_matrix_only_names_supported_pairs():
 def test_served_fuzz_class_matches_brute_oracle():
     """One fuzz class routed through :class:`QueryService` instead of
     ``repro.solve``: 40 seeded rowmin instances submitted concurrently
-    (mixed shapes, so buckets form and flush independently) must match
+    (mixed shapes, so buckets form and run independently) must match
     the brute oracle on values AND leftmost-tie witnesses exactly —
     micro-batching is not allowed to perturb a single bit."""
     import asyncio
 
-    from repro.serve import QueryService, ServiceConfig
+    from repro.serve import QueryService
 
     seeds = range(0, 40)
     cases = [_case("rowmin", seed) for seed in seeds]
 
     async def body():
-        policy = ServiceConfig(min_window=0.001, max_window=0.020, max_batch=64)
-        async with QueryService("pram-crcw", policy=policy) as svc:
+        async with QueryService("pram-crcw") as svc:
             return await asyncio.gather(
                 *(svc.solve("rowmin", data) for data, _ in cases)
             )

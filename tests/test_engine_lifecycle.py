@@ -39,6 +39,12 @@ def _plans(session, count, n=6, cfg=None, problem="rowmin"):
     ]
 
 
+def _fused_cfg(session):
+    """Pin the fused tier for tests about fusion: the ``reference`` tier
+    has no stacked-sweep kernel, and CI runs the suite under every tier."""
+    return session._derive_config(None, {"kernel_tier": "fused"})
+
+
 def _counters():
     return snapshot()["counters"]
 
@@ -70,7 +76,7 @@ class TestAdmission:
 
     def test_pair_bucket_fuses(self):
         s = Session("pram-crcw")
-        bucket = _plans(s, 2)
+        bucket = _plans(s, 2, cfg=_fused_cfg(s))
         assert FusedExecutor().admit(s, bucket) == {}
 
     def test_reference_tier_stays_serial(self):
@@ -96,7 +102,7 @@ class TestExecuteBucket:
     def test_fused_group_dict_and_metric(self):
         reset_metrics()
         s = Session("pram-crcw")
-        bucket = _plans(s, 3)
+        bucket = _plans(s, 3, cfg=_fused_cfg(s))
         results, group = execute_bucket(s, bucket)
         assert len(results) == 3
         assert group == {
@@ -127,7 +133,7 @@ class TestExecuteBucket:
 
     def test_serial_results_match_fused(self):
         s1, s2 = Session("pram-crcw"), Session("pram-crcw")
-        bucket = _plans(s1, 3)
+        bucket = _plans(s1, 3, cfg=_fused_cfg(s1))
         fused_results, group = execute_bucket(s1, bucket)
         assert group["fused"] is True
         for plan, got in zip(bucket, fused_results):
@@ -143,7 +149,7 @@ class TestExecuteBucket:
 class TestFallback:
     def test_non_recoverable_error_propagates(self, monkeypatch):
         s = Session("pram-crcw")
-        bucket = _plans(s, 2)
+        bucket = _plans(s, 2, cfg=_fused_cfg(s))
 
         def boom(self, session, bucket, admission):
             raise RuntimeError("genuine bug")

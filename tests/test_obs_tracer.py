@@ -82,7 +82,7 @@ def test_trace_totals_across_problem_families(problem, data_fn):
 
 def test_batch_fused_traces_match_per_query_snapshots():
     arrs = [_monge(16, 16, seed=s) for s in range(4)]
-    br = repro.solve_many("rowmin", arrs, trace=True)
+    br = repro.solve_many("rowmin", arrs, trace=True, kernel_tier="fused")
     assert any(g["fused"] for g in br.groups)
     for r in br:
         assert r.trace is not None
@@ -95,7 +95,7 @@ def test_fused_trace_equals_serial_trace_structure():
     """A fused query's replayed charge sequence matches its serial run."""
     arrs = [_monge(20, 20, seed=s) for s in range(3)]
     serial = [repro.solve("rowmin", a, trace=True) for a in arrs]
-    batch = repro.solve_many("rowmin", arrs, trace=True)
+    batch = repro.solve_many("rowmin", arrs, trace=True, kernel_tier="fused")
     assert any(g["fused"] for g in batch.groups)
     for s, b in zip(serial, batch):
         assert s.snapshot == b.snapshot
@@ -266,7 +266,7 @@ def test_metrics_counters_after_solves():
 
 def test_metrics_batch_fusion_rate():
     arrs = [_monge(16, 16, seed=s) for s in range(3)]
-    repro.solve_many("rowmin", arrs)
+    repro.solve_many("rowmin", arrs, kernel_tier="fused")
     snap = repro.obs.snapshot()
     assert snap["counters"]["engine.batch.calls"] == 1
     assert snap["counters"]["engine.batch.queries"] == 3

@@ -1,12 +1,12 @@
 """Real-asyncio serving smoke: concurrency, ordering, and seeded chaos.
 
-The virtual-clock suite (``test_serve_service.py``) pins the window /
+The virtual-clock suite (``test_serve_service.py``) pins the dispatch /
 admission / deadline state machine; this one runs the *production*
-wiring — :class:`MonotonicClock` + :class:`ThreadExecutor` — under real
-concurrent clients and seeded fault regimes.  Windows are kept to tens
-of milliseconds so the suite stays fast, and every check is against a
-deterministic reference (direct :class:`Session` answers, seeded
-:class:`FaultPlan` schedules), never against wall-clock timing.
+wiring — :class:`MonotonicClock` + :class:`ThreadExecutor` + the default
+policy — under real concurrent clients and seeded fault regimes.  Every
+check is against a deterministic reference (direct :class:`Session`
+answers, seeded :class:`FaultPlan` schedules), never against wall-clock
+timing.
 """
 
 import asyncio
@@ -19,10 +19,7 @@ from repro.kernels import current_tier, resolve_kernel_tier, tier_context
 from repro.monge.generators import random_monge, random_staircase_monge
 from repro.obs import kernel_hook, metrics, reset_metrics
 from repro.resilience.faults import FaultPlan
-from repro.serve import QueryService, ServiceConfig, serve_solve
-
-WINDOW = ServiceConfig(min_window=0.001, max_window=0.030, max_batch=64)
-
+from repro.serve import QueryService, serve_solve
 
 @pytest.fixture(autouse=True)
 def _fresh_metrics():
@@ -62,7 +59,7 @@ def test_concurrent_clients_get_their_own_answers():
         )
 
     async def body():
-        async with QueryService("pram-crcw", policy=WINDOW) as svc:
+        async with QueryService("pram-crcw") as svc:
             return await asyncio.gather(
                 *(svc.solve(problem, data) for problem, data in specs)
             )
@@ -94,7 +91,7 @@ def test_request_keeps_its_submitters_tier():
             return await svc.solve("rowmin", a)
 
     async def body():
-        async with QueryService("pram-crcw", policy=WINDOW) as svc:
+        async with QueryService("pram-crcw") as svc:
             return await asyncio.gather(
                 *(client(svc, a, tier) for a, tier in zip(data, tiers))
             )
@@ -109,12 +106,13 @@ def test_request_keeps_its_submitters_tier():
 
 
 def test_burst_fuses_into_one_bucket():
-    """A same-key burst submitted inside one cold-start window executes
-    as a single fused bucket (the service's whole reason to exist)."""
+    """A same-key burst submitted together executes as a single fused
+    bucket (the service's whole reason to exist): ``gather`` queues all
+    eight submits before the batcher wakes to dispatch them."""
     data = [random_monge(12, 12, np.random.default_rng(200 + k)) for k in range(8)]
 
     async def body():
-        async with QueryService("pram-crcw", policy=WINDOW) as svc:
+        async with QueryService("pram-crcw") as svc:
             return await asyncio.gather(*(svc.solve("rowmin", a) for a in data))
 
     results = asyncio.run(body())
@@ -136,7 +134,7 @@ def test_solve_many_preserves_input_order_across_interleaved_shapes():
         queries.append(("rowmin", random_monge(n, n, rng)))
 
     async def body():
-        async with QueryService("pram-crcw", policy=WINDOW) as svc:
+        async with QueryService("pram-crcw") as svc:
             return await svc.solve_many(queries)
 
     results = asyncio.run(body())
@@ -165,7 +163,7 @@ def test_faulty_request_retries_accounted_to_that_request_only():
     plan = FaultPlan(seed=0, processor_drop=1.0)
 
     async def body():
-        async with QueryService("pram-crcw", policy=WINDOW) as svc:
+        async with QueryService("pram-crcw") as svc:
             chaotic = svc.solve("rowmin", faulty, faults=plan, retries=2)
             calm = [svc.solve("rowmin", a) for a in clean]
             return await asyncio.gather(chaotic, *calm)
@@ -190,7 +188,7 @@ def test_concurrent_prepare_and_solve_share_the_executor_safely():
     others = [random_monge(8, 8, np.random.default_rng(610 + k)) for k in range(3)]
 
     async def body():
-        async with QueryService("pram-crcw", policy=WINDOW) as svc:
+        async with QueryService("pram-crcw") as svc:
             handle_t = asyncio.create_task(svc.prepare(a))
             solves = [asyncio.create_task(svc.solve("rowmin", b)) for b in others]
             handle = await handle_t

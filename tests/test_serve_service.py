@@ -1,13 +1,18 @@
 """Deterministic virtual-clock tests for :mod:`repro.serve` (DESIGN.md §15).
 
 Every test drives the service through a :class:`VirtualClock` (time
-moves only via ``await clock.advance(dt)``) and an
-:class:`InlineExecutor` (buckets execute synchronously on the loop
-thread) — **no wall-clock sleeps anywhere**, so window, deadline,
-admission, and drain behavior replays identically on every run.
+moves only via ``await clock.advance(dt)``) and an inline executor
+(buckets execute synchronously on the loop thread) — **no wall-clock
+sleeps anywhere**, so dispatch, deadline, admission, and drain behavior
+replays identically on every run.  A test that needs requests to queue
+holds the executor shut with :class:`_GateExecutor`: the service
+dispatches a bucket as soon as nothing is in flight, so only a busy
+executor keeps work waiting.
 """
 
 import asyncio
+import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,7 +28,6 @@ from repro.serve import (
     ServiceConfig,
     ServiceOverloadedError,
     VirtualClock,
-    WindowController,
 )
 
 
@@ -43,6 +47,35 @@ def make_service(clock, **policy_kw):
                         executor=InlineExecutor())
 
 
+class _GateExecutor(InlineExecutor):
+    """An executor the test can hold shut: calls wait at an asyncio gate
+    before running inline, so whatever reaches it stays in flight and
+    later arrivals queue behind it without wall-clock time."""
+
+    def __init__(self):
+        self.gate = asyncio.Event()
+
+    async def call(self, fn):
+        await self.gate.wait()
+        return fn()
+
+
+@contextlib.asynccontextmanager
+async def gated_service(clock, **policy_kw):
+    """A running service on a :class:`_GateExecutor`; yields
+    ``(service, gate)``.  On exit the gate opens before the drain, so a
+    failed assertion fails the test instead of hanging it."""
+    gate = _GateExecutor()
+    svc = QueryService("pram-crcw", policy=ServiceConfig(**policy_kw),
+                       clock=clock, executor=gate)
+    svc.start()
+    try:
+        yield svc, gate
+    finally:
+        gate.gate.set()
+        await svc.drain()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_metrics():
     reset_metrics()
@@ -54,32 +87,105 @@ def serve_counter(name):
 
 
 # --------------------------------------------------------------------- #
-# fusion window: timeout flush, size-cap flush, adaptation
+# dispatch: at once when idle, accumulated while busy, capped at max_batch
 # --------------------------------------------------------------------- #
 class TestFusionWindow:
-    def test_single_request_timeout_flush(self):
+    """The fusion window is the executor's busy time: a bucket is
+    dispatched when nothing is in flight or when it is ``max_batch``
+    wide, so requests that arrive during an execution fuse."""
+
+    def test_lone_request_on_idle_service_runs_at_once(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.001, max_window=0.010)
+            svc = make_service(clock)
             async with svc:
                 task = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
-                # half the (cold-start = max) window: still held
-                await clock.advance(0.005)
-                assert not task.done()
-                # window elapses: the lone request flushes by timeout
-                await clock.advance(0.006)
-                assert task.done()
+                await clock.advance(0.0)
+                assert task.done()  # no timer: an idle executor runs it now
                 result = await task
                 assert result.problem == "rowmin"
+                assert clock.now() == 0.0
             assert serve_counter("serve.buckets") == 1
+
+        run(body())
+
+    def test_arrivals_while_busy_fuse_into_one_bucket(self):
+        k = 5
+
+        async def body():
+            clock = VirtualClock()
+            async with gated_service(clock) as (svc, gate):
+                first = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
+                await clock.advance(0.0)  # dispatched at once, held at the gate
+                tasks = []
+                for a in arrays(k, 6, base_seed=10):  # staggered arrivals
+                    tasks.append(asyncio.create_task(svc.solve("rowmin", a)))
+                    await clock.advance(0.001)
+                (queued,) = svc._buckets.values()
+                assert len(queued) == k
+                assert not any(t.done() for t in tasks)
+                gate.gate.set()
+                await clock.advance(0.0)
+                assert all(t.done() for t in tasks)  # ran as the executor freed
+                await asyncio.gather(first, *tasks)
+            width = metrics().histogram("serve.fusion_width")
+            assert serve_counter("serve.buckets") == 2
+            assert (width.min, width.max) == (1, k)
+
+        run(body())
+
+    def test_buckets_queued_together_dispatch_together(self):
+        """Idleness is read once per batcher pass, so a rowmin and a
+        rowmax bucket that queued together are both dispatched."""
+        async def body():
+            clock = VirtualClock()
+            async with gated_service(clock) as (svc, gate):
+                tasks = [asyncio.create_task(svc.solve(problem, a))
+                         for problem, a in zip(["rowmin", "rowmax"] * 2, arrays(4, 6))]
+                await clock.advance(0.0)
+                assert not svc._buckets
+                assert len(svc._inflight) == 2
+                gate.gate.set()
+                await asyncio.gather(*tasks)
+            assert serve_counter("serve.buckets") == 2
+            assert metrics().histogram("serve.fusion_width").max == 2
+
+        run(body())
+
+    def test_full_bucket_dispatches_while_busy(self):
+        async def body():
+            clock = VirtualClock()
+            async with gated_service(clock, max_batch=3) as (svc, gate):
+                blocker = asyncio.create_task(
+                    svc.solve("rowmin", arrays(1, 7, base_seed=5)[0]))
+                await clock.advance(0.0)
+                tasks = [asyncio.create_task(svc.solve("rowmin", a))
+                         for a in arrays(2, 6)]
+                await clock.advance(0.001)
+                assert len(svc._buckets) == 1  # below the cap: it waits
+                tasks.append(asyncio.create_task(
+                    svc.solve("rowmin", arrays(1, 6, base_seed=2)[0])))
+                await clock.advance(0.0)
+                # at the cap: dispatched without waiting for the executor
+                assert not svc._buckets
+                assert len(svc._inflight) == 2
+                tasks += [asyncio.create_task(svc.solve("rowmin", a))
+                          for a in arrays(4, 6, base_seed=20)]
+                await clock.advance(0.0)
+                # four queued at once: dispatched, split 3 + 1
+                assert not svc._buckets
+                assert len(svc._inflight) == 4
+                gate.gate.set()
+                await asyncio.gather(blocker, *tasks)
+            assert serve_counter("serve.buckets") == 4
+            assert metrics().histogram("serve.fusion_width").max == 3
 
         run(body())
 
     def test_size_cap_flushes_without_time_passing(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.010, max_window=1.0,
-                               max_batch=4)
+            svc = make_service(clock, max_batch=4)
             async with svc:
                 tasks = [asyncio.create_task(svc.solve("rowmin", a))
                          for a in arrays(4, 6)]
@@ -98,8 +204,7 @@ class TestFusionWindow:
         max_batch-wide chunks rather than execute oversized."""
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.010, max_window=1.0,
-                               max_batch=2)
+            svc = make_service(clock, max_batch=2)
             async with svc:
                 tasks = [asyncio.create_task(svc.solve("rowmin", a))
                          for a in arrays(5, 6)]
@@ -113,97 +218,57 @@ class TestFusionWindow:
     def test_unfusable_requests_flush_immediately(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.010, max_window=1.0)
+            svc = make_service(clock)
             stair = random_staircase_monge(6, 6, np.random.default_rng(3))
             async with svc:
                 task = asyncio.create_task(svc.solve("staircase_min", stair))
                 await clock.advance(0.0)
-                assert task.done()  # no window hold for serial plans
+                assert task.done()  # an idle service runs it at once
                 await task
 
         run(body())
 
-    def test_window_narrows_under_fast_arrivals(self):
+    def test_unfusable_request_waits_while_busy(self):
+        stair = random_staircase_monge(6, 6, np.random.default_rng(3))
+
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.0005, max_window=0.050,
-                               target_width=4, max_batch=1000)
-            async with svc:
-                assert svc.current_window() == 0.050  # cold start: max
-                data = arrays(30, 6)
-                tasks = []
-                for a in data[:10]:  # 1 ms apart -> EWMA gap ~1 ms
-                    tasks.append(asyncio.create_task(svc.solve("rowmin", a)))
-                    await clock.advance(0.001)
-                narrowed = svc.current_window()
-                assert narrowed < 0.050
-                assert narrowed == pytest.approx(3 * 0.001, rel=0.5)
-                # slow arrivals (30 ms apart) widen it back toward max
-                for a in data[10:14]:
-                    tasks.append(asyncio.create_task(svc.solve("rowmin", a)))
-                    await clock.advance(0.030)
-                assert svc.current_window() > narrowed
-                await clock.advance(0.2)
-                await asyncio.gather(*tasks)
+            async with gated_service(clock) as (svc, gate):
+                blocker = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
+                await clock.advance(0.0)
+                task = asyncio.create_task(svc.solve("staircase_min", stair))
+                await clock.advance(0.001)
+                assert not task.done()  # queued like any other request
+                assert [key[0] for key in svc._buckets] == ["serial"]
+                gate.gate.set()
+                await clock.advance(0.0)
+                assert task.done()
+                await blocker
+                return await task
 
-        run(body())
+        got = run(body())
+        want = Session("pram-crcw").solve("staircase_min", stair)
+        assert np.array_equal(want.values, got.values)
+        assert want.snapshot == got.snapshot
+        assert serve_counter("serve.buckets") == 2
+        assert serve_counter("serve.fused_requests") == 0
 
-    def test_bucket_window_fixed_at_open(self):
-        """A bucket's flush deadline is set when it opens; later arrivals
-        join it without extending the hold (bounded latency)."""
+    def test_queue_time_recorded_per_request(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.010, max_window=0.010,
-                               max_batch=100)
-            async with svc:
-                first = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
-                await clock.advance(0.008)
-                second = asyncio.create_task(
+            async with gated_service(clock) as (svc, gate):
+                blocker = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
+                await clock.advance(0.0)
+                held = asyncio.create_task(
                     svc.solve("rowmin", arrays(1, 6, base_seed=9)[0]))
-                # 2 ms later the *bucket* (opened at t=0) flushes both
-                await clock.advance(0.002)
-                assert first.done() and second.done()
-                await asyncio.gather(first, second)
-            assert serve_counter("serve.buckets") == 1
+                await clock.advance(0.005)  # queued behind the gated bucket
+                gate.gate.set()
+                await asyncio.gather(blocker, held)
+            queued = metrics().histogram("serve.queue_s")
+            assert queued.count == 2
+            assert (queued.min, queued.max) == (0.0, 0.005)
 
         run(body())
-
-
-class TestWindowController:
-    def test_cold_start_returns_max(self):
-        c = WindowController(0.001, 0.05)
-        assert c.window() == 0.05
-        c.observe_arrival(0.0)
-        assert c.window() == 0.05  # still no gap estimate
-
-    def test_narrows_then_widens(self):
-        c = WindowController(0.0001, 1.0, target_width=5, alpha=0.5)
-        for t in (0.0, 0.01, 0.02, 0.03):
-            c.observe_arrival(t)
-        fast = c.window()
-        assert fast == pytest.approx(4 * 0.01, rel=0.2)
-        for t in (1.0, 2.0):
-            c.observe_arrival(t)
-        assert c.window() > fast  # slower traffic -> wider window
-
-    def test_clamps_to_bounds(self):
-        c = WindowController(0.005, 0.02, target_width=16, alpha=1.0)
-        c.observe_arrival(0.0)
-        c.observe_arrival(1e-7)  # burst: raw target far below min
-        assert c.window() == 0.005
-        c.observe_arrival(10.0)  # trickle: raw target far above max
-        assert c.window() == 0.02
-
-    @pytest.mark.parametrize("kw", [
-        dict(min_window=-1, max_window=1),
-        dict(min_window=0.5, max_window=0.1),
-        dict(min_window=0, max_window=1, target_width=1),
-        dict(min_window=0, max_window=1, alpha=0.0),
-        dict(min_window=0, max_window=1, alpha=1.5),
-    ])
-    def test_validation(self, kw):
-        with pytest.raises(ValueError):
-            WindowController(**kw)
 
 
 # --------------------------------------------------------------------- #
@@ -213,9 +278,7 @@ class TestAdmission:
     def test_queue_full_sheds_immediately(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.010, max_window=1.0,
-                               max_pending=2, admission_wait=0.0)
-            async with svc:
+            async with gated_service(clock, max_pending=2, admission_wait=0.0) as (svc, gate):
                 data = arrays(3, 6)
                 t1 = asyncio.create_task(svc.solve("rowmin", data[0]))
                 t2 = asyncio.create_task(svc.solve("rowmin", data[1]))
@@ -224,7 +287,7 @@ class TestAdmission:
                 with pytest.raises(ServiceOverloadedError, match="queue full"):
                     await svc.solve("rowmin", data[2])
                 assert serve_counter("serve.shed") == 1
-                await clock.advance(2.0)
+                gate.gate.set()
                 await asyncio.gather(t1, t2)
             snap = metrics().snapshot()
             assert snap["derived"]["serve_shed_rate"] == pytest.approx(1 / 3)
@@ -235,9 +298,7 @@ class TestAdmission:
     def test_backpressure_admits_when_slot_frees(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.010, max_window=0.010,
-                               max_pending=2, admission_wait=0.100)
-            async with svc:
+            async with gated_service(clock, max_pending=2, admission_wait=0.100) as (svc, gate):
                 data = arrays(3, 6)
                 t1 = asyncio.create_task(svc.solve("rowmin", data[0]))
                 t2 = asyncio.create_task(svc.solve("rowmin", data[1]))
@@ -245,11 +306,13 @@ class TestAdmission:
                 t3 = asyncio.create_task(svc.solve("rowmin", data[2]))
                 await clock.advance(0.0)
                 assert not t3.done()  # waiting for admission, not shed
-                # the first bucket flushes at 10 ms, freeing both slots
-                await clock.advance(0.012)
+                await clock.advance(0.010)
+                assert not t3.done()
+                # the first bucket executes, freeing both slots
+                gate.gate.set()
                 await asyncio.gather(t1, t2)
-                # t3 was admitted and joins a fresh bucket; let it flush
-                await clock.advance(0.050)
+                # t3 was admitted into an idle service; it runs at once
+                await clock.advance(0.0)
                 await t3
                 assert serve_counter("serve.shed") == 0
                 assert serve_counter("serve.completed") == 3
@@ -259,9 +322,7 @@ class TestAdmission:
     def test_backpressure_sheds_after_admission_wait(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=1.0, max_window=1.0,
-                               max_pending=1, admission_wait=0.005)
-            async with svc:
+            async with gated_service(clock, max_pending=1, admission_wait=0.005) as (svc, gate):
                 data = arrays(2, 6)
                 t1 = asyncio.create_task(svc.solve("rowmin", data[0]))
                 await clock.advance(0.0)
@@ -272,7 +333,7 @@ class TestAdmission:
                 with pytest.raises(ServiceOverloadedError):
                     await t2
                 assert serve_counter("serve.shed") == 1
-                await clock.advance(1.1)
+                gate.gate.set()
                 await t1
 
         run(body())
@@ -281,31 +342,23 @@ class TestAdmission:
 # --------------------------------------------------------------------- #
 # deadlines: expiry before and during execution
 # --------------------------------------------------------------------- #
-class _GateExecutor(InlineExecutor):
-    """An executor the test can hold shut: calls wait at an asyncio gate
-    before running inline (used to pin the expiry-during-execution path
-    without wall-clock time)."""
-
-    def __init__(self):
-        self.gate = asyncio.Event()
-
-    async def call(self, fn):
-        await self.gate.wait()
-        return fn()
-
-
 class TestDeadlines:
     def test_expires_before_execution(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.010, max_window=0.010)
-            async with svc:
+            async with gated_service(clock) as (svc, gate):
+                # an index build holds the executor (it takes no admission
+                # slot and completes no request)
+                build = asyncio.create_task(svc.prepare(arrays(1, 6, base_seed=3)[0]))
+                await clock.advance(0.0)
                 task = asyncio.create_task(
                     svc.solve("rowmin", arrays(1, 6)[0], deadline=0.005))
-                # at flush time (10 ms) the deadline (5 ms) has passed
+                # when the executor frees (10 ms) the deadline (5 ms) has passed
                 await clock.advance(0.010)
+                gate.gate.set()
                 with pytest.raises(RequestExpiredError, match="deadline"):
                     await task
+                await build
                 assert serve_counter("serve.expired") == 1
                 assert serve_counter("serve.completed") == 0
                 assert svc.pending == 0  # the slot was released
@@ -315,19 +368,14 @@ class TestDeadlines:
     def test_expires_while_earlier_bucket_executes(self):
         async def body():
             clock = VirtualClock()
-            gate = _GateExecutor()
-            svc = QueryService(
-                "pram-crcw", clock=clock, executor=gate,
-                policy=ServiceConfig(min_window=0.001, max_window=0.001),
-            )
-            async with svc:
+            async with gated_service(clock) as (svc, gate):
                 a = arrays(1, 6)[0]
                 b = arrays(1, 7, base_seed=5)[0]  # different shape: own bucket
                 first = asyncio.create_task(svc.solve("rowmin", a))
-                await clock.advance(0.001)  # bucket A flushed, held at gate
+                await clock.advance(0.001)  # bucket A dispatched, held at gate
                 second = asyncio.create_task(
                     svc.solve("rowmin", b, deadline=0.004))
-                await clock.advance(0.001)  # bucket B flushed, queued on lock
+                await clock.advance(0.001)  # bucket B queued behind it
                 assert not first.done() and not second.done()
                 await clock.advance(0.010)  # B's deadline passes in the queue
                 gate.gate.set()  # release the executor
@@ -345,37 +393,51 @@ class TestDeadlines:
     def test_default_deadline_from_policy(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.020, max_window=0.020,
-                               default_deadline=0.005)
-            async with svc:
+            async with gated_service(clock, default_deadline=0.005) as (svc, gate):
+                build = asyncio.create_task(svc.prepare(arrays(1, 6, base_seed=3)[0]))
+                await clock.advance(0.0)
                 task = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
                 await clock.advance(0.020)
+                gate.gate.set()
                 with pytest.raises(RequestExpiredError):
                     await task
+                await build
 
         run(body())
 
     def test_invalid_deadline_rejected(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock)
-            async with svc:
+            async with gated_service(clock, max_pending=1) as (svc, gate):
                 with pytest.raises(ValueError, match="deadline"):
                     await svc.solve("rowmin", arrays(1, 6)[0], deadline=0.0)
-                assert svc.pending == 0  # the admission slot was returned
+                assert svc.pending == 0  # no admission slot was taken
+                assert serve_counter("serve.requests") == 0
+                # with the queue full the request is malformed, not shed
+                held = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
+                await clock.advance(0.0)
+                assert svc.pending == 1
+                with pytest.raises(ValueError, match="deadline"):
+                    await svc.solve("rowmin", arrays(1, 6)[0], deadline=0.0)
+                assert serve_counter("serve.shed") == 0
+                assert serve_counter("serve.requests") == 1  # the held one only
+                gate.gate.set()
+                await held
 
         run(body())
 
     def test_cancelled_client_releases_slot(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.010, max_window=0.010,
-                               max_pending=1)
-            async with svc:
+            async with gated_service(clock, max_pending=1) as (svc, gate):
+                build = asyncio.create_task(svc.prepare(arrays(1, 6, base_seed=3)[0]))
+                await clock.advance(0.0)
                 task = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
                 await clock.advance(0.0)
                 task.cancel()
-                await clock.advance(0.010)  # flush reaps the abandonment
+                gate.gate.set()
+                await clock.advance(0.0)  # the executor frees; reaps the abandonment
+                await build
                 assert svc.pending == 0
                 assert serve_counter("serve.cancelled") == 1
 
@@ -389,17 +451,22 @@ class TestDrain:
     def test_drain_flushes_open_buckets_immediately(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=1.0, max_window=1.0)
-            svc.start()
-            tasks = [asyncio.create_task(svc.solve("rowmin", a))
-                     for a in arrays(3, 6)]
-            await clock.advance(0.0)
-            assert not any(t.done() for t in tasks)  # held by the window
-            await svc.drain()  # no clock advance: drain must not wait
-            results = await asyncio.gather(*tasks)
-            assert len(results) == 3
-            assert clock.now() == 0.0
-            assert serve_counter("serve.completed") == 3
+            async with gated_service(clock) as (svc, gate):
+                data = arrays(3, 6)
+                tasks = [asyncio.create_task(svc.solve("rowmin", data[0]))]
+                await clock.advance(0.0)  # dispatched at once, held at the gate
+                tasks += [asyncio.create_task(svc.solve("rowmin", a)) for a in data[1:]]
+                await clock.advance(0.0)
+                assert not any(t.done() for t in tasks)  # queued behind the gate
+                drain = asyncio.create_task(svc.drain())
+                await clock.advance(0.0)
+                assert not svc._buckets  # drain dispatched the open bucket
+                gate.gate.set()
+                await drain  # no clock advance: drain must not wait
+                results = await asyncio.gather(*tasks)
+                assert len(results) == 3
+                assert clock.now() == 0.0
+                assert serve_counter("serve.completed") == 3
 
         run(body())
 
@@ -432,20 +499,19 @@ class TestDrain:
     def test_drain_wakes_admission_waiters(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=1.0, max_window=1.0,
-                               max_pending=1, admission_wait=10.0)
-            svc.start()
-            t1 = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
-            await clock.advance(0.0)
-            t2 = asyncio.create_task(
-                svc.solve("rowmin", arrays(1, 6, base_seed=4)[0]))
-            await clock.advance(0.0)
-            drain = asyncio.create_task(svc.drain())
-            await clock.advance(0.0)
-            await t1  # the held request is served at drain
-            with pytest.raises(ServiceClosedError):
-                await t2  # the waiter is refused, not stranded
-            await drain
+            async with gated_service(clock, max_pending=1, admission_wait=10.0) as (svc, gate):
+                t1 = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
+                await clock.advance(0.0)
+                t2 = asyncio.create_task(
+                    svc.solve("rowmin", arrays(1, 6, base_seed=4)[0]))
+                await clock.advance(0.0)
+                drain = asyncio.create_task(svc.drain())
+                await clock.advance(0.0)
+                gate.gate.set()
+                await t1  # the held request is served at drain
+                with pytest.raises(ServiceClosedError):
+                    await t2  # the waiter is refused, not stranded
+                await drain
 
         run(body())
 
@@ -461,14 +527,14 @@ class TestBitIdentity:
 
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.005, max_window=0.005,
-                               max_batch=64)
+            svc = make_service(clock, max_batch=64)
             async with svc:
-                tasks = [asyncio.create_task(svc.solve("rowmin", a))
-                         for a in data]
+                # pinned to the fused tier: this test is about fusion
+                tasks = [asyncio.create_task(
+                    svc.solve("rowmin", a, kernel_tier="fused")) for a in data]
                 tasks.append(asyncio.create_task(
                     svc.solve("staircase_min", stair)))
-                await clock.advance(0.010)
+                await clock.advance(0.0)
                 return await asyncio.gather(*tasks)
 
         results = run(body())
@@ -492,11 +558,11 @@ class TestBitIdentity:
 
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.002, max_window=0.002)
+            svc = make_service(clock)
             async with svc:
                 gathered = asyncio.create_task(
                     svc.solve_many([("rowmin", a) for a in data]))
-                await clock.advance(0.010)
+                await clock.advance(0.0)
                 return await gathered
 
         results = run(body())
@@ -511,11 +577,11 @@ class TestBitIdentity:
 
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.002, max_window=0.002)
+            svc = make_service(clock)
             async with svc:
                 tasks = [asyncio.create_task(svc.solve("rowmin", a))
                          for a in data]
-                await clock.advance(0.010)
+                await clock.advance(0.0)
                 await asyncio.gather(*tasks)
                 return svc.session
 
@@ -526,22 +592,25 @@ class TestBitIdentity:
 
 
 # --------------------------------------------------------------------- #
-# the bucketing contract is asserted at flush
+# the bucketing contract is asserted at execution
 # --------------------------------------------------------------------- #
 class TestStableKeyGuard:
     def test_drifted_key_fails_the_bucket_loudly(self):
         async def body():
             clock = VirtualClock()
-            svc = make_service(clock, min_window=0.005, max_window=0.005)
-            async with svc:
+            async with gated_service(clock) as (svc, gate):
+                blocker = asyncio.create_task(
+                    svc.solve("rowmin", arrays(1, 7, base_seed=5)[0]))
+                await clock.advance(0.0)  # holds the executor at the gate
                 tasks = [asyncio.create_task(svc.solve("rowmin", a))
                          for a in arrays(2, 6)]
                 await clock.advance(0.0)
-                # sabotage one admitted plan: simulate a planner whose
+                # sabotage one queued plan: simulate a planner whose
                 # fused key is not stable across lowerings
-                (bucket,) = svc._buckets.values()
-                bucket.requests[1].plan.fused_key = ("drifted",)
-                await clock.advance(0.005)
+                (queued,) = svc._buckets.values()
+                queued[1].plan.fused_key = ("drifted",)
+                gate.gate.set()
+                await blocker
                 with pytest.raises(AssertionError, match="fused key"):
                     await asyncio.gather(*tasks)
 
@@ -574,24 +643,19 @@ class TestServiceConfig:
         dict(max_pending=0),
         dict(admission_wait=-1.0),
         dict(default_deadline=0.0),
-        dict(min_window=0.2, max_window=0.1),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             ServiceConfig(**kw)
 
-    def test_window_disabled_mode_flushes_immediately(self):
-        async def body():
-            clock = VirtualClock()
-            svc = make_service(clock, min_window=0.0, max_window=0.0)
-            async with svc:
-                task = asyncio.create_task(svc.solve("rowmin", arrays(1, 6)[0]))
-                await clock.advance(0.0)
-                assert task.done()  # serial-per-request: no hold at all
-                await task
-            assert metrics().histogram("serve.fusion_width").max == 1
-
-        run(body())
+    def test_timed_window_fields_are_gone(self):
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "max_batch", "max_pending", "admission_wait", "default_deadline",
+            "verify_keys",
+        ]
+        for name in ("min_window", "max_window", "target_width", "ewma_alpha"):
+            with pytest.raises(TypeError):
+                ServiceConfig(**{name: 0.01})
 
 
 # --------------------------------------------------------------------- #
