@@ -4,7 +4,7 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test test-fast lint cov bench-smoke bench bench-batch-smoke bench-obs bench-obs-smoke bench-tier bench-tier-smoke bench-index bench-index-smoke serve-smoke bench-serve bench-serve-smoke
+.PHONY: test test-fast lint cov bench-smoke bench bench-batch-smoke bench-obs bench-obs-smoke bench-index bench-index-smoke serve-smoke bench-serve bench-serve-smoke
 
 ## test: full tier-1 suite (slow scaling/property tests included)
 test:
@@ -37,16 +37,6 @@ bench:
 ## pass if solve_many diverges from the serial path bit-for-bit
 bench-batch-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PY) benchmarks/bench_batch.py --smoke --out /tmp/BENCH_batch_smoke.json
-
-## bench-tier-smoke: fused-vs-blocked kernel-tier sweep at smoke sizes;
-## refuses to pass unless every blocked run is bit-identical to fused
-## and the peak resident tile stays within each budget
-bench-tier-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PY) benchmarks/bench_tier.py --smoke --out /tmp/BENCH_tier_smoke.json
-
-## bench-tier: full kernel-tier throughput sweep -> BENCH_tier.json
-bench-tier:
-	PYTHONPATH=$(PYTHONPATH) $(PY) benchmarks/bench_tier.py
 
 ## bench-index-smoke: build-once index amortization smoke; refuses to
 ## pass unless index, one-shot solve, and brute force agree on every

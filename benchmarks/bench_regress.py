@@ -1,7 +1,7 @@
 """Perf-regression harness: the repo's wall-clock baseline.
 
 Runs a pinned workload matrix — the Table 1.1–1.3 algorithm paths plus
-the string-editing application (A4) — through four simulator
+the string-editing application (A4) — through two simulator
 configurations, each pinned to a kernel tier (DESIGN.md §13):
 
 ``ref``
@@ -9,16 +9,9 @@ configurations, each pinned to a kernel tier (DESIGN.md §13):
     NumPy loops;
 ``fast``
     the ``fused`` tier — vectorized grouped-extremum kernels + charge
-    replay (the default);
-``fast_cache``
-    ``fused`` plus the opt-in :class:`~repro.monge.arrays.CachedArray`
-    entry-evaluation memoizer;
-``blocked``
-    the out-of-core ``blocked`` tier with a deliberately small 64 KiB
-    tile budget, so the streaming chokepoint engages even at bench
-    sizes (``benchmarks/bench_tier.py`` sweeps the budget itself).
+    replay (the default).
 
-For every workload all configurations must produce bit-identical
+For every workload both configurations must produce bit-identical
 results *and* bit-identical ledger snapshots (rounds, work, peak
 processors, phases) — the fused-kernel invariant; the harness verifies
 this on every run and refuses to emit a baseline that violates it.
@@ -61,12 +54,10 @@ from repro.monge.generators import (
 from repro.kernels import tier_context
 from repro.perf import Timer, WorkloadRecord, emit_json, environment_fingerprint
 
-#: (config name, kernel tier, tile budget override, entry cache)
-CONFIGS: Tuple[Tuple[str, str, Optional[int], bool], ...] = (
-    ("ref", "reference", None, False),
-    ("fast", "fused", None, False),
-    ("fast_cache", "fused", None, True),
-    ("blocked", "blocked", 64 * 1024, False),
+#: (config name, kernel tier)
+CONFIGS: Tuple[Tuple[str, str], ...] = (
+    ("ref", "reference"),
+    ("fast", "fused"),
 )
 
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -74,16 +65,16 @@ DEFAULT_OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__fil
 
 
 # --------------------------------------------------------------------- #
-# Pinned workloads.  Each returns (run, params): ``run(cache)`` executes
+# Pinned workloads.  Each returns (run, params): ``run()`` executes
 # on a fresh machine and returns (result_arrays, ledger_snapshot, evals).
 # Instance construction happens once, outside the timed region.
 # --------------------------------------------------------------------- #
 def _wl_rowmin_crcw(n: int):
     a = random_monge(n, n, np.random.default_rng(n))
 
-    def run(cache: bool):
+    def run():
         before = a.eval_count
-        r = crcw_session(n).solve("rowmin", a, cache=cache)
+        r = crcw_session(n).solve("rowmin", a)
         return (r.values, r.witnesses), r.snapshot, a.eval_count - before
 
     return run, {"n": n, "model": "CRCW", "algorithm": "rowmin"}
@@ -92,9 +83,9 @@ def _wl_rowmin_crcw(n: int):
 def _wl_rowmin_crew(n: int):
     a = random_monge(n, n, np.random.default_rng(n))
 
-    def run(cache: bool):
+    def run():
         before = a.eval_count
-        r = crew_session(n).solve("rowmin", a, cache=cache)
+        r = crew_session(n).solve("rowmin", a)
         return (r.values, r.witnesses), r.snapshot, a.eval_count - before
 
     return run, {"n": n, "model": "CREW", "algorithm": "rowmin"}
@@ -103,9 +94,9 @@ def _wl_rowmin_crew(n: int):
 def _wl_staircase_crcw(n: int):
     a = random_staircase_monge(n, n, np.random.default_rng(n))
 
-    def run(cache: bool):
+    def run():
         before = a.eval_count
-        r = crcw_session(n).solve("staircase_min", a, cache=cache)
+        r = crcw_session(n).solve("staircase_min", a)
         return (r.values, r.witnesses), r.snapshot, a.eval_count - before
 
     return run, {"n": n, "model": "CRCW", "algorithm": "staircase_min"}
@@ -114,9 +105,9 @@ def _wl_staircase_crcw(n: int):
 def _wl_tube_crcw(n: int):
     c = random_composite(n, n, n, np.random.default_rng(n))
 
-    def run(cache: bool):
+    def run():
         before = c.D.eval_count + c.E.eval_count
-        r = crcw_session(n * n).solve("tube_min", c, cache=cache)
+        r = crcw_session(n * n).solve("tube_min", c)
         return (r.values, r.witnesses), r.snapshot, c.D.eval_count + c.E.eval_count - before
 
     return run, {"n": n, "model": "CRCW", "algorithm": "tube_min"}
@@ -128,9 +119,7 @@ def _wl_string_edit(length: int):
     x = "".join(rng.choice(list(alphabet), size=length))
     y = "".join(rng.choice(list(alphabet), size=length))
 
-    def run(cache: bool):
-        # the DAG combiner builds its own (ExplicitArray) strips, so the
-        # cache config exercises the same path as fast
+    def run():
         s = Session("pram-crcw")
         d = edit_distance_dag_parallel(x, y, session=s)
         snap = s.ledger.snapshot()
@@ -170,18 +159,18 @@ def _results_equal(a, b) -> bool:
 def run_workload(name: str, run: Callable, params: Dict, repeats: int) -> WorkloadRecord:
     rec = WorkloadRecord(
         name=name, params=params,
-        kernel_tiers={config: tier for config, tier, _, _ in CONFIGS},
+        kernel_tiers=dict(CONFIGS),
     )
     outputs = {}
     # Interleave configurations within each repeat (rather than best-of
     # per config sequentially) so all configs sample the same host-load
     # epochs — speedup ratios stay stable on noisy machines.
-    best: Dict[str, float] = {config: float("inf") for config, _, _, _ in CONFIGS}
+    best: Dict[str, float] = {config: float("inf") for config, _ in CONFIGS}
     for _ in range(repeats):
-        for config, tier, tile, cache in CONFIGS:
-            with tier_context(tier, tile):
+        for config, tier in CONFIGS:
+            with tier_context(tier):
                 with Timer() as t:
-                    outputs[config] = run(cache)
+                    outputs[config] = run()
             best[config] = min(best[config], t.seconds)
     rec.wall_s.update(best)
     ref_result, ref_snapshot, ref_evals = outputs["ref"]
@@ -189,9 +178,9 @@ def run_workload(name: str, run: Callable, params: Dict, repeats: int) -> Worklo
     rec.work = ref_snapshot["work"]
     rec.peak_processors = ref_snapshot["peak_processors"]
     rec.evals = ref_evals
-    rec.ledger_identical = all(outputs[c][1] == ref_snapshot for c, _, _, _ in CONFIGS)
+    rec.ledger_identical = all(outputs[c][1] == ref_snapshot for c, _ in CONFIGS)
     rec.results_identical = all(
-        _results_equal(outputs[c][0], ref_result) for c, _, _, _ in CONFIGS
+        _results_equal(outputs[c][0], ref_result) for c, _ in CONFIGS
     )
     return rec
 
@@ -208,11 +197,11 @@ def run_matrix(smoke: bool, repeats: int) -> Dict:
         )
     return {
         "meta": {**environment_fingerprint(), "smoke": smoke, "repeats": repeats,
-                 "configs": [c for c, _, _, _ in CONFIGS],
-                 "kernel_tiers": {c: t for c, t, _, _ in CONFIGS}},
+                 "configs": [c for c, _ in CONFIGS],
+                 "kernel_tiers": dict(CONFIGS)},
         "workloads": {r.name: r.as_json() for r in records},
-        # process-wide engine/cache counters for the whole matrix
-        # (DESIGN.md §10.2): cache hit-rate, rounds/query, retry counts
+        # process-wide engine counters for the whole matrix
+        # (DESIGN.md §10.2): rounds/query, retry counts
         "metrics": obs_snapshot(),
     }
 
@@ -277,14 +266,11 @@ def compare_to_baseline(payload: Dict, baseline: Optional[Dict]) -> None:
 
 def _print_table(payload: Dict) -> None:
     print(f"{'workload':<28} {'ref(s)':>9} {'fast(s)':>9} {'x':>6} "
-          f"{'+cache':>9} {'x':>6} {'blocked':>9} {'x':>6} "
           f"{'rounds':>8} {'evals':>10}")
     for name, w in payload["workloads"].items():
         ws = w["wall_s"]
         print(f"{name:<28} {ws['ref']:>9.4f} {ws['fast']:>9.4f} "
-              f"{w.get('speedup_fast', 0):>6.2f} {ws['fast_cache']:>9.4f} "
-              f"{w.get('speedup_fast_cache', 0):>6.2f} {ws['blocked']:>9.4f} "
-              f"{w.get('speedup_blocked', 0):>6.2f} "
+              f"{w.get('speedup_fast', 0):>6.2f} "
               f"{w['rounds']:>8} {w['evals']:>10}")
 
 

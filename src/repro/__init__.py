@@ -20,10 +20,10 @@ A production-grade reproduction of Aggarwal, Kravets, Park, and Sen
   example, each with a brute-force reference;
 - :mod:`repro.analysis` — growth-law fitting and live regeneration of
   the paper's tables;
-- :mod:`repro.kernels` — the kernel-tier registry: named execution
-  tiers (``reference`` / ``fused`` / ``blocked``) selected via
-  ``kernel_tier=`` / ``tier_context`` / ``REPRO_KERNEL_TIER``, all
-  charging identical ledgers (DESIGN.md §13);
+- :mod:`repro.kernels` — the kernel-tier registry: two named execution
+  tiers (``reference`` / ``fused``) selected via ``kernel_tier=`` /
+  ``tier_context`` / ``REPRO_KERNEL_TIER``, both charging identical
+  ledgers (DESIGN.md §13);
 - :mod:`repro.serve` — the async query service: concurrent clients'
   requests that queue while the executor is busy run as fused
   ``solve_many`` buckets, with admission control, per-request
@@ -97,4 +97,4 @@ __all__ = [
     "CapabilityError",
 ]
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro._util.bits import ceil_sqrt_array
 from repro._util.ragged import ragged as _ragged
-from repro.monge.arrays import CachedArray, SearchArray, as_search_array
+from repro.monge.arrays import SearchArray, as_search_array
 from repro.kernels.api import eval_grouped_min
 from repro.kernels.chargefan import ChargeFan
 from repro.pram.machine import Pram
@@ -99,7 +99,7 @@ class _Batch:
 
 
 def monge_row_minima_pram(
-    pram: Pram, array, strategy: str = "sqrt", cache: bool = False, strict: bool = True
+    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Leftmost row minima of a Monge array, parallel.
 
@@ -107,11 +107,6 @@ def monge_row_minima_pram(
     paper's recursion) or ``"halving"`` (ablation baseline).  Grouped
     minima pick the CRCW doubly-log primitive automatically when the
     machine is CRCW, else the CREW binary scan.
-
-    ``cache=True`` wraps the array in a
-    :class:`~repro.monge.arrays.CachedArray` so entries revisited
-    across recursion levels are computed once; results and ledger
-    charges are identical either way (wall-clock only).
 
     ``strict=False`` verifies the Monge precondition first (an
     ``O(mn)`` dense scan) and degrades to a charged dense fallback —
@@ -123,12 +118,12 @@ def monge_row_minima_pram(
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strategy=strategy, cache=cache, strict=strict)
+    cfg = ExecutionConfig(strategy=strategy, strict=strict)
     return dispatch_on(pram, "rowmin", array, cfg)
 
 
 def monge_row_maxima_pram(
-    pram: Pram, array, strategy: str = "sqrt", cache: bool = False, strict: bool = True
+    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Leftmost row maxima of a **Monge** array (Table 1.1 semantics).
 
@@ -140,12 +135,12 @@ def monge_row_maxima_pram(
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strategy=strategy, cache=cache, strict=strict)
+    cfg = ExecutionConfig(strategy=strategy, strict=strict)
     return dispatch_on(pram, "rowmax", array, cfg)
 
 
 def inverse_monge_row_maxima_pram(
-    pram: Pram, array, strategy: str = "sqrt", cache: bool = False, strict: bool = True
+    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Leftmost row maxima of an **inverse-Monge** array (Fig. 1.1 use).
 
@@ -154,12 +149,12 @@ def inverse_monge_row_maxima_pram(
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strategy=strategy, cache=cache, strict=strict)
+    cfg = ExecutionConfig(strategy=strategy, strict=strict)
     return dispatch_on(pram, "rowmax_inverse", array, cfg)
 
 
 def _row_minima_impl(
-    pram: Pram, array, strategy: str = "sqrt", cache: bool = False, strict: bool = True
+    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`monge_row_minima_pram`."""
     a = as_search_array(array)
@@ -168,8 +163,6 @@ def _row_minima_impl(
         if reason is not None:
             degrade.warn_degraded("monge_row_minima_pram", reason, "dense row scan")
             return degrade.brute_rows(pram, a.materialize(), mode="min")
-    if cache:
-        a = CachedArray(a)
     m, n = a.shape
     if n == 0:
         raise ValueError("cannot take row minima of a zero-column array")
@@ -191,7 +184,7 @@ def _row_minima_impl(
 
 
 def _row_maxima_impl(
-    pram: Pram, array, strategy: str = "sqrt", cache: bool = False, strict: bool = True
+    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`monge_row_maxima_pram`."""
     a = as_search_array(array)
@@ -200,14 +193,12 @@ def _row_maxima_impl(
         if reason is not None:
             degrade.warn_degraded("monge_row_maxima_pram", reason, "dense row scan")
             return degrade.brute_rows(pram, a.materialize(), mode="max")
-    vals, cols = _row_minima_impl(
-        pram, _extremum_view(a, "rowmax"), strategy=strategy, cache=cache
-    )
+    vals, cols = _row_minima_impl(pram, _extremum_view(a, "rowmax"), strategy=strategy)
     return -vals[::-1], cols[::-1].copy()
 
 
 def _inverse_row_maxima_impl(
-    pram: Pram, array, strategy: str = "sqrt", cache: bool = False, strict: bool = True
+    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`inverse_monge_row_maxima_pram`."""
     a = as_search_array(array)
@@ -218,9 +209,7 @@ def _inverse_row_maxima_impl(
                 "inverse_monge_row_maxima_pram", reason, "dense row scan"
             )
             return degrade.brute_rows(pram, a.materialize(), mode="max")
-    vals, cols = _row_minima_impl(
-        pram, _extremum_view(a, "rowmax_inverse"), strategy=strategy, cache=cache
-    )
+    vals, cols = _row_minima_impl(pram, _extremum_view(a, "rowmax_inverse"), strategy=strategy)
     return -vals, cols
 
 
@@ -373,8 +362,8 @@ def _solve_small(pram: Pram, arr: SearchArray, sb: _Batch, fan: Optional[ChargeF
         group_counts = fan.counts(sb.owner, sb.rcount)
         fan.charge(group_counts)
         # fan charges land on disjoint per-owner ledgers, so issuing
-        # them before the (possibly tiled) evaluation preserves every
-        # sub-account's serial charge sequence exactly
+        # them before the evaluation preserves every sub-account's
+        # serial charge sequence exactly
         fan.charge(fan.counts(sb.owner, sb.rcount * sb.ccount))
     gv, gi = eval_grouped_min(
         pram,
@@ -486,15 +475,10 @@ def stack_arrays(parts) -> SearchArray:
     return _StackedArray(views)
 
 
-def _stack_same_shape(parts: List[SearchArray]) -> SearchArray:
-    return stack_arrays(parts)
-
-
 def batched_row_extrema(
     pram: Pram,
     arrays,
     problem: str = "rowmin",
-    cache: bool = False,
     fan: Optional[ChargeFan] = None,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """One fused ``sqrt``-recursion sweep over ``B`` same-shape queries.
@@ -516,9 +500,7 @@ def batched_row_extrema(
     B = len(views)
     if m == 0:
         return [(np.empty(0), np.empty(0, dtype=np.int64)) for _ in range(B)]
-    stacked = _stack_same_shape(views)
-    if cache:
-        stacked = CachedArray(stacked)
+    stacked = stack_arrays(views)
     batch = _Batch(
         rs=np.arange(B, dtype=np.int64) * m,
         rstride=np.ones(B, dtype=np.int64),

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro._util.bits import ceil_sqrt_array
 from repro._util.ragged import ragged as _ragged
-from repro.monge.arrays import CachedArray, SearchArray
+from repro.monge.arrays import SearchArray
 from repro.monge.staircase_seq import effective_boundary
 from repro.pram.ansv import nearest_smaller_left_threshold
 from repro.pram.machine import Pram
@@ -67,7 +67,7 @@ __all__ = [
 
 
 def staircase_row_maxima_pram(
-    pram: Pram, array, cache: bool = False, strict: bool = True
+    pram: Pram, array, *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Row maxima of a staircase-Monge array over its finite prefixes —
     §1.2's *easy* direction, parallel.
@@ -85,12 +85,12 @@ def staircase_row_maxima_pram(
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(cache=cache, strict=strict)
+    cfg = ExecutionConfig(strict=strict)
     return dispatch_on(pram, "staircase_max", array, cfg)
 
 
 def _staircase_maxima_impl(
-    pram: Pram, array, cache: bool = False, strict: bool = True
+    pram: Pram, array, *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`staircase_row_maxima_pram`."""
     from repro.core.banded import banded_row_maxima_pram
@@ -105,8 +105,6 @@ def _staircase_maxima_impl(
     m = arr.shape[0]
     if m == 0:
         return np.empty(0), np.empty(0, dtype=np.int64)
-    if cache:
-        arr = CachedArray(arr)
     lo = np.zeros(m, dtype=np.int64)
     hi = f[::-1].copy()  # nondecreasing after the flip
     vals, cols = banded_row_maxima_pram(pram, arr.flip_rows(), lo, hi)
@@ -142,14 +140,12 @@ class _StairBatch:
 
 
 def staircase_row_minima_pram(
-    pram: Pram, array, cache: bool = False, strict: bool = True
+    pram: Pram, array, *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Leftmost row minima of a staircase-Monge array, parallel.
 
     Rows whose finite prefix is empty report ``(inf, -1)``.
-    Returns ``(values, columns)``.  ``cache=True`` memoizes entry
-    evaluations across recursion levels (wall-clock only; results and
-    ledger charges are unchanged).
+    Returns ``(values, columns)``.
 
     ``strict=False`` verifies the staircase-Monge precondition first
     and degrades to a charged dense fallback — with a
@@ -162,12 +158,12 @@ def staircase_row_minima_pram(
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(cache=cache, strict=strict)
+    cfg = ExecutionConfig(strict=strict)
     return dispatch_on(pram, "staircase_min", array, cfg)
 
 
 def _staircase_minima_impl(
-    pram: Pram, array, cache: bool = False, strict: bool = True
+    pram: Pram, array, *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`staircase_row_minima_pram`."""
     if not strict:
@@ -181,8 +177,6 @@ def _staircase_minima_impl(
     m, n = arr.shape
     if m == 0:
         return np.empty(0), np.empty(0, dtype=np.int64)
-    if cache:
-        arr = CachedArray(arr)
     batch = _StairBatch(
         rs=np.array([0], dtype=np.int64),
         rcount=np.array([m], dtype=np.int64),

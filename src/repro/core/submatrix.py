@@ -25,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.monge.arrays import CachedArray, as_search_array
+from repro.monge.arrays import as_search_array
 from repro.monge.index import check_rectangle
 
 __all__ = [
@@ -57,8 +57,7 @@ def _reduce_row_maxima(vals: np.ndarray, cols: np.ndarray, r0: int, c0: int
     return np.float64(best), np.array([r0 + row, c0 + col], dtype=np.int64)
 
 
-def submatrix_max_pram(machine, data, *, cache: bool = False
-                       ) -> Tuple[np.floating, np.ndarray]:
+def submatrix_max_pram(machine, data) -> Tuple[np.floating, np.ndarray]:
     """Rectangle maximum on a simulated PRAM.
 
     Row maxima of the (Monge) sub-array via the Table 1.1 sampling
@@ -70,23 +69,18 @@ def submatrix_max_pram(machine, data, *, cache: bool = False
     a = as_search_array(array)
     r0, r1, c0, c1 = check_rectangle(a.shape, rows, cols)
     sub = a.submatrix(np.arange(r0, r1), np.arange(c0, c1))
-    vals, argcols = _row_maxima_impl(
-        machine, sub, strategy="sqrt", cache=cache, strict=True
-    )
+    vals, argcols = _row_maxima_impl(machine, sub, strategy="sqrt", strict=True)
     machine.charge(rounds=1, processors=max(1, r1 - r0))
     return _reduce_row_maxima(vals, argcols, r0, c0)
 
 
-def submatrix_max_sequential(data, *, cache: bool = False
-                             ) -> Tuple[np.floating, np.ndarray]:
+def submatrix_max_sequential(data) -> Tuple[np.floating, np.ndarray]:
     """Sequential rectangle maximum: SMAWK on the row-flipped sub-array
     (``O(h + w)`` evaluations) plus the lexicographic reduce."""
     from repro.monge.smawk import row_minima
 
     array, rows, cols = _rectangle_args(data)
     a = as_search_array(array)
-    if cache and not isinstance(a, CachedArray):
-        a = CachedArray(a)
     r0, r1, c0, c1 = check_rectangle(a.shape, rows, cols)
     sub = a.submatrix(np.arange(r0, r1), np.arange(c0, c1))
     # Monge row-flipped is inverse-Monge; its negation is Monge again and

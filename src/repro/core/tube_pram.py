@@ -41,7 +41,7 @@ import numpy as np
 from repro._util.bits import ceil_sqrt
 from repro._util.ragged import ragged as _ragged
 from repro._util.validation import as_float_tensor
-from repro.monge.arrays import CachedArray, MongeComposite
+from repro.monge.arrays import MongeComposite
 from repro.pram.machine import Pram
 from repro.kernels.api import eval_grouped_min
 from repro.resilience import degrade
@@ -67,14 +67,13 @@ def _degraded_tube(pram: Pram, c: MongeComposite, problem: str, mode: str):
 
 
 def tube_minima_pram(
-    pram: Pram, composite, scheme: str = "auto", cache: bool = False, strict: bool = True
+    pram: Pram, composite, scheme: str = "auto", *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Tube (product) minima with witnesses: ``(values, j_args)``,
     both of shape ``(p, r)``.
 
     ``scheme``: ``"crew"`` (halving), ``"crcw"`` (doubly-log sampling),
-    or ``"auto"`` (pick by machine model).  ``cache=True`` memoizes
-    the ``D`` and ``E`` factor evaluations (wall-clock only).
+    or ``"auto"`` (pick by machine model).
 
     ``strict=False`` verifies that both factors are Monge (dense scans)
     and degrades to a charged dense-cube fallback — with a
@@ -86,12 +85,12 @@ def tube_minima_pram(
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strategy=scheme, cache=cache, strict=strict)
+    cfg = ExecutionConfig(strategy=scheme, strict=strict)
     return dispatch_on(pram, "tube_min", composite, cfg)
 
 
 def tube_maxima_pram(
-    pram: Pram, composite, scheme: str = "auto", cache: bool = False, strict: bool = True
+    pram: Pram, composite, scheme: str = "auto", *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Tube maxima with smallest-``j`` witnesses.
 
@@ -104,12 +103,12 @@ def tube_maxima_pram(
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strategy=scheme, cache=cache, strict=strict)
+    cfg = ExecutionConfig(strategy=scheme, strict=strict)
     return dispatch_on(pram, "tube_max", composite, cfg)
 
 
 def _tube_minima_impl(
-    pram: Pram, composite, scheme: str = "auto", cache: bool = False, strict: bool = True
+    pram: Pram, composite, scheme: str = "auto", *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`tube_minima_pram`."""
     c = _as_composite(composite)
@@ -118,8 +117,6 @@ def _tube_minima_impl(
         if reason is not None:
             degrade.warn_degraded("tube_minima_pram", reason, "dense cube scan")
             return _degraded_tube(pram, c, "tube_minima_pram", "min")
-    if cache:
-        c = MongeComposite(CachedArray(c.D), CachedArray(c.E))
     if scheme == "auto":
         scheme = "crcw" if pram.model.is_crcw else "crew"
     if scheme == "crew":
@@ -131,7 +128,7 @@ def _tube_minima_impl(
 
 
 def _tube_maxima_impl(
-    pram: Pram, composite, scheme: str = "auto", cache: bool = False, strict: bool = True
+    pram: Pram, composite, scheme: str = "auto", *, strict: bool = True
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`tube_maxima_pram`."""
     c = _as_composite(composite)
@@ -141,7 +138,7 @@ def _tube_maxima_impl(
             degrade.warn_degraded("tube_maxima_pram", reason, "dense cube scan")
             return _degraded_tube(pram, c, "tube_maxima_pram", "max")
     flipped = MongeComposite(c.D.flip_rows().negate(), c.E.flip_cols().negate())
-    vals, args = _tube_minima_impl(pram, flipped, scheme=scheme, cache=cache)
+    vals, args = _tube_minima_impl(pram, flipped, scheme=scheme)
     return -vals[::-1, ::-1], args[::-1, ::-1].copy()
 
 

@@ -1,10 +1,10 @@
 """The :class:`ExecutionConfig` — every cross-cutting solver knob in one place.
 
 Before the engine existed, each of the 12+ core entry points re-threaded
-``strategy=``/``scheme=``, ``cache=``, ``strict=``, and fault plumbing by
-hand, and the retry/certify loop of :mod:`repro.resilience.executor` had
-to be wired up manually around every call.  ``ExecutionConfig``
-consolidates all of it:
+``strategy=``/``scheme=``, ``strict=``, and fault plumbing by hand, and
+the retry/certify loop of :mod:`repro.resilience.executor` had to be
+wired up manually around every call.  ``ExecutionConfig`` consolidates
+all of it:
 
 ``strategy``
     The algorithmic variant.  ``"auto"`` (default) resolves per problem
@@ -13,9 +13,6 @@ consolidates all of it:
     on CRCW machines and ``"crew"`` (halving) otherwise.  The legacy
     per-function ``strategy=``/``scheme=`` arguments map onto this one
     field.
-``cache``
-    Wrap inputs in a :class:`~repro.monge.arrays.CachedArray` entry
-    memoizer (wall-clock only; results and ledger charges unchanged).
 ``strict``
     ``True`` (default) trusts the declared (staircase-)Monge structure;
     ``False`` verifies it first and degrades to a charged dense fallback
@@ -42,18 +39,13 @@ consolidates all of it:
     attribute test per charge.
 ``kernel_tier``
     Which execution tier the hot-path kernels run in (DESIGN.md §13):
-    ``"reference"`` (round-by-round), ``"fused"`` (vectorized NumPy
-    with ledger charge replay), or ``"blocked"`` (fused kernels
-    streaming over byte-budgeted row tiles).  ``None`` (default)
-    defers to the caller's :func:`~repro.kernels.registry.tier_context`,
-    then ``REPRO_KERNEL_TIER``, then ``"fused"``; the engine resolves
-    it once, when it plans the query.  Results, witnesses, ledger
+    ``"reference"`` (round-by-round) or ``"fused"`` (vectorized NumPy
+    with ledger charge replay).  ``None`` (default) defers to the
+    caller's :func:`~repro.kernels.registry.tier_context`, then
+    ``REPRO_KERNEL_TIER``, then ``"fused"``; the engine resolves it
+    once, when it plans the query.  Results, witnesses, ledger
     snapshots, traces, and certificates are bit-identical across tiers
     (the fused-kernel invariant).
-``tile_bytes``
-    Byte budget for one resident candidate tile in the ``blocked``
-    tier.  ``None`` (default) defers to the caller's ``tier_context``,
-    then ``REPRO_TILE_BYTES``, then 64 MiB; ignored by the dense tiers.
 """
 
 from __future__ import annotations
@@ -74,16 +66,15 @@ TUBE_STRATEGIES = ("auto", "crew", "crcw")
 _ALL_STRATEGIES = tuple(dict.fromkeys(ROW_STRATEGIES + TUBE_STRATEGIES))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExecutionConfig:
     """Cross-cutting execution policy for one (or many) engine queries.
 
-    Immutable; use :meth:`with_overrides` to derive variants.  Field
-    semantics are documented in the module docstring.
+    Immutable and keyword-only; use :meth:`with_overrides` to derive
+    variants.  Field semantics are documented in the module docstring.
     """
 
     strategy: str = "auto"
-    cache: bool = False
     strict: bool = True
     checked: bool = False
     faults: Optional["FaultPlan"] = None
@@ -91,7 +82,6 @@ class ExecutionConfig:
     certify: bool = False
     trace: bool = False
     kernel_tier: Optional[str] = None
-    tile_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.validate()
@@ -111,15 +101,6 @@ class ExecutionConfig:
             from repro.kernels.registry import get_tier
 
             get_tier(self.kernel_tier)  # ValueError lists the known tiers
-        if self.tile_bytes is not None:
-            if not isinstance(self.tile_bytes, int) or isinstance(self.tile_bytes, bool):
-                raise ValueError(
-                    f"tile_bytes must be a positive int or None, got {self.tile_bytes!r}"
-                )
-            if self.tile_bytes <= 0:
-                raise ValueError(
-                    f"tile_bytes must be a positive byte budget, got {self.tile_bytes}"
-                )
 
     def with_overrides(self, **kw) -> "ExecutionConfig":
         """A copy with the given fields replaced (and re-validated)."""
@@ -134,12 +115,11 @@ class ExecutionConfig:
         never appear here).  ``trace`` is included so traced and
         untraced queries never share a bucket — a traced bucket pays
         the per-owner span bookkeeping for all its members.
-        ``kernel_tier`` and ``tile_bytes`` are included so mixed-tier (or
-        mixed-budget) queries never fuse — one bucket runs under exactly
-        one tier.
+        ``kernel_tier`` is not: the planner keys the *resolved* tier
+        separately, so a query that names the tier it would get by
+        default fuses with the queries that get it by default.
         """
-        return (self.cache, self.strict, self.checked, self.certify, self.trace,
-                self.kernel_tier, self.tile_bytes)
+        return (self.strict, self.checked, self.certify, self.trace)
 
     # ------------------------------------------------------------------ #
     def resolve_strategy(self, problem: str, crcw: bool) -> str:

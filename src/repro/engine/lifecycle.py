@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 
 from repro.engine.planner import QueryPlan, group_plans
 from repro.engine.result import SearchResult
-from repro.kernels.registry import get_tier, tier_context
+from repro.kernels.registry import tier_context
 from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer
 from repro.pram.ledger import CostLedger
@@ -140,7 +140,7 @@ class _SerialTrace:
                 backend=backend,
                 strategy=plan.strategy,
                 shape=plan.shape,
-                kernel_tier=plan.kernel[0],
+                kernel_tier=plan.kernel,
             )
             if qledger is not None:
                 self.tracer.bind(qledger, self.solve_span)
@@ -202,7 +202,7 @@ def fused_ready(session, plan: QueryPlan) -> bool:
 
     if plan.fused_key is None:
         return False
-    if not get_tier(plan.kernel[0]).fused:
+    if plan.kernel != "fused":
         # the reference tier has no stacked-sweep kernel: every query
         # runs its own round-by-round simulation
         return False
@@ -298,7 +298,7 @@ class SerialExecutor(Executor):
 
         with ledger_swap(machine, qledger, fault_plan):
             try:
-                with tier_context(*plan.kernel):
+                with tier_context(plan.kernel):
                     values, witnesses, certificate, retries = run_attempts(
                         spec, plan, fault_plan, attempt
                     )
@@ -384,7 +384,7 @@ class FusedExecutor(Executor):
                 shape=bucket[0].shape,
                 count=len(bucket),
                 fused=True,
-                kernel_tier=bucket[0].kernel[0],
+                kernel_tier=bucket[0].kernel,
             )
             sweep_span = tracer.begin("stacked-sweep", "sweep", parent=bucket_span)
             tracer.bind(scratch, sweep_span)
@@ -404,12 +404,11 @@ class FusedExecutor(Executor):
 
         with ledger_swap(machine, scratch, None):
             try:
-                with tier_context(*bucket[0].kernel):
+                with tier_context(bucket[0].kernel):
                     outs = batched_row_extrema(
                         machine,
                         [p.data for p in bucket],
                         problem=spec.problem,
-                        cache=cfg.cache,
                         fan=fan,
                     )
             finally:

@@ -5,9 +5,8 @@ The engine executes every query in three stages (DESIGN.md §9):
 **plan**
     :func:`plan_query` lowers one ``(problem, data, config)`` request to
     a declarative :class:`QueryPlan` — the registry spec, the resolved
-    strategy, the shape class, the resolved ``(kernel tier, tile
-    bytes)`` pair, and a *fused key* saying which batch bucket (if any)
-    the query may share.
+    strategy, the shape class, the resolved kernel tier, and a *fused
+    key* saying which batch bucket (if any) the query may share.
 
 **group**
     :func:`group_plans` buckets compatible plans.  Plans with equal,
@@ -36,13 +35,14 @@ A plan is *fusable* (``fused_key is not None``) iff all of:
 
 Two fusable plans share a bucket iff their keys agree: same problem,
 backend, strategy, shape, :meth:`ExecutionConfig.fingerprint`, and
-resolved ``(kernel tier, tile bytes)`` pair, so mixed-tier queries
-never fuse: one bucket runs under exactly one kernel tier (DESIGN.md
-§13).  The pair is resolved here, once per query — config, else the
-caller's :func:`~repro.kernels.registry.tier_context`, else the
-environment — and the executors scope it around the execution.
+resolved kernel tier, so mixed-tier queries never fuse: one bucket runs
+under exactly one kernel tier (DESIGN.md §13).  The tier is resolved
+here, once per query — config, else the caller's
+:func:`~repro.kernels.registry.tier_context`, else the environment —
+and the executors scope it around the execution.  A query that names
+the tier it would get by default therefore shares its bucket.
 The session adds machine-level conditions at execution time (plain
-:class:`~repro.pram.machine.Pram`, a fused-class kernel tier, unbounded
+:class:`~repro.pram.machine.Pram`, the ``fused`` kernel tier, unbounded
 processor budget); a bucket that fails those simply runs serially —
 grouping never changes results, only wall-clock.
 """
@@ -55,7 +55,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.engine.config import ExecutionConfig
 from repro.engine.registry import SolverSpec
 from repro.engine.registry import registry as _global_registry
-from repro.kernels.registry import resolve_kernel_tier, resolve_tile_bytes
+from repro.kernels.registry import resolve_kernel_tier
 
 __all__ = ["QueryPlan", "shape_of", "plan_query", "group_plans"]
 
@@ -104,8 +104,8 @@ class QueryPlan:
     shape: Tuple[int, ...]
     spec: SolverSpec
     config: ExecutionConfig
-    #: The resolved ``(kernel tier name, tile bytes)`` the query runs under.
-    kernel: Tuple[str, int]
+    #: The resolved kernel tier name the query runs under.
+    kernel: str
     #: Batch-compatibility bucket key; ``None`` means "must run serially".
     fused_key: Optional[Tuple] = None
 
@@ -115,7 +115,7 @@ def _fused_key(
     strategy: str,
     shape: Tuple[int, ...],
     cfg: ExecutionConfig,
-    kernel: Tuple[str, int],
+    kernel: str,
     session_faults,
 ) -> Optional[Tuple]:
     """Apply the batch-compatibility rules (module docstring)."""
@@ -157,7 +157,7 @@ def plan_query(
     shape = shape_of(problem, data)
     strategy = cfg.resolve_strategy(problem, backend == "pram-crcw")
     spec.check_strategy(strategy)
-    kernel = (resolve_kernel_tier(cfg.kernel_tier), resolve_tile_bytes(cfg.tile_bytes))
+    kernel = resolve_kernel_tier(cfg.kernel_tier)
     return QueryPlan(
         index=index,
         problem=problem,
@@ -183,14 +183,14 @@ def group_plans(plans: Sequence[QueryPlan]) -> List[List[QueryPlan]]:
 
     **Stability contract (DESIGN.md §15).**  Grouping is stateless and
     deterministic: re-lowering the same ``(problem, data, config)``
-    request under the same kernel pair always yields an identical fused
+    request under the same kernel tier always yields an identical fused
     key (the key is built purely from declarative plan fields — never
     from ``id()``\\ s, arrival order, or planner state), and calling
     this function repeatedly over interleaved arrivals partitions
     exactly as one all-at-once call would.  The query service depends
     on this to bucket *incrementally* as requests arrive: the fused key
     is the bucketing contract, and ``QueryService`` re-lowers each plan
-    at flush time, under the plan's own kernel pair, and asserts the key
+    at flush time, under the plan's own kernel tier, and asserts the key
     unchanged (tests/test_engine_planner.py pins both properties).
     """
     buckets: List[List[QueryPlan]] = []

@@ -29,7 +29,7 @@ from repro.engine.config import ExecutionConfig
 from repro.engine.lifecycle import ledger_swap
 from repro.engine.registry import CapabilityError, registry
 from repro.engine.result import SearchResult
-from repro.kernels.registry import resolve_kernel_tier, resolve_tile_bytes, tier_context
+from repro.kernels.registry import resolve_kernel_tier, tier_context
 from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer
 from repro.pram.ledger import CostLedger
@@ -153,9 +153,9 @@ def prepare_handle(session, problem: str, data, cfg: ExecutionConfig
         return cached
     m.counter("index.lru.misses").inc()
 
-    # the built index is the same in every tier, so the kernel pair is
+    # the built index is the same in every tier, so the kernel tier is
     # resolved for the build only, not keyed
-    kernel = (resolve_kernel_tier(cfg.kernel_tier), resolve_tile_bytes(cfg.tile_bytes))
+    tier = resolve_kernel_tier(cfg.kernel_tier)
     nodes = spec.nodes_for(shape) if spec.nodes_for is not None else 2
     machine = session.machine(nodes)
     limit = machine.ledger.processor_limit if machine is not None else None
@@ -170,13 +170,13 @@ def prepare_handle(session, problem: str, data, cfg: ExecutionConfig
             problem=problem,
             backend=session.backend,
             shape=shape,
-            kernel_tier=kernel[0],
+            kernel_tier=tier,
         )
         if qledger is not None:
             tracer.bind(qledger, span)
 
     with ledger_swap(machine, qledger, None):
-        with tier_context(*kernel):
+        with tier_context(tier):
             index = spec.prepare(machine, data, cfg)
 
     trace = None

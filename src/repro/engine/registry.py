@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.kernels.registry import TIERS, get_tier
+
 __all__ = [
     "PROBLEMS",
     "BACKENDS",
@@ -112,10 +114,10 @@ class SolverSpec:
     #: what makes per-query charge replay exact (planner.py).
     batchable: bool = False
     #: Kernel tiers this solver's hot path can honor (DESIGN.md §13).
-    #: Simulated-PRAM solvers run under every tier; network solvers
+    #: Simulated-PRAM solvers run under both tiers; network solvers
     #: execute the grouped minimum genuinely on the interconnect and
     #: sequential baselines have no simulated machine, so both declare
-    #: only ``reference`` — an explicit fused-class tier there would be
+    #: only ``reference`` — an explicit ``fused`` request there would be
     #: silently meaningless, which we surface as a CapabilityError.
     kernel_tiers: Tuple[str, ...] = ("reference",)
     #: Build-once entry of the precompute-once path (DESIGN.md §14):
@@ -153,24 +155,17 @@ class SolverSpec:
         ``None`` (defer to the caller's scope or the environment) always
         passes — the default tier degrades to the dense kernels wherever
         a solver cannot honor it, whereas an *explicit* request must be
-        honored exactly or refused with the nearest supported
-        alternative.
+        honored exactly or refused.  With two tiers, the only refusal
+        is ``fused`` on a solver that declares ``reference`` alone.
         """
         if tier is None:
             return
-        from repro.kernels.registry import get_tier
-
-        t = get_tier(tier)  # ValueError on unknown names (config also checks)
-        if t.name in self.kernel_tiers:
+        get_tier(tier)  # ValueError on unknown names (config also checks)
+        if tier in self.kernel_tiers:
             return
-        nearest = next(
-            (n for n in t.proximity if n in self.kernel_tiers),
-            self.kernel_tiers[0] if self.kernel_tiers else "reference",
-        )
         raise CapabilityError(
             f"solver ({self.problem}, {self.backend}) does not support "
-            f"kernel tier {t.name!r}; declared: {self.kernel_tiers} — "
-            f"nearest supported alternative: {nearest!r}"
+            f"kernel tier {tier!r}; declared: {self.kernel_tiers}"
         )
 
     def within_bound(self, snapshot: Optional[dict], shape: Tuple[int, ...]) -> bool:
@@ -254,47 +249,45 @@ def _rowmin(machine, data, cfg, strategy):
     from repro.core.rowmin_pram import _row_minima_impl
 
     s = "sqrt" if strategy == "auto" else strategy
-    return _row_minima_impl(machine, data, strategy=s, cache=cfg.cache, strict=cfg.strict)
+    return _row_minima_impl(machine, data, strategy=s, strict=cfg.strict)
 
 
 def _rowmax(machine, data, cfg, strategy):
     from repro.core.rowmin_pram import _row_maxima_impl
 
     s = "sqrt" if strategy == "auto" else strategy
-    return _row_maxima_impl(machine, data, strategy=s, cache=cfg.cache, strict=cfg.strict)
+    return _row_maxima_impl(machine, data, strategy=s, strict=cfg.strict)
 
 
 def _rowmax_inverse(machine, data, cfg, strategy):
     from repro.core.rowmin_pram import _inverse_row_maxima_impl
 
     s = "sqrt" if strategy == "auto" else strategy
-    return _inverse_row_maxima_impl(
-        machine, data, strategy=s, cache=cfg.cache, strict=cfg.strict
-    )
+    return _inverse_row_maxima_impl(machine, data, strategy=s, strict=cfg.strict)
 
 
 def _staircase_min(machine, data, cfg, strategy):
     from repro.core.staircase_pram import _staircase_minima_impl
 
-    return _staircase_minima_impl(machine, data, cache=cfg.cache, strict=cfg.strict)
+    return _staircase_minima_impl(machine, data, strict=cfg.strict)
 
 
 def _staircase_max(machine, data, cfg, strategy):
     from repro.core.staircase_pram import _staircase_maxima_impl
 
-    return _staircase_maxima_impl(machine, data, cache=cfg.cache, strict=cfg.strict)
+    return _staircase_maxima_impl(machine, data, strict=cfg.strict)
 
 
 def _tube_min(machine, data, cfg, strategy):
     from repro.core.tube_pram import _tube_minima_impl
 
-    return _tube_minima_impl(machine, data, scheme=strategy, cache=cfg.cache, strict=cfg.strict)
+    return _tube_minima_impl(machine, data, scheme=strategy, strict=cfg.strict)
 
 
 def _tube_max(machine, data, cfg, strategy):
     from repro.core.tube_pram import _tube_maxima_impl
 
-    return _tube_maxima_impl(machine, data, scheme=strategy, cache=cfg.cache, strict=cfg.strict)
+    return _tube_maxima_impl(machine, data, scheme=strategy, strict=cfg.strict)
 
 
 # -- sequential baselines (SMAWK and friends; no simulated machine) ----- #
@@ -385,19 +378,12 @@ def _require_window_strict(cfg, problem, backend):
         )
 
 
-def _windowed_array(array, cfg):
-    from repro.monge.arrays import CachedArray, as_search_array
-
-    a = as_search_array(array)
-    return CachedArray(a) if cfg.cache else a
-
-
 def _banded_min(machine, data, cfg, strategy):
     from repro.core.banded import banded_row_minima_pram
 
     array, lo, hi = _window_args(data, "banded_min")
     _require_window_strict(cfg, "banded_min", "pram")
-    return banded_row_minima_pram(machine, _windowed_array(array, cfg), lo, hi)
+    return banded_row_minima_pram(machine, array, lo, hi)
 
 
 def _banded_max(machine, data, cfg, strategy):
@@ -405,7 +391,7 @@ def _banded_max(machine, data, cfg, strategy):
 
     array, lo, hi = _window_args(data, "banded_max")
     _require_window_strict(cfg, "banded_max", "pram")
-    return banded_row_maxima_pram(machine, _windowed_array(array, cfg), lo, hi)
+    return banded_row_maxima_pram(machine, array, lo, hi)
 
 
 def _windowed_min(machine, data, cfg, strategy):
@@ -413,7 +399,7 @@ def _windowed_min(machine, data, cfg, strategy):
 
     array, lo, hi = _window_args(data, "windowed_min")
     _require_window_strict(cfg, "windowed_min", "pram")
-    return windowed_monge_row_minima(machine, _windowed_array(array, cfg), lo, hi)
+    return windowed_monge_row_minima(machine, array, lo, hi)
 
 
 def _seq_banded_min(machine, data, cfg, strategy):
@@ -421,7 +407,7 @@ def _seq_banded_min(machine, data, cfg, strategy):
 
     array, lo, hi = _window_args(data, "banded_min")
     _require_sequential_capable(cfg, "banded_min")
-    return banded_row_minima(_windowed_array(array, cfg), lo, hi)
+    return banded_row_minima(array, lo, hi)
 
 
 def _seq_banded_max(machine, data, cfg, strategy):
@@ -429,7 +415,7 @@ def _seq_banded_max(machine, data, cfg, strategy):
 
     array, lo, hi = _window_args(data, "banded_max")
     _require_sequential_capable(cfg, "banded_max")
-    return banded_row_maxima(_windowed_array(array, cfg), lo, hi)
+    return banded_row_maxima(array, lo, hi)
 
 
 # -- submatrix maxima (precompute-once family; DESIGN.md §14) ----------- #
@@ -441,20 +427,20 @@ def _submatrix_max(machine, data, cfg, strategy):
             "(submatrix_max, pram) declares no degradation path; the query "
             "rectangle already confines the search — run with strict=True"
         )
-    return submatrix_max_pram(machine, data, cache=cfg.cache)
+    return submatrix_max_pram(machine, data)
 
 
 def _seq_submatrix_max(machine, data, cfg, strategy):
     from repro.core.submatrix import submatrix_max_sequential
 
     _require_sequential_capable(cfg, "submatrix_max")
-    return submatrix_max_sequential(data, cache=cfg.cache)
+    return submatrix_max_sequential(data)
 
 
 def _prepare_submatrix(machine, data, cfg):
     from repro.monge.index import MongeIndex
 
-    return MongeIndex.build(machine, data, cache=cfg.cache)
+    return MongeIndex.build(machine, data)
 
 
 # -- certifiers (minima problems only; see resilience.certify) ---------- #
@@ -525,9 +511,6 @@ def _banded_bound_crew(shape):  # halving levels x binary grouped min
 # --------------------------------------------------------------------- #
 # Populate the registry.
 # --------------------------------------------------------------------- #
-#: Every registered kernel tier.
-_ALL_TIERS = ("reference", "fused", "blocked")
-
 _PRAM_FAMILY = (
     ("rowmin", _rowmin, ("sqrt", "halving"), _certify_rowmin,
      "T1.1: O(lg n) CRCW / O(lg n lg lg n) CREW"),
@@ -558,7 +541,7 @@ for _problem, _fn, _strats, _cert, _hint in _PRAM_FAMILY:
         machine="pram", certifier=_cert, bound_hint=_hint,
         bound_rounds=_tube_bound_crcw if _tube else _row_bound_crcw,
         nodes_for=_nodes, batchable=_batch,
-        kernel_tiers=_ALL_TIERS,
+        kernel_tiers=TIERS,
     ))
     register(SolverSpec(
         problem=_problem, backend="pram-crew", fn=_fn,
@@ -568,7 +551,7 @@ for _problem, _fn, _strats, _cert, _hint in _PRAM_FAMILY:
         machine="pram", certifier=_cert, bound_hint=_hint,
         bound_rounds=_tube_bound_crew if _tube else _row_bound_crew,
         nodes_for=_nodes, batchable=_batch,
-        kernel_tiers=_ALL_TIERS,
+        kernel_tiers=TIERS,
     ))
     for _net in NETWORK_BACKENDS:
         register(SolverSpec(
@@ -621,13 +604,13 @@ for _problem, _fn, _seqfn, _hint in _WINDOW_FAMILY:
         problem=_problem, backend="pram-crcw", fn=_fn, strategies=(),
         machine="pram", bound_hint=_hint,
         bound_rounds=_banded_bound_crcw, nodes_for=_row_shape_nodes,
-        kernel_tiers=_ALL_TIERS,
+        kernel_tiers=TIERS,
     ))
     register(SolverSpec(
         problem=_problem, backend="pram-crew", fn=_fn, strategies=(),
         machine="pram", bound_hint=_hint,
         bound_rounds=_banded_bound_crew, nodes_for=_row_shape_nodes,
-        kernel_tiers=_ALL_TIERS,
+        kernel_tiers=TIERS,
     ))
     if _seqfn is not None:
         for _net in NETWORK_BACKENDS:
@@ -658,7 +641,7 @@ for _backend, _bound in (
         strategies=(), machine="pram",
         bound_hint="row maxima over the rectangle + one reduce round",
         bound_rounds=_bound, nodes_for=_row_shape_nodes,
-        prepare=_prepare_submatrix, kernel_tiers=_ALL_TIERS,
+        prepare=_prepare_submatrix, kernel_tiers=TIERS,
     ))
 register(SolverSpec(
     problem="submatrix_max", backend="sequential", fn=_seq_submatrix_max,
@@ -667,6 +650,6 @@ register(SolverSpec(
     bound_rounds=None, nodes_for=None, prepare=_prepare_submatrix,
 ))
 
-del (_PRAM_FAMILY, _SEQUENTIAL, _WINDOW_FAMILY, _ALL_TIERS, _problem,
+del (_PRAM_FAMILY, _SEQUENTIAL, _WINDOW_FAMILY, _problem,
      _fn, _seqfn, _strats, _cert, _hint, _net, _tube, _nodes, _batch,
      _backend, _bound)

@@ -223,7 +223,7 @@ class Session:
         ))
         m = metrics()
         m.counter("engine.queries").inc()
-        m.counter(f"kernel.tier.{plan.kernel[0]}").inc()
+        m.counter(f"kernel.tier.{plan.kernel}").inc()
         snap = result.snapshot
         if snap is not None:
             m.counter("engine.rounds").inc(snap["rounds"])

@@ -1,31 +1,25 @@
-"""Kernel-tier registry and tier-dispatched hot-path kernels.
+"""Kernel-tier registry and the grouped-extremum evaluation chokepoint.
 
-Tier selection, the tile byte budget, and the streaming
-grouped-extremum chokepoint live here (DESIGN.md §13).
+Tier selection and the one chokepoint every grouped-extremum sweep
+evaluates through live here (DESIGN.md §13).
 """
 
 from repro.kernels.api import eval_grouped_min
 from repro.kernels.chargefan import ChargeFan
 from repro.kernels.registry import (
-    DEFAULT_TILE_BYTES,
-    KernelTier,
-    all_tiers,
+    TIERS,
     current_tier,
     get_tier,
     resolve_kernel_tier,
-    resolve_tile_bytes,
     tier_context,
 )
 
 __all__ = [
-    "KernelTier",
+    "TIERS",
     "get_tier",
-    "all_tiers",
     "current_tier",
     "resolve_kernel_tier",
-    "resolve_tile_bytes",
     "tier_context",
-    "DEFAULT_TILE_BYTES",
     "ChargeFan",
     "eval_grouped_min",
 ]

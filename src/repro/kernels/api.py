@@ -1,34 +1,17 @@
-"""Tier-dispatched evaluation chokepoint for the grouped-extremum sweeps.
+"""The evaluation chokepoint of the grouped-extremum sweeps.
 
-Every core sweep used to inline the same three-step motif at its hot
-spot::
+Every core sweep shares the same three-step motif at its hot spot::
 
     values = arr.eval(rows_flat, cols_flat, checked=False)
     pram.charge_eval(values.size)
     gv, gi = grouped_min(pram, values, offsets)
 
-:func:`eval_grouped_min` owns that motif now, taking the evaluation as
-a half-open range closure so the ``blocked`` tier can stream it through
-byte-budgeted tiles instead of materializing the whole candidate
-tensor.  The contract is the fused-kernel invariant, extended to
-residency: **whatever the tier, the ledger receives the exact charge
-sequence the dense reference execution would have issued** —
-``charge_eval(total)`` followed by one ``grouped_min`` charge replay —
-and the returned ``(values, argmin)`` pair is bit-identical (leftmost
-ties included).
-
-Streaming correctness: tiles are processed in ascending flat order and
-folded with a strict ``<`` (ties keep the accumulator, i.e. the earlier
-flat index; within-tile ties are already leftmost via
-``_grouped_min_fused``).  Minimum over IEEE floats is associative and
-commutative absent NaN, so the fold equals the dense result exactly.
-
-One documented degenerate exception: when the resolved strategy is
-``doubly_log`` and a ``-inf`` candidate appears, the reference
-semantics are block-structure-dependent (see
-``_grouped_min_doubly_log``), so the blocked tier falls back to a full
-dense evaluation — a double evaluation of a degenerate input that
-changes wall-clock and array eval counters only, never ledger charges.
+:func:`eval_grouped_min` owns that motif, so every sweep's candidate
+evaluation and grouped minimum pass through one call.  The ledger
+receives ``charge_eval(total)`` followed by the ``grouped_min`` charges
+of the tier in force, which the fused-kernel invariant makes identical
+across tiers; the returned ``(values, argmin)`` pair is bit-identical
+too (leftmost ties included).
 """
 
 from __future__ import annotations
@@ -37,20 +20,12 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from repro.kernels.registry import current_tier, resolve_tile_bytes
-
 __all__ = ["eval_grouped_min"]
 
 # NOTE: repro.pram.primitives imports repro.kernels.registry at module
 # scope, and importing any repro.kernels submodule runs this package's
 # __init__ first — so primitives must be imported late, inside the
 # function, to keep the package importable from either direction.
-
-
-def _observe_tile(nbytes: int) -> None:
-    from repro.obs.metrics import metrics
-
-    metrics().histogram("kernel.tile_bytes").observe(float(nbytes))
 
 
 def eval_grouped_min(
@@ -63,79 +38,13 @@ def eval_grouped_min(
 
     ``evaluate(lo, hi)`` returns candidate values for the half-open flat
     range ``[lo, hi)`` — the caller closes over its row/column index
-    arrays.  ``offsets`` delimits the groups exactly as in
+    arrays; the chokepoint evaluates the whole range ``[0, total)`` at
+    once.  ``offsets`` delimits the groups exactly as in
     :func:`~repro.pram.primitives.grouped_min`; returned ``argmin``
-    indices are global flat positions (``-1`` for empty/all-∞ groups).
-
-    Dense tiers (and network machines, whose grouped minimum runs on
-    the simulated interconnect) evaluate the whole range at once —
-    byte-identical to the historical inline motif.  The ``blocked``
-    tier streams tiles of at most ``resolve_tile_bytes()`` bytes.
+    indices are flat positions (``-1`` for empty/all-∞ groups).
     """
-    from repro.pram.primitives import (
-        _grouped_min_fused,
-        grouped_min,
-        replay_grouped_min_charges,
-        resolve_grouped_strategy,
-    )
+    from repro.pram.primitives import grouped_min
 
-    total = int(total)
-    tier = current_tier()
-    tile_elems = max(1, resolve_tile_bytes(None) // 8)  # float64 candidates
-
-    if (
-        not tier.out_of_core
-        or hasattr(pram, "network_grouped_min")
-        or total <= tile_elems
-    ):
-        values = evaluate(0, total)
-        if tier.out_of_core:
-            _observe_tile(values.nbytes)
-        pram.charge_eval(values.size)
-        return grouped_min(pram, values, offsets)
-
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim != 1 or offsets.size == 0:
-        raise ValueError("offsets must be a nonempty 1-D array")
-    widths = np.diff(offsets)
-    if offsets[0] != 0 or offsets[-1] != total or (widths < 0).any():
-        raise ValueError("offsets must start at 0, end at len(values), and be nondecreasing")
-
-    crcw = pram.model.is_crcw
-    budget = getattr(pram, "physical_processors", pram.processors)
-    strategy = resolve_grouped_strategy(crcw, budget, widths)
-
-    n_groups = widths.size
-    acc_v = np.full(n_groups, np.inf)
-    acc_i = np.full(n_groups, -1, dtype=np.int64)
-    saw_neginf = False
-    for lo in range(0, total, tile_elems):
-        hi = min(lo + tile_elems, total)
-        tile = np.asarray(evaluate(lo, hi), dtype=np.float64)
-        _observe_tile(tile.nbytes)
-        if strategy == "doubly_log" and not saw_neginf and np.isneginf(tile).any():
-            saw_neginf = True
-        # Groups overlapping [lo, hi): the last group starting at or
-        # before lo through the last group starting strictly before hi.
-        g0 = int(np.searchsorted(offsets, lo, side="right")) - 1
-        g1 = int(np.searchsorted(offsets, hi, side="left"))
-        local = np.clip(offsets[g0 : g1 + 1], lo, hi) - lo
-        tv, ti = _grouped_min_fused(tile, local, np.diff(local))
-        ti = np.where(ti >= 0, ti + lo, -1)
-        take = tv < acc_v[g0:g1]  # strict: ties keep the earlier tile
-        acc_v[g0:g1] = np.where(take, tv, acc_v[g0:g1])
-        acc_i[g0:g1] = np.where(take, ti, acc_i[g0:g1])
-
-    if saw_neginf:
-        # Degenerate -inf input under doubly_log: reference results
-        # depend on the recursion's block structure, so stream results
-        # are not authoritative — re-run dense (see module docstring).
-        values = evaluate(0, total)
-        pram.charge_eval(values.size)
-        return grouped_min(pram, values, offsets)
-
-    pram.charge_eval(total)
-    replay_grouped_min_charges(
-        pram, widths, crcw=crcw, budget=budget, strategy=strategy
-    )
-    return acc_v, acc_i
+    values = evaluate(0, total)
+    pram.charge_eval(values.size)
+    return grouped_min(pram, values, offsets)

@@ -1,10 +1,8 @@
 """Per-query ledger fan-out for fused batched sweeps.
 
-:class:`ChargeFan` is tier-independent (DESIGN.md §13): every
-fused-class tier (``fused``, ``blocked``) charges batched sweeps
-through it, and the ``blocked`` tier's streaming chokepoint replays the
-identical per-owner sequences because the fan works on owner/width
-metadata, never on the candidate values themselves.
+:class:`ChargeFan` charges the ``fused`` tier's batched sweeps
+(DESIGN.md §13).  It works on owner/width metadata, never on the
+candidate values themselves.
 """
 
 from __future__ import annotations

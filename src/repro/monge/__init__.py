@@ -20,7 +20,6 @@ on and are tested against:
 """
 
 from repro.monge.arrays import (
-    CachedArray,
     ExplicitArray,
     ImplicitArray,
     MongeComposite,
@@ -52,7 +51,6 @@ from repro.monge.composite import (
 from repro.monge.index import MongeIndex
 
 __all__ = [
-    "CachedArray",
     "ExplicitArray",
     "ImplicitArray",
     "StaircaseArray",

@@ -31,13 +31,11 @@ from typing import Callable, Tuple
 import numpy as np
 
 from repro._util.validation import as_float_matrix
-from repro.obs.metrics import metrics as _metrics
 
 __all__ = [
     "SearchArray",
     "ExplicitArray",
     "ImplicitArray",
-    "CachedArray",
     "StaircaseArray",
     "MongeComposite",
     "as_search_array",
@@ -154,82 +152,6 @@ class ImplicitArray(SearchArray):
 
     def _eval(self, rows, cols):
         return self.fn(rows, cols)
-
-
-class CachedArray(SearchArray):
-    """Opt-in memoizing decorator over another :class:`SearchArray`.
-
-    The searching recursions re-evaluate the same ``(i, j)`` entries
-    across recursion levels (sampled-row phases revisit columns that
-    later feasible-region refinements probe again — the reuse the
-    submatrix-maximum-query line of work exploits).  ``CachedArray``
-    dedups those evaluations: entries are keyed by flat index
-    ``i·n + j`` in a sorted key array with an aligned value store;
-    lookups and inserts are vectorized (``searchsorted`` + merge), so a
-    whole batch resolves in a handful of NumPy passes.
-
-    Accounting semantics — important for the paper's bounds:
-
-    - ``self.eval_count`` counts entries *requested* through this
-      wrapper (like any :class:`SearchArray`);
-    - ``base.eval_count`` (also exposed as :attr:`raw_eval_count`)
-      counts entries *actually computed* — the quantity the sequential
-      ``O(m+n)``-evaluation assertions bound.  Repeats within a batch
-      are deduped before reaching the base, so raw counts only grow for
-      genuinely new entries.
-    - Ledger charges are issued by the *callers* per requested batch
-      and are therefore identical with or without the cache; the cache
-      changes wall-clock only, never rounds/processors/work.
-    """
-
-    def __init__(self, base) -> None:
-        base = as_search_array(base)
-        super().__init__(base.shape)
-        self.base = base
-        self._keys = np.empty(0, dtype=np.int64)
-        self._vals = np.empty(0, dtype=np.float64)
-        self.hits: int = 0
-        self.misses: int = 0
-
-    @property
-    def raw_eval_count(self) -> int:
-        """Entries actually computed by the wrapped array."""
-        return self.base.eval_count
-
-    def clear(self) -> None:
-        """Drop all memoized entries (counters are kept)."""
-        self._keys = np.empty(0, dtype=np.int64)
-        self._vals = np.empty(0, dtype=np.float64)
-
-    def _eval(self, rows, cols):
-        n = self.shape[1]
-        flat = rows.ravel() * np.int64(n) + cols.ravel()
-        out = np.empty(flat.size, dtype=np.float64)
-        if self._keys.size:
-            pos = np.searchsorted(self._keys, flat)
-            pos_c = np.minimum(pos, self._keys.size - 1)
-            hit = self._keys[pos_c] == flat
-            out[hit] = self._vals[pos_c[hit]]
-        else:
-            hit = np.zeros(flat.size, dtype=bool)
-        miss = ~hit
-        n_miss_entries = int(miss.sum())
-        self.hits += flat.size - n_miss_entries
-        self.misses += n_miss_entries
-        m = _metrics()
-        m.counter("cache.hits").inc(flat.size - n_miss_entries)
-        m.counter("cache.misses").inc(n_miss_entries)
-        if n_miss_entries:
-            # dedup within the batch too: each new entry is computed once
-            new_keys, inv = np.unique(flat[miss], return_inverse=True)
-            new_vals = self.base.eval(new_keys // n, new_keys % n, checked=False)
-            out[miss] = new_vals[inv]
-            merged_keys = np.concatenate([self._keys, new_keys])
-            merged_vals = np.concatenate([self._vals, new_vals])
-            order = np.argsort(merged_keys, kind="mergesort")
-            self._keys = merged_keys[order]
-            self._vals = merged_vals[order]
-        return out.reshape(rows.shape)
 
 
 class StaircaseArray(SearchArray):

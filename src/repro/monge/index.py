@@ -39,7 +39,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.monge.arrays import CachedArray, as_search_array
+from repro.monge.arrays import as_search_array
 
 __all__ = ["MongeIndex", "check_rectangle"]
 
@@ -102,17 +102,15 @@ class MongeIndex:
         return self._env_val.nbytes + self._env_row.nbytes
 
     @classmethod
-    def build(cls, machine, array, *, cache: bool = False) -> "MongeIndex":
-        """Build the index for ``array`` (optionally memoized through
-        :class:`~repro.monge.arrays.CachedArray`).
+    def build(cls, machine, array) -> "MongeIndex":
+        """Build the index for ``array``.
 
-        With a machine, leaf evaluation and every merge level charge the
-        ledger through :func:`~repro.kernels.api.eval_grouped_min`;
-        without one the merges are plain numpy.
+        With a machine, the leaf evaluation and every merge level charge
+        the ledger the sequence :func:`~repro.kernels.api.eval_grouped_min`
+        would issue; without one the merges are plain numpy and charge
+        nothing.
         """
         a = as_search_array(array)
-        if cache and not isinstance(a, CachedArray):
-            a = CachedArray(a)
         m, n = a.shape
         if m < 1 or n < 1:
             raise ValueError(

@@ -2,17 +2,16 @@
 
 A single :class:`MetricsRegistry` accumulates engine-level telemetry —
 queries, simulated rounds/work, retry and degradation counts,
-certification cost, entry-cache hits/misses, batch fusion, kernel-tier
-selection (``kernel.tier.*`` counters and the blocked tier's
-``kernel.tile_bytes`` residency histogram, DESIGN.md §13) — with
-near-zero overhead (one dict lookup and an integer add per update).
-The registry is *always on*: unlike tracing it never allocates per
-query, so there is nothing to enable.
+certification cost, batch fusion, kernel-tier selection
+(``kernel.tier.*`` counters, DESIGN.md §13) — with near-zero overhead
+(one dict lookup and an integer add per update).  The registry is
+*always on*: unlike tracing it never allocates per query, so there is
+nothing to enable.
 
 ``repro.obs.snapshot()`` returns a plain-dict view (counters, gauges,
-histogram summaries, plus derived rates like cache hit-rate and batch
-fusion rate); the bench harnesses embed it in their JSON payloads so a
-perf baseline records *what* ran, not just how fast.
+histogram summaries, plus derived rates like the batch fusion rate);
+the bench harnesses embed it in their JSON payloads so a perf baseline
+records *what* ran, not just how fast.
 """
 
 from __future__ import annotations
@@ -173,10 +172,6 @@ class MetricsRegistry:
         """Rates computed from raw counter values (absent denominators →
         omitted)."""
         out = {}
-        hits = c.get("cache.hits", 0)
-        misses = c.get("cache.misses", 0)
-        if hits + misses:
-            out["cache_hit_rate"] = hits / (hits + misses)
         bq = c.get("engine.batch.queries", 0)
         if bq:
             out["batch_fusion_rate"] = c.get("engine.batch.fused_queries", 0) / bq
@@ -219,7 +214,7 @@ class MetricsRegistry:
             self._histograms.clear()
 
 
-#: The process-wide registry (what the engine and caches update).
+#: The process-wide registry.
 _REGISTRY = MetricsRegistry()
 
 

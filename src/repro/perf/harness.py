@@ -87,8 +87,8 @@ def environment_fingerprint() -> Dict[str, str]:
 class WorkloadRecord:
     """One pinned workload's measurements across simulator configurations.
 
-    ``wall_s`` maps configuration name (``ref`` / ``fast`` /
-    ``fast_cache``) to best-of-repeats seconds; the simulated costs are
+    ``wall_s`` maps configuration name (``ref`` / ``fast``) to
+    best-of-repeats seconds; the simulated costs are
     configuration-independent by the fused-kernel invariant, which
     ``ledger_identical`` / ``results_identical`` certify for this run.
     """
@@ -101,7 +101,7 @@ class WorkloadRecord:
     peak_processors: int = 0
     evals: int = 0
     #: Configuration name -> kernel tier it ran under (DESIGN.md §13),
-    #: e.g. ``{"ref": "reference", "fast": "fused", "blocked": "blocked"}``.
+    #: e.g. ``{"ref": "reference", "fast": "fused"}``.
     kernel_tiers: Dict[str, str] = field(default_factory=dict)
     ledger_identical: bool = False
     results_identical: bool = False

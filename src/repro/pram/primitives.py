@@ -16,20 +16,16 @@ Conventions
 
 Fast path
 ---------
-When the kernel tier in force is fused-class
-(``current_tier().fused``, see :mod:`repro.kernels.registry`; the
-default), the grouped-extremum strategies and
-:func:`replicate_by_counts` compute their results with fused NumPy
-reductions (:func:`_grouped_min_fused`, ``np.repeat``) and *replay* the
-reference execution's ledger charges arithmetically.  Results and
-ledger snapshots are bit-identical either way — only wall-clock
-changes.  The round-by-round reference path is kept for verification
-(``REPRO_KERNEL_TIER=reference``) and for machines that execute
-genuinely on a network (they bypass these strategies entirely).  The
-``blocked`` tier's streaming chokepoint
-(:func:`repro.kernels.api.eval_grouped_min`) reuses
-:func:`_grouped_min_fused` per tile and :func:`replay_grouped_min_charges`
-for the ledger, so its charges are the same sequence again.
+When the kernel tier in force is ``fused`` (``current_tier() ==
+"fused"``, see :mod:`repro.kernels.registry`; the default), the
+grouped-extremum strategies and :func:`replicate_by_counts` compute
+their results with fused NumPy reductions (:func:`_grouped_min_fused`,
+``np.repeat``) and *replay* the reference execution's ledger charges
+arithmetically.  Results and ledger snapshots are bit-identical either
+way — only wall-clock changes.  The round-by-round reference path is
+kept for verification (``REPRO_KERNEL_TIER=reference``) and for
+machines that execute genuinely on a network (they bypass these
+strategies entirely).
 """
 
 from __future__ import annotations
@@ -245,7 +241,7 @@ def replicate_by_counts(pram: Pram, values: np.ndarray, counts: np.ndarray) -> n
     values = np.asarray(values, dtype=np.float64)
     if counts.shape != values.shape:
         raise ValueError("values and counts must have equal length")
-    if current_tier().fused and not hasattr(pram, "network_prefix_scan"):
+    if current_tier() == "fused" and not hasattr(pram, "network_prefix_scan"):
         # Fast path: one np.repeat instead of scatter + copy-scan, with
         # the reference execution's charges replayed verbatim.
         total = int(counts.sum())
@@ -430,7 +426,7 @@ def _grouped_min_fused(values, offsets, widths):
 def _grouped_min_binary(pram, values, offsets, widths, max_w):
     """Segmented (value, index) min-scan; leftmost ties via index order."""
     n = values.size
-    if current_tier().fused:
+    if current_tier() == "fused":
         out_v, out_i = _grouped_min_fused(values, offsets, widths)
         if max_w > 1:
             d = 1
@@ -530,7 +526,7 @@ def _grouped_min_allpairs(pram, values, offsets, widths):
     n_groups = widths.size
     out_v = np.full(n_groups, np.inf)
     out_i = np.full(n_groups, -1, dtype=np.int64)
-    if current_tier().fused:
+    if current_tier() == "fused":
         out_v, out_i = _grouped_min_fused(values, offsets, widths)
         total_pairs = sum(cnt * width * width for width, cnt in _width_class_counts(widths))
         if total_pairs:
@@ -561,7 +557,7 @@ def _grouped_min_doubly_log(pram, values, offsets, widths):
     n_groups = widths.size
     out_v = np.full(n_groups, np.inf)
     out_i = np.full(n_groups, -1, dtype=np.int64)
-    if current_tier().fused and not np.isneginf(values).any():
+    if current_tier() == "fused" and not np.isneginf(values).any():
         # Reference semantics here disqualify +inf entries (idx -1
         # before the recursion), so all-∞ groups report (inf, -1); a
         # -inf entry additionally eliminates candidates in a way that

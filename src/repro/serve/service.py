@@ -531,7 +531,7 @@ class QueryService:
     def _check_stable_keys(self, requests: List[_Request]) -> None:
         """The bucketing contract: what we grouped incrementally must be
         exactly what the planner would group in one ``solve_many`` call.
-        Re-lower every plan, under the kernel pair it was planned with
+        Re-lower every plan, under the kernel tier it was planned with
         (the bucket runs outside the submitter's ``tier_context``), and
         require an identical fused key (and one shared key across the
         bucket)."""
@@ -543,7 +543,7 @@ class QueryService:
         if not self.policy.verify_keys:
             return
         for r in requests:
-            with tier_context(*r.plan.kernel):
+            with tier_context(r.plan.kernel):
                 replanned = plan_query(
                     r.plan.problem, r.plan.data, r.plan.config,
                     self._session.backend, index=r.plan.index,

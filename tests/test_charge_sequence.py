@@ -12,7 +12,7 @@ charges and its per-owner replays are both held in place.
 
 A digest drift means a recursion charged something different or in a
 different order.  The kernel tier must not matter: run this file under
-``REPRO_KERNEL_TIER=reference`` and ``=blocked`` as well.
+``REPRO_KERNEL_TIER=reference`` as well.
 """
 
 import hashlib

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import monge_row_minima_pram
 from repro.engine import ExecutionConfig, SearchResult, solve
+from repro.engine.planner import plan_query
+from repro.kernels import TIERS, resolve_kernel_tier
 from repro.monge.generators import random_monge
+from repro.pram.machine import Pram
+from repro.pram.models import CRCW_COMMON
 
 # --------------------------------------------------------------------- #
 # ExecutionConfig
@@ -12,60 +17,57 @@ from repro.monge.generators import random_monge
 def test_defaults():
     cfg = ExecutionConfig()
     assert cfg.strategy == "auto"
-    assert cfg.cache is False and cfg.strict is True and cfg.checked is False
+    assert cfg.strict is True and cfg.checked is False
     assert cfg.faults is None and cfg.retries == 0 and cfg.certify is False
-    assert cfg.kernel_tier is None and cfg.tile_bytes is None
+    assert cfg.kernel_tier is None
+
+
+def test_removed_knobs_raise_type_error():
+    """The entry cache and the tile budget are gone, and the config and
+    the core entry points take them keyword-only: an old spelling fails
+    loudly instead of rebinding to the next slot."""
+    with pytest.raises(TypeError):
+        ExecutionConfig(cache=True)
+    with pytest.raises(TypeError):
+        ExecutionConfig(tile_bytes=4096)
+    with pytest.raises(TypeError):
+        ExecutionConfig("auto", True)
+    a = random_monge(6, 6, np.random.default_rng(2))
+    m = Pram(CRCW_COMMON, 1 << 20)
+    with pytest.raises(TypeError):
+        monge_row_minima_pram(m, a, cache=True)
+    with pytest.raises(TypeError):
+        monge_row_minima_pram(m, a, "sqrt", True)  # the old (cache, strict) slots
 
 
 # --------------------------------------------------------------------- #
-# kernel tier / tile budget (DESIGN.md §13)
+# kernel tier (DESIGN.md §13)
 # --------------------------------------------------------------------- #
 def test_kernel_tier_validated_at_construction():
-    assert ExecutionConfig(kernel_tier="blocked").kernel_tier == "blocked"
+    assert ExecutionConfig(kernel_tier="reference").kernel_tier == "reference"
     with pytest.raises(ValueError, match="unknown kernel tier"):
         ExecutionConfig(kernel_tier="warp")
-    # the tier joins the fusion fingerprint: mixed-tier queries never fuse
-    assert (
-        ExecutionConfig(kernel_tier="blocked").fingerprint()
-        != ExecutionConfig(kernel_tier="fused").fingerprint()
-    )
-    assert ExecutionConfig(kernel_tier="blocked").fingerprint() != (
-        ExecutionConfig().fingerprint()
-    )
+    # the resolved tier joins the fused key: mixed-tier queries never fuse
+    a = random_monge(8, 8, np.random.default_rng(3))
 
+    def key(**kw):
+        return plan_query("rowmin", a, ExecutionConfig(**kw), "pram-crcw").fused_key
 
-@pytest.mark.parametrize("bad", [0, -4096, 2.5, "64MB", True])
-def test_bad_tile_bytes_rejected(bad):
-    with pytest.raises(ValueError, match="tile_bytes"):
-        ExecutionConfig(tile_bytes=bad)
-
-
-def test_tile_bytes_accepted_and_fingerprinted():
-    cfg = ExecutionConfig(tile_bytes=4096)
-    assert cfg.tile_bytes == 4096
-    assert cfg.fingerprint() != ExecutionConfig().fingerprint()
-    assert cfg.with_overrides(tile_bytes=None).tile_bytes is None
+    other = next(t for t in TIERS if t != resolve_kernel_tier(None))
+    assert key(kernel_tier="reference") != key(kernel_tier="fused")
+    assert key(kernel_tier=other) != key()
 
 
 def test_env_tier_and_tile_validated_parent_side(monkeypatch):
-    """Malformed env values fail at resolve time with a ValueError
+    """A malformed env value fails at resolve time with a ValueError
     naming the variable."""
-    from repro.kernels.registry import (
-        _reload_env_defaults,
-        resolve_kernel_tier,
-        resolve_tile_bytes,
-    )
+    from repro.kernels.registry import _reload_env_defaults
 
     monkeypatch.setenv("REPRO_KERNEL_TIER", "bogus")
     _reload_env_defaults()
     with pytest.raises(ValueError, match="REPRO_KERNEL_TIER"):
         resolve_kernel_tier(None)
     monkeypatch.delenv("REPRO_KERNEL_TIER")
-    monkeypatch.setenv("REPRO_TILE_BYTES", "lots")
-    _reload_env_defaults()
-    with pytest.raises(ValueError, match="REPRO_TILE_BYTES"):
-        resolve_tile_bytes(None)
-    monkeypatch.delenv("REPRO_TILE_BYTES")
     _reload_env_defaults()
 
 
@@ -81,9 +83,9 @@ def test_bad_retries_rejected(bad):
 
 
 def test_with_overrides_revalidates_and_preserves():
-    cfg = ExecutionConfig(strategy="halving", cache=True)
+    cfg = ExecutionConfig(strategy="halving", checked=True)
     out = cfg.with_overrides(certify=True)
-    assert out.strategy == "halving" and out.cache and out.certify
+    assert out.strategy == "halving" and out.checked and out.certify
     assert not cfg.certify  # frozen original untouched
     with pytest.raises(ValueError):
         cfg.with_overrides(strategy="nope")

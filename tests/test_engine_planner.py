@@ -3,8 +3,9 @@
 The fused key decides which queries may share one stacked sweep; these
 tests pin the three boundaries the lifecycle refactor must not move:
 
-- mixed ``kernel_tier`` (or ``tile_bytes``) never fuses — one bucket
-  runs under exactly one tier;
+- mixed ``kernel_tier`` never fuses — one bucket runs under exactly
+  one tier — while a query that names the tier it would get by default
+  fuses with the queries that get it by default;
 - any fault plan (query- or session-level) keeps its queries serial;
 - the ``prepare`` entry shape never reaches a fused bucket —
   ``submatrix_max`` is not batchable, so its plans are always
@@ -35,7 +36,7 @@ def _buckets(plans):
 
 
 # --------------------------------------------------------------------- #
-# kernel tier / tile bytes
+# kernel tier
 # --------------------------------------------------------------------- #
 class TestMixedTierNeverFuses:
     def test_same_tier_fuses(self):
@@ -46,23 +47,16 @@ class TestMixedTierNeverFuses:
 
     def test_mixed_tier_splits_buckets(self):
         fused = ExecutionConfig(kernel_tier="fused")
-        blocked = ExecutionConfig(kernel_tier="blocked")
-        plans = [_plan(fused, index=0), _plan(blocked, index=1),
+        reference = ExecutionConfig(kernel_tier="reference")
+        plans = [_plan(fused, index=0), _plan(reference, index=1),
                  _plan(fused, index=2)]
         buckets = _buckets(plans)
-        # fused keys differ, so the blocked query cannot join: 2 buckets,
-        # and the two fused-tier plans still share one.
+        # fused keys differ, so the reference query cannot join: 2
+        # buckets, and the two fused-tier plans still share one.
         assert len(buckets) == 2
         assert sorted(len(b) for b in buckets) == [1, 2]
         assert plans[0].fused_key != plans[1].fused_key
         assert plans[0].fused_key == plans[2].fused_key
-
-    def test_mixed_tile_bytes_splits_buckets(self):
-        small = ExecutionConfig(kernel_tier="blocked", tile_bytes=1 << 16)
-        large = ExecutionConfig(kernel_tier="blocked", tile_bytes=1 << 20)
-        plans = [_plan(small, index=0), _plan(large, index=1)]
-        assert plans[0].fused_key != plans[1].fused_key
-        assert len(_buckets(plans)) == 2
 
     def test_default_tier_fuses_with_itself(self):
         cfg = ExecutionConfig()
@@ -72,15 +66,29 @@ class TestMixedTierNeverFuses:
     def test_caller_tier_context_resolves_at_plan_time(self):
         cfg = ExecutionConfig()
         outside = _plan(cfg, index=0)
-        # "blocked" unless the environment already defaults to it
-        scoped = "reference" if outside.kernel[0] == "blocked" else "blocked"
+        # whichever tier the environment does not default to
+        scoped = "reference" if outside.kernel == "fused" else "fused"
         with tier_context(scoped):
             inside = _plan(cfg, index=1)
-            explicit = _plan(ExecutionConfig(kernel_tier="fused"), index=2)
-        assert inside.kernel[0] == scoped
-        assert explicit.kernel[0] == "fused"  # the config beats the scope
+            explicit = _plan(ExecutionConfig(kernel_tier=outside.kernel), index=2)
+        assert inside.kernel == scoped
+        assert explicit.kernel == outside.kernel  # the config beats the scope
         assert inside.fused_key != outside.fused_key
         assert len(_buckets([outside, inside])) == 2
+
+    def test_naming_the_default_tier_still_fuses(self):
+        """The fused key carries the resolved tier, not the raw setting:
+        ``kernel_tier="fused"`` joins the default bucket exactly when
+        the default resolves to ``fused``."""
+        explicit = ExecutionConfig(kernel_tier="fused")
+        with tier_context("fused"):
+            plans = [_plan(ExecutionConfig(), index=0), _plan(explicit, index=1)]
+        assert plans[0].fused_key == plans[1].fused_key
+        assert len(_buckets(plans)) == 1
+        with tier_context("reference"):
+            plans = [_plan(ExecutionConfig(), index=0), _plan(explicit, index=1)]
+        assert plans[0].fused_key != plans[1].fused_key
+        assert len(_buckets(plans)) == 2
 
 
 # --------------------------------------------------------------------- #

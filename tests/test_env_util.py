@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro._util.env import env_choice, env_int, env_raw
+from repro._util.env import env_choice, env_raw
 
 
 class TestEnvRaw:
@@ -17,33 +17,6 @@ class TestEnvRaw:
         assert env_raw("REPRO_X") == "7"
 
 
-class TestEnvInt:
-    def test_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_X", "42")
-        assert env_int("REPRO_X", requirement="an integer") == 42
-
-    def test_unset_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_X", raising=False)
-        assert env_int("REPRO_X", requirement="an integer") is None
-
-    def test_error_names_variable_and_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_X", "four")
-        with pytest.raises(ValueError, match=r"REPRO_X must be an integer; got 'four'"):
-            env_int("REPRO_X", requirement="an integer")
-
-    def test_minimum(self, monkeypatch):
-        monkeypatch.setenv("REPRO_X", "-1")
-        with pytest.raises(ValueError, match=r"REPRO_X must be.*got -1"):
-            env_int("REPRO_X", requirement="an integer >= 0", minimum=0)
-        monkeypatch.setenv("REPRO_X", "0")
-        assert env_int("REPRO_X", requirement="...", minimum=0) == 0
-
-    def test_exclusive_minimum(self, monkeypatch):
-        monkeypatch.setenv("REPRO_X", "0")
-        with pytest.raises(ValueError, match="REPRO_X"):
-            env_int("REPRO_X", requirement="positive", exclusive_minimum=0)
-
-
 class TestEnvChoice:
     def test_lowercases_and_matches(self, monkeypatch):
         monkeypatch.setenv("REPRO_X", "  Fused ")
@@ -56,7 +29,7 @@ class TestEnvChoice:
 
 
 class TestAdopters:
-    """The REPRO_* switches parse through the shared helper."""
+    """The REPRO_KERNEL_TIER switch parses through the shared helper."""
 
     def test_repro_kernel_tier(self, monkeypatch):
         from repro.kernels import registry as kreg
@@ -66,28 +39,9 @@ class TestAdopters:
         try:
             with pytest.raises(ValueError, match=r"REPRO_KERNEL_TIER must be one of"):
                 kreg.current_tier()
-            monkeypatch.setenv("REPRO_KERNEL_TIER", "Blocked")
+            monkeypatch.setenv("REPRO_KERNEL_TIER", "Reference")
             kreg._reload_env_defaults()
-            assert kreg.current_tier().name == "blocked"
+            assert kreg.current_tier() == "reference"
         finally:
             monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
-            kreg._reload_env_defaults()
-
-    def test_repro_tile_bytes(self, monkeypatch):
-        from repro.kernels import registry as kreg
-
-        monkeypatch.setenv("REPRO_TILE_BYTES", "lots")
-        kreg._reload_env_defaults()
-        try:
-            with pytest.raises(ValueError, match="REPRO_TILE_BYTES"):
-                kreg.resolve_tile_bytes(None)
-            monkeypatch.setenv("REPRO_TILE_BYTES", "0")
-            kreg._reload_env_defaults()
-            with pytest.raises(ValueError, match="REPRO_TILE_BYTES"):
-                kreg.resolve_tile_bytes(None)
-            monkeypatch.setenv("REPRO_TILE_BYTES", "4096")
-            kreg._reload_env_defaults()
-            assert kreg.resolve_tile_bytes(None) == 4096
-        finally:
-            monkeypatch.delenv("REPRO_TILE_BYTES", raising=False)
             kreg._reload_env_defaults()

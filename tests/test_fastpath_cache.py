@@ -1,19 +1,16 @@
-"""Fused fast path + entry-evaluation cache: the bit-identity contract.
+"""Fused fast path: the bit-identity contract.
 
-The wall-clock engine (fused grouped-extremum kernels, charge replay,
-``CachedArray``) is only admissible because it is *invisible* to the
-measured experiment: results AND ledger snapshots (rounds, work, peak
+The wall-clock engine (fused grouped-extremum kernels, charge replay)
+is only admissible because it is *invisible* to the measured
+experiment: results AND ledger snapshots (rounds, work, peak
 processors, per-phase stats) must be bit-identical with the fast path
-or the cache on or off.  These tests pin that contract:
+on or off.  These tests pin that contract:
 
-- hypothesis property: ``CachedArray`` returns bit-identical values to
-  its base array under arbitrary batched access patterns, and its
-  raw-evaluation accounting never exceeds the distinct-entry count;
 - the grouped-minimum strategies agree fused vs. reference on fuzzed
   ragged inputs including ``±inf`` entries, ledger included;
 - end-to-end: the Table 1.1–1.3 algorithms produce identical answers
-  and identical ledger snapshots across all four (fast, cache)
-  configurations — the acceptance invariant of BENCH_hotpath.json.
+  and identical ledger snapshots under both kernel tiers — the
+  acceptance invariant of BENCH_hotpath.json.
 """
 
 from __future__ import annotations
@@ -22,15 +19,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import (
     monge_row_minima_pram,
     staircase_row_minima_pram,
     tube_minima_pram,
 )
-from repro.monge.arrays import CachedArray, ExplicitArray
+from repro.monge.arrays import ExplicitArray
 from repro.monge.generators import (
     random_composite,
     random_monge,
@@ -51,73 +46,6 @@ def _crcw(n: int) -> BrentPram:
 def _crew(n: int) -> BrentPram:
     phys = max(1, int(n / math.log2(max(2.0, math.log2(max(2, n))))))
     return BrentPram(CREW, 1 << 44, phys, ledger=CostLedger())
-
-
-# --------------------------------------------------------------------- #
-# CachedArray: bit-identical values, eval accounting
-# --------------------------------------------------------------------- #
-@pytest.mark.slow
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_cached_array_bit_identical(data):
-    m = data.draw(st.integers(1, 10), label="m")
-    n = data.draw(st.integers(1, 10), label="n")
-    cells = data.draw(
-        st.lists(
-            st.one_of(
-                st.integers(-3, 3).map(float),
-                st.sampled_from([np.inf, -np.inf, 0.5, -0.25]),
-            ),
-            min_size=m * n,
-            max_size=m * n,
-        ),
-        label="cells",
-    )
-    dense = np.array(cells, dtype=np.float64).reshape(m, n)
-    plain = ExplicitArray(dense)
-    cached = CachedArray(ExplicitArray(dense))
-
-    n_batches = data.draw(st.integers(1, 5), label="n_batches")
-    requested = 0
-    distinct = set()
-    for b in range(n_batches):
-        size = data.draw(st.integers(0, 12), label=f"size{b}")
-        rows = np.array(
-            data.draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size),
-                      label=f"rows{b}"),
-            dtype=np.int64,
-        )
-        cols = np.array(
-            data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size),
-                      label=f"cols{b}"),
-            dtype=np.int64,
-        )
-        expect = plain.eval(rows, cols)
-        got = cached.eval(rows, cols)
-        assert np.array_equal(expect, got), "cached values differ from base"
-        requested += size
-        distinct.update(zip(rows.tolist(), cols.tolist()))
-
-    assert cached.eval_count == requested
-    assert cached.raw_eval_count == len(distinct)  # each entry computed once
-    assert cached.hits + cached.misses == requested
-
-
-def test_cached_array_repeat_batch_hits():
-    dense = np.arange(12, dtype=np.float64).reshape(3, 4)
-    c = CachedArray(ExplicitArray(dense))
-    rows = np.array([0, 1, 2, 0, 1]); cols = np.array([0, 1, 3, 0, 1])
-    first = c.eval(rows, cols)
-    assert c.raw_eval_count == 3  # (0,0) and (1,1) repeat within the batch
-    second = c.eval(rows, cols)
-    assert np.array_equal(first, second)
-    assert c.raw_eval_count == 3  # nothing recomputed
-    # hit/miss counters are per *request* vs. the pre-batch cache state:
-    # all 5 first-batch requests missed (dedup only affects raw evals)
-    assert c.misses == 5 and c.hits == 5
-    c.clear()
-    c.eval(rows, cols)
-    assert c.raw_eval_count == 6  # recomputed after clear
 
 
 # --------------------------------------------------------------------- #
@@ -185,31 +113,31 @@ def test_scan_primitives_fused_match_reference():
 # end-to-end acceptance: results + ledger identical across all configs
 # --------------------------------------------------------------------- #
 def _configs():
-    # (fused kernels, cache); reference first
-    return [(False, False), (True, False), (False, True), (True, True)]
+    # kernel tiers; reference first
+    return ["reference", "fused"]
 
 
 def _assert_invariant(run):
-    """``run(machine, cache)`` -> result arrays; compare all configs."""
+    """``run()`` -> (machine, result arrays); compare all configs."""
     baseline = None
-    for fp, cache in _configs():
-        with tier_context("fused" if fp else "reference"):
-            machine, result = run(cache)
+    for tier in _configs():
+        with tier_context(tier):
+            machine, result = run()
         snap = machine.ledger.snapshot()
         if baseline is None:
             baseline = (result, snap)
             continue
         for got, want in zip(result, baseline[0]):
-            assert np.array_equal(got, want), (fp, cache)
-        assert snap == baseline[1], ("ledger differs", fp, cache)
+            assert np.array_equal(got, want), tier
+        assert snap == baseline[1], ("ledger differs", tier)
 
 
 def test_rowmin_crcw_invariant():
     a = random_monge(96, 96, np.random.default_rng(1))
 
-    def run(cache):
+    def run():
         m = _crcw(96)
-        return m, monge_row_minima_pram(m, a, cache=cache)
+        return m, monge_row_minima_pram(m, a)
 
     _assert_invariant(run)
 
@@ -217,9 +145,9 @@ def test_rowmin_crcw_invariant():
 def test_rowmin_crew_invariant():
     a = random_monge(80, 80, np.random.default_rng(2))
 
-    def run(cache):
+    def run():
         m = _crew(80)
-        return m, monge_row_minima_pram(m, a, cache=cache)
+        return m, monge_row_minima_pram(m, a)
 
     _assert_invariant(run)
 
@@ -227,9 +155,9 @@ def test_rowmin_crew_invariant():
 def test_staircase_invariant():
     a = random_staircase_monge(64, 64, np.random.default_rng(3))
 
-    def run(cache):
+    def run():
         m = _crcw(64)
-        return m, staircase_row_minima_pram(m, a, cache=cache)
+        return m, staircase_row_minima_pram(m, a)
 
     _assert_invariant(run)
 
@@ -237,8 +165,8 @@ def test_staircase_invariant():
 def test_tube_invariant():
     c = random_composite(20, 20, 20, np.random.default_rng(4))
 
-    def run(cache):
+    def run():
         m = _crcw(400)
-        return m, tube_minima_pram(m, c, cache=cache)
+        return m, tube_minima_pram(m, c)
 
     _assert_invariant(run)

@@ -248,8 +248,15 @@ class TestPrepare:
         a = random_monge(6, 6, np.random.default_rng(25))
         s = Session("pram-crcw")
         h1 = s.prepare(a)
-        h2 = s.prepare(a, cache=True)
+        h2 = s.prepare(a, trace=True)
         assert h1 is not h2
+
+    def test_kernel_tier_does_not_key_the_lru(self):
+        """The built index is the same in every tier, so naming a tier
+        returns the handle the default built."""
+        a = random_monge(6, 6, np.random.default_rng(29))
+        s = Session("pram-crcw")
+        assert s.prepare(a, kernel_tier="reference") is s.prepare(a)
 
     def test_explicit_problem_form(self):
         a = random_monge(5, 5, np.random.default_rng(26))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monge.arrays import CachedArray, ExplicitArray, ImplicitArray
+from repro.monge.arrays import ExplicitArray, ImplicitArray
 from repro.monge.generators import (
     chain_distance_array,
     convex_position_points,
@@ -200,10 +200,6 @@ def test_buffer_path_credits_counts_when_the_search_raises():
     assert a.eval_count == twin.eval_count > 0
 
 
-def _cached(rng):
-    return CachedArray(random_monge(40, 30, rng))
-
-
 def _staircase(rng):
     return random_staircase_monge(40, 30, rng, boundary=np.full(40, 30))
 
@@ -217,7 +213,7 @@ def _fancy(rng):
     return random_monge(80, 80, rng).submatrix(np.arange(0, 80, 2), np.arange(1, 80, 3))
 
 
-@pytest.mark.parametrize("make", [_cached, _staircase, _implicit, _fancy])
+@pytest.mark.parametrize("make", [_staircase, _implicit, _fancy])
 @pytest.mark.parametrize("chain", ["bare", "flip_rows_negate", "submatrix_flip_rows_negate"])
 def test_fallback_types_stay_per_entry(make, chain):
     arrays = _build(make(np.random.default_rng(3)), CHAINS[chain])
@@ -230,22 +226,12 @@ def test_fallback_types_stay_per_entry(make, chain):
     np.testing.assert_array_equal(v, ov)
     np.testing.assert_array_equal(c, oc)
     assert [x.eval_count for x in arrays] == [x.eval_count for x in twins]
-    if make is _cached:
-        assert (arrays[0].hits, arrays[0].misses) == (twins[0].hits, twins[0].misses)
-        assert arrays[0].raw_eval_count == twins[0].raw_eval_count
 
 
 def test_fallback_counts_pinned():
     """Values, witnesses and counts of the per-entry types, as measured
     before the dense-buffer path existed."""
-    from repro.core.submatrix import submatrix_max_sequential
     from repro.monge.staircase_seq import row_minima_staircase_blocks
-
-    a = random_monge(80, 80, np.random.default_rng(5))
-    cached = CachedArray(a)
-    _, w = submatrix_max_sequential((cached, (5, 70), (3, 77)))
-    assert w.tolist() == [5, 3]
-    assert (cached.eval_count, cached.hits, cached.misses, a.eval_count) == (584, 152, 432, 432)
 
     st = random_staircase_monge(60, 50, np.random.default_rng(7))
     _, w = row_minima_staircase_blocks(st)

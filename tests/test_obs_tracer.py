@@ -274,16 +274,6 @@ def test_metrics_batch_fusion_rate():
     assert snap["derived"]["batch_fusion_rate"] == 1.0
 
 
-def test_metrics_cache_hit_rate():
-    repro.solve("rowmin", _monge(24, 24), cache=True)
-    snap = repro.obs.snapshot()
-    hits = snap["counters"].get("cache.hits", 0)
-    misses = snap["counters"]["cache.misses"]
-    assert misses > 0
-    rate = snap["derived"]["cache_hit_rate"]
-    assert rate == hits / (hits + misses)
-
-
 def test_metrics_retry_and_certify_counters():
     plan = FaultPlan(seed=11, processor_drop=0.2)
     session = repro.Session("pram-crcw", retry_limit=1)

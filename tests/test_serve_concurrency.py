@@ -36,8 +36,8 @@ def _assert_same(want, got):
 def _fused(count):
     """How many of ``count`` fusable requests run fused: all of them, or
     none when the default kernel tier has no stacked-sweep kernel (CI
-    runs this module under every pinned tier)."""
-    return count if current_tier().fused else 0
+    also runs this module under ``REPRO_KERNEL_TIER=reference``)."""
+    return count if current_tier() == "fused" else 0
 
 
 # --------------------------------------------------------------------- #
@@ -80,7 +80,7 @@ def test_request_keeps_its_submitters_tier():
     set at admission, although it executes later on the worker thread,
     and requests planned under different tiers never share a bucket."""
     data = [random_monge(10, 10, np.random.default_rng(700 + k)) for k in range(6)]
-    tiers = ["reference", None, "blocked"] * 2
+    tiers = ["reference", None, "fused"] * 2
     expected = {tier or resolve_kernel_tier(None) for tier in tiers}
     seen = set()
 
@@ -96,7 +96,7 @@ def test_request_keeps_its_submitters_tier():
                 *(client(svc, a, tier) for a, tier in zip(data, tiers))
             )
 
-    with kernel_hook(lambda ledger, name, size: seen.add(current_tier().name)):
+    with kernel_hook(lambda ledger, name, size: seen.add(current_tier())):
         results = asyncio.run(body())
     assert seen == expected
     assert metrics().snapshot()["counters"]["serve.buckets"] >= len(expected)
