@@ -141,6 +141,13 @@ def prepare_handle(session, problem: str, data, cfg: ExecutionConfig
             f"({problem}, {session.backend}) declares no prepare capability; "
             f"preparable problems on this backend: {preparable or ['<none>']}"
         )
+    if isinstance(data, (tuple, list)):
+        raise TypeError(
+            f"prepare({problem!r}, data) takes the array alone (a SearchArray "
+            "or a 2-D NumPy array), not a tuple or list such as the one-shot "
+            "(array, rows, cols) form; pass each rectangle to "
+            "handle.query(rows, cols)"
+        )
     spec.check_kernel_tier(cfg.kernel_tier)
     shape = shape_of(problem, data)
 

@@ -33,6 +33,7 @@ bit-identical ledgers.
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -108,6 +109,9 @@ class Session:
     config:
         Session-default :class:`ExecutionConfig` (per-query configs /
         keyword overrides derive from it).
+    index_cache:
+        How many prepared handles the session keeps (an int ``>= 0``;
+        ``0`` keeps none).
     """
 
     def __init__(
@@ -131,6 +135,14 @@ class Session:
             raise CapabilityError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS} or 'auto'"
             )
+        try:
+            index_cache = operator.index(index_cache)
+        except TypeError:
+            raise TypeError(
+                f"index_cache must be an int >= 0, got {index_cache!r}"
+            ) from None
+        if index_cache < 0:
+            raise ValueError(f"index_cache must be an int >= 0, got {index_cache}")
         self.backend = backend
         self.config = config if config is not None else ExecutionConfig()
         self.processors = processors

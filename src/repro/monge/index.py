@@ -6,10 +6,10 @@ structure is a segment tree over row blocks storing, per node, the
 *dense upper envelope* of its block: for every column ``c``, the block
 maximum ``env_val[node, c]`` and the topmost row attaining it
 ``env_row[node, c]``.  A query rectangle decomposes into ``O(lg m)``
-canonical nodes; each contributes its leftmost envelope maximum over
-the column range, and the winners combine under the global tie-break
-(max value, then leftmost column, then topmost row — the column-major
-first maximizer, matching the brute-force oracle).
+canonical nodes; one gather reads their envelopes over the column range,
+and the answer is the global tie-break winner (max value, then leftmost
+column, then topmost row — the column-major first maximizer, matching
+the brute-force oracle).
 
 Why this shape: for a Monge array the argmax row of a column is
 monotone across the envelope merge (the upper block's envelope wins a
@@ -26,15 +26,23 @@ vectorized elementwise pass — the charge-replay form of the
 fused-kernel invariant, the same contract the batched sweeps use).
 
 Build cost: ``m·n`` array evaluations for the leaves plus ``≈ 2·m·n``
-grouped-min candidates across the internal levels.  Query cost:
-``O(lg m · width)`` scanned envelope entries, charged as one evaluation
-round plus one combine round.  Sequential builds (``machine=None``)
-merge with plain numpy and charge nothing — the array's ``eval_count``
-remains the observable cost.
+grouped-min candidates across the internal levels.  An array backed by
+one dense buffer (:meth:`~repro.monge.arrays.SearchArray._buffer`: an
+``ExplicitArray`` or a chain of orientation wrappers over one) fills
+the leaves with one strided copy and credits ``m·n`` to the
+``eval_count`` of every array in the chain, exactly as ``eval`` would;
+any other array is read through batched ``eval``.  Each merge level
+writes its parents in place and bills its ``K·n`` width-2 groups in
+closed form (:func:`~repro.pram.primitives.replay_pair_min_charges`).
+Query cost: ``O(lg m · width)`` scanned envelope entries, charged as
+one evaluation round plus one combine round.  Sequential builds
+(``machine=None``) merge with plain numpy and charge nothing — the
+array's ``eval_count`` remains the observable cost.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import List, Tuple
 
 import numpy as np
@@ -48,19 +56,21 @@ def check_rectangle(shape: Tuple[int, int], rows, cols) -> Tuple[int, int, int, 
     """Validate a half-open query rectangle against ``shape``.
 
     Returns ``(r0, r1, c0, c1)`` as ints; raises :class:`TypeError` on
-    malformed ranges and :class:`ValueError` on empty or out-of-range
-    ones (empty rectangles have no maximum to report).
+    malformed ranges — including bounds that are not integers, such as
+    floats or strings, which are never truncated — and
+    :class:`ValueError` on empty or out-of-range ones (empty rectangles
+    have no maximum to report).
     """
     m, n = shape
     try:
         r0, r1 = rows
         c0, c1 = cols
-        r0, r1, c0, c1 = int(r0), int(r1), int(c0), int(c1)
+        r0, r1, c0, c1 = map(operator.index, (r0, r1, c0, c1))
     except (TypeError, ValueError):
         raise TypeError(
-            "query rectangle must be two half-open ranges: rows=(r0, r1), "
-            f"cols=(c0, c1); got rows={rows!r}, cols={cols!r}"
-        )
+            "query rectangle must be two half-open ranges of integers: "
+            f"rows=(r0, r1), cols=(c0, c1); got rows={rows!r}, cols={cols!r}"
+        ) from None
     if not 0 <= r0 < r1 <= m:
         raise ValueError(
             f"row range [{r0}, {r1}) is empty or outside [0, {m}) "
@@ -108,7 +118,7 @@ class MongeIndex:
         With a machine, the leaf evaluation and every merge level charge
         the ledger the sequence :func:`~repro.kernels.api.eval_grouped_min`
         would issue; without one the merges are plain numpy and charge
-        nothing.
+        nothing.  Either way each entry of ``array`` is read once.
         """
         a = as_search_array(array)
         m, n = a.shape
@@ -124,17 +134,26 @@ class MongeIndex:
         env_row = np.full((2 * P, n), -1, dtype=np.int64)
         env_row[P : P + m] = np.arange(m, dtype=np.int64)[:, None]
 
-        # leaves: one batched evaluation pass, chunked to bound the
-        # transient index arrays (~1M candidates per chunk)
-        chunk = max(1, (1 << 20) // n)
-        cols = np.arange(n, dtype=np.int64)
-        for r in range(0, m, chunk):
-            rend = min(r + chunk, m)
-            rr = np.repeat(np.arange(r, rend, dtype=np.int64), n)
-            cc = np.tile(cols, rend - r)
-            env_val[P + r : P + rend] = a.eval(rr, cc, checked=False).reshape(
-                rend - r, n
-            )
+        # leaves: one strided copy of a dense buffer, counted on every
+        # array an ``eval`` would pass through; any other array is read
+        # by batched ``eval``, chunked to bound the transient index
+        # arrays (~1M candidates per chunk)
+        buffer = a._buffer()
+        if buffer is not None:
+            view, sign, chain = buffer
+            np.multiply(view, sign, out=env_val[P : P + m])
+            for arr in chain:
+                arr.eval_count += m * n
+        else:
+            chunk = max(1, (1 << 20) // n)
+            cols = np.arange(n, dtype=np.int64)
+            for r in range(0, m, chunk):
+                rend = min(r + chunk, m)
+                rr = np.repeat(np.arange(r, rend, dtype=np.int64), n)
+                cc = np.tile(cols, rend - r)
+                env_val[P + r : P + rend] = a.eval(rr, cc, checked=False).reshape(
+                    rend - r, n
+                )
         build_evals = m * n
         if machine is not None:
             machine.charge_eval(m * n)
@@ -162,23 +181,22 @@ class MongeIndex:
 
         Each (parent, column) pair is a width-2 group of its children's
         envelope values; the ledger receives exactly what routing those
-        groups through :func:`~repro.kernels.api.eval_grouped_min` would
-        issue — ``charge_eval(2·K·n)`` plus one grouped-min charge
-        replay — while the merge itself runs as a single vectorized
-        elementwise pass (the charge-replay form of the fused-kernel
-        invariant; pushing pairwise groups through the general grouped
-        machinery costs several times the merge it accounts for).  The
-        elementwise strict ``>`` keeps the upper block on ties, which is
-        the same winner the chokepoint's leftmost-tie convention picks
-        (child 0 = the topmost-row block).
+        ``K·n`` groups through :func:`~repro.kernels.api.eval_grouped_min`
+        would issue — ``charge_eval(2·K·n)`` plus the grouped-min charges,
+        which :func:`~repro.pram.primitives.replay_pair_min_charges`
+        bills in closed form — while the merge itself runs as a single
+        vectorized elementwise pass (the charge-replay form of the
+        fused-kernel invariant).  The elementwise strict ``>`` keeps the
+        upper block on ties, which is the same winner the chokepoint's
+        leftmost-tie convention picks (child 0 = the topmost-row block).
         """
-        from repro.pram.primitives import replay_grouped_min_charges
+        from repro.pram.primitives import replay_pair_min_charges
 
         total = 2 * K * n
         machine.charge_eval(total)
-        replay_grouped_min_charges(
+        replay_pair_min_charges(
             machine,
-            np.full(K * n, 2, dtype=np.int64),
+            K * n,
             crcw=machine.model.is_crcw,
             budget=getattr(machine, "physical_processors", machine.processors),
         )
@@ -187,15 +205,16 @@ class MongeIndex:
 
     @staticmethod
     def _merge_level_numpy(env_val, env_row, plo: int, K: int) -> None:
-        top = env_val[2 * plo : 2 * plo + 2 * K : 2]
-        bot = env_val[2 * plo + 1 : 2 * plo + 2 * K : 2]
-        take_bot = bot > top  # strict: ties keep the upper (topmost) block
-        env_val[plo : plo + K] = np.where(take_bot, bot, top)
-        env_row[plo : plo + K] = np.where(
-            take_bot,
-            env_row[2 * plo + 1 : 2 * plo + 2 * K : 2],
-            env_row[2 * plo : 2 * plo + 2 * K : 2],
-        )
+        """Write parents ``[plo, plo + K)`` in place from their children
+        ``2·plo + 2k`` (top) and ``2·plo + 2k + 1`` (bottom)."""
+        parents = slice(plo, plo + K)
+        top = slice(2 * plo, 2 * plo + 2 * K, 2)
+        bot = slice(2 * plo + 1, 2 * plo + 2 * K, 2)
+        take_bot = env_val[bot] > env_val[top]  # strict: ties keep the top
+        env_val[parents] = env_val[top]
+        np.copyto(env_val[parents], env_val[bot], where=take_bot)
+        env_row[parents] = env_row[top]
+        np.copyto(env_row[parents], env_row[bot], where=take_bot)
 
     # ------------------------------------------------------------------ #
     def _decompose(self, r0: int, r1: int) -> List[int]:
@@ -233,26 +252,13 @@ class MongeIndex:
     def _answer(self, rows, cols) -> Tuple[np.floating, np.ndarray, dict]:
         r0, r1, c0, c1 = check_rectangle(self.shape, rows, cols)
         nodes = self._decompose(r0, r1)
-        best_v = -np.inf
-        best_col = best_row = None
-        for k in nodes:
-            seg = self._env_val[k, c0:c1]
-            j = int(np.argmax(seg))  # first occurrence: leftmost column
-            v = float(seg[j])
-            if v < best_v:
-                continue
-            col = c0 + j
-            row = int(self._env_row[k, col])
-            if (
-                best_col is None
-                or v > best_v
-                or (col, row) < (best_col, best_row)
-            ):
-                best_v, best_col, best_row = v, col, row
+        block = self._env_val[nodes, c0:c1]
+        # column-major first maximum: the leftmost column attaining the
+        # maximum, then the topmost envelope row among the nodes tied there
+        j, k = divmod(int(block.T.argmax()), len(nodes))
+        value = block[k, j]
+        col = c0 + j
+        row = self._env_row[nodes, col][block[:, j] == value].min()
         self.queries_answered += 1
         info = {"nodes": len(nodes), "scanned": len(nodes) * (c1 - c0)}
-        return (
-            np.float64(best_v),
-            np.array([best_row, best_col], dtype=np.int64),
-            info,
-        )
+        return value, np.array([row, col], dtype=np.int64), info

@@ -659,6 +659,30 @@ def replay_grouped_min_charges(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def replay_pair_min_charges(target, count: int, *, crcw: bool, budget: int) -> None:
+    """:func:`replay_grouped_min_charges` over ``count`` groups of width 2,
+    in closed form: the same kernel event and charges, without building
+    or classifying a widths array.
+
+    Both CRCW strategies bill one 3-round all-pairs pass over the
+    ``4·count`` pairs (doubly-log's ``w <= 4`` base case is all-pairs);
+    binary bills one comparison round and the winners' write round.
+    """
+    count = int(count)
+    if count <= 0:
+        return
+    if not crcw:
+        strategy = "binary"
+    else:
+        strategy = "allpairs" if 4 * count <= budget else "doubly_log"
+    notify_kernel(getattr(target, "ledger", target), f"grouped-min:{strategy}", 2 * count)
+    if strategy == "binary":
+        target.charge(rounds=1, processors=2 * count)
+        target.charge(rounds=1, processors=count)
+    else:
+        target.charge(rounds=3, processors=4 * count, work=12 * count)
+
+
 def _doubly_log_rowmin(pram: Pram, mat: np.ndarray, idx: np.ndarray):
     """Row minima of a padded (B, w) matrix by recursive sqrt splitting.
 

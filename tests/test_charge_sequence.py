@@ -5,8 +5,10 @@ golden trace pins one rowmin run charge by charge.  These cases pin the
 full ordered sequence of ``CostLedger.charge`` calls ``(rounds,
 processors, work)`` and kernel events ``(name, size)`` for the
 ``solve_small`` benchmark mix, a squared-distance rowmin whose interior
-blocks vary in width, and a fused ``solve_many`` sweep whose ChargeFan
-replays each owner's charges.  Each event also records which ledger
+blocks vary in width, a fused ``solve_many`` sweep whose ChargeFan
+replays each owner's charges, and a ``prepare`` of the submatrix index
+followed by eight rectangle queries (its leaf and merge-level charges,
+then each query's scan and combine).  Each event also records which ledger
 received it (numbered by first appearance), so the fused sweep's global
 charges and its per-owner replays are both held in place.
 
@@ -27,6 +29,8 @@ from repro.monge.generators import (
     random_staircase_monge,
 )
 from repro.obs.hooks import kernel_hook, round_hook
+from repro.pram.ledger import CostLedger
+from repro.pram.primitives import replay_grouped_min_charges, replay_pair_min_charges
 
 
 def _squared_distances(n, rng, column_noise=0.0):
@@ -51,6 +55,26 @@ def _solve(problem, make):
     return run
 
 
+def _index(m, n):
+    """A ``prepare`` of an ``m×n`` array and eight rectangle queries;
+    returns the array and the handle.  ``100×37`` rounds up to 128 leaf
+    rows, so its merge levels skip the fully padded parents."""
+
+    def run(session):
+        rng = np.random.default_rng(7)
+        a = random_monge(m, n, rng)
+        handle = session.prepare(a)
+        for _ in range(8):
+            r0 = int(rng.integers(0, m))
+            r1 = int(rng.integers(r0 + 1, m + 1))
+            c0 = int(rng.integers(0, n))
+            c1 = int(rng.integers(c0 + 1, n + 1))
+            handle.query((r0, r1), (c0, c1))
+        return a, handle
+
+    return run
+
+
 CASES = {
     "rowmin_n64": _solve("rowmin", lambda rng: random_monge(64, 64, rng)),
     "rowmax_n128": _solve("rowmax", lambda rng: random_monge(128, 128, rng)),
@@ -63,16 +87,22 @@ CASES = {
         "rowmax",
         lambda rng: [_squared_distances(64, rng, column_noise=0.05) for _ in range(4)],
     ),
+    "index_n256": _index(256, 256),
+    "index_100x37": _index(100, 37),
 }
 
 # (event count, SHA-256 of the event sequence) per (backend, case)
 PINNED = {
+    ("pram-crcw", "index_100x37"): (54, "5a78873b81fc5559be7cf8998e409c39a772fb8ee74960549b7002b8bcdad973"),
+    ("pram-crcw", "index_n256"): (58, "fa6df8c9d531f18e896bece9703deb2e590bbb778b678f6498427f1c52966ebb"),
     ("pram-crcw", "rowmax_fused_4x64"): (209, "546af664ec0587ae7dbd313ecfc347f06c3e5b603a4ce6ab3c5de76b317fb930"),
     ("pram-crcw", "rowmax_n128"): (45, "1d29a7c3b0aa19a2c7717b4ea55c6c19604109623840584c1727b03fc4a31d3b"),
     ("pram-crcw", "rowmin_n64"): (45, "aa3ba809fd4ad5924da0863164f221353f845c08425f3f294637b8c5264a19d2"),
     ("pram-crcw", "rowmin_sqdist_n256"): (45, "a30f66675ba8b0b0e1e7163aa1b77d1ee32d777b1f433452eecaf06f0cdb31f2"),
     ("pram-crcw", "staircase_min_n128"): (122, "46038d86a14c8cfa0b0033ea383dfc414f1707f118772812ec2e99e2693462ea"),
     ("pram-crcw", "tube_min_n16"): (18, "d2d26d63dee18d08702e3bf931c7c55b5c9ef1f450b18b1562f056cd48db7e11"),
+    ("pram-crew", "index_100x37"): (61, "28e468b54b7321cdea1b69df8a2c8040741a7bcf48f21053c013e52f6e005089"),
+    ("pram-crew", "index_n256"): (66, "a1f98d8aa6f07c827819c3ae300b468eadbd211328922cdad024e1dd9fc5c598"),
     ("pram-crew", "rowmax_fused_4x64"): (314, "6550754b50432ba58f50cbef0f4f1a2d31b3b1466e423e1bf6b70ab6ffec314f"),
     ("pram-crew", "rowmax_n128"): (71, "75873401fc19c31707d530c9124badfb2cfd2a600c3d8ca94c4a197dd12f2066"),
     ("pram-crew", "rowmin_n64"): (66, "10c9ef4764cd65ac9423f8e1242d5ea5a015d99bae542c5dc14c167a32478fdf"),
@@ -124,3 +154,52 @@ def test_fused_sweep_charges_every_owner():
         out = CASES["rowmax_fused_4x64"](session)
     assert len(seen) == 5
     assert all(r.snapshot["rounds"] > 0 for r in out.results)
+
+
+@pytest.mark.parametrize("backend", ["pram-crcw", "pram-crew"])
+@pytest.mark.parametrize("case,build_evals", [
+    ("index_n256", 65536 + 2 * 255 * 256),    # m·n leaves + 2·K·n per level
+    ("index_100x37", 3700 + 2 * 102 * 37),    # K = 50, 25, 13, 7, 4, 2, 1
+])
+def test_index_build_reads_each_entry_once(backend, case, build_evals):
+    """The build reads every input entry exactly once and the queries
+    read none; ``build_evals`` bills the leaves and every merged pair."""
+    a, handle = CASES[case](Session(backend))
+    m, n = a.shape
+    assert a.eval_count == m * n
+    assert handle.index.build_evals == build_evals
+
+
+def _replayed(replay, widths_or_count, crcw, budget):
+    """Every charge and kernel event one replay issues into a fresh
+    ledger, with the types of every charge argument."""
+    events, types = [], set()
+
+    def on_round(ledger, rounds, processors, work):
+        types.update(map(type, (rounds, processors, work)))
+        events.append(("charge", rounds, processors, work))
+
+    with round_hook(on_round), kernel_hook(lambda _, *event: events.append(event)):
+        replay(CostLedger(), widths_or_count, crcw=crcw, budget=budget)
+    return events, types
+
+
+def test_pair_replay_matches_grouped_replay_of_width_two_groups():
+    """The index's closed-form merge bill is exactly the general replay
+    over ``count`` width-2 groups: all-pairs or doubly-log on CRCW (on
+    each side of the ``4·count`` budget), binary on CREW."""
+    rng = np.random.default_rng(20)
+    counts = [*range(4097), *rng.integers(4097, 1 << 20, size=20).tolist()]
+    strategies = set()
+    for count in counts:
+        for crcw, budget in ((True, 4 * count), (True, max(1, 4 * count - 1)),
+                             (False, 4 * count)):
+            widths = np.full(count, 2, dtype=np.int64)
+            want = _replayed(replay_grouped_min_charges, widths, crcw, budget)
+            got = _replayed(replay_pair_min_charges, count, crcw, budget)
+            assert got == want, (count, crcw, budget)
+            assert got[1] == ({int} if count else set())
+            strategies.update(event[0] for event in got[0] if event[0] != "charge")
+    assert strategies == {
+        "grouped-min:allpairs", "grouped-min:doubly_log", "grouped-min:binary"
+    }

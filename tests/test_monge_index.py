@@ -42,12 +42,19 @@ class TestCheckRectangle:
     def test_valid(self):
         assert check_rectangle((4, 6), (0, 4), (2, 5)) == (0, 4, 2, 5)
         assert check_rectangle((4, 6), (3, 4), (5, 6)) == (3, 4, 5, 6)
+        got = check_rectangle((4, 6), (np.int64(1), np.int64(3)), (np.int32(0), 6))
+        assert got == (1, 3, 0, 6)
+        assert all(type(bound) is int for bound in got)
 
     @pytest.mark.parametrize("rows,cols", [
         (3, (0, 1)),          # not a range at all
         ((0, 1, 2), (0, 1)),  # too many endpoints
         ((0,), (0, 1)),       # too few
         ((0, 1), None),
+        ((0.5, 3), (0, 2)),   # non-integer bounds are never truncated
+        ((0, 3.0), (0, 2)),
+        (("1", "3"), (0, 2)),
+        ((np.float64(1), 3), (0, 2)),
     ])
     def test_malformed_is_type_error(self, rows, cols):
         with pytest.raises(TypeError, match="half-open"):
@@ -303,3 +310,35 @@ class TestPrepare:
         r = handle.query((1, 5), (0, 6))
         assert r.trace is not None
         assert r.trace.root.name == "index-query"
+
+    @pytest.mark.parametrize("index_cache,error", [
+        (-1, ValueError),     # used to fail inside the first prepare's LRU trim
+        (None, TypeError),
+        (2.5, TypeError),
+        ("8", TypeError),
+    ])
+    def test_index_cache_is_validated(self, index_cache, error):
+        with pytest.raises(error, match="index_cache"):
+            Session("pram-crcw", index_cache=index_cache)
+
+    def test_index_cache_zero_keeps_no_handle(self):
+        a = random_monge(5, 5, np.random.default_rng(32))
+        s = Session("pram-crcw", index_cache=np.int64(0))
+        assert s.index_cache == 0
+        handle = s.prepare(a)
+        assert len(s._prepared) == 0
+        assert s.prepare(a) is not handle
+
+    @pytest.mark.parametrize("call", ["explicit_problem", "data_only"])
+    def test_one_shot_triple_is_a_type_error_before_any_build(self, call):
+        a = random_monge(4, 4, np.random.default_rng(33))
+        triple = (a, (0, 2), (0, 2))
+        args = ("submatrix_max", triple) if call == "explicit_problem" else (triple,)
+        s = Session("pram-crcw")
+        before = s.ledger.snapshot()
+        reset_metrics()
+        with pytest.raises(TypeError, match=r"array alone.*handle\.query\(rows, cols\)"):
+            s.prepare(*args)
+        assert s.ledger.snapshot() == before
+        assert snapshot()["counters"].get("index.builds", 0) == 0
+        assert a.eval_count == 0
