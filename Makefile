@@ -4,7 +4,7 @@
 PY ?= python
 PYTHONPATH := src
 
-.PHONY: test test-fast lint cov bench-smoke bench bench-batch-smoke bench-obs bench-obs-smoke bench-index bench-index-smoke serve-smoke bench-serve bench-serve-smoke
+.PHONY: test test-fast examples lint cov bench-smoke bench bench-batch-smoke bench-obs bench-obs-smoke bench-index bench-index-smoke serve-smoke bench-serve bench-serve-smoke
 
 ## test: full tier-1 suite (slow scaling/property tests included)
 test:
@@ -13,6 +13,14 @@ test:
 ## test-fast: developer loop — everything except tests marked `slow`
 test-fast:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest -x -q -m "not slow"
+
+## examples: run every examples/*.py script (five of the six assert
+## their answers against brute force); stops at the first nonzero exit
+examples:
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		PYTHONPATH=$(PYTHONPATH) $(PY) "$$script" || exit 1; \
+	done
 
 ## lint: mirrors the CI ruff step (requires ruff on PATH)
 lint:

@@ -63,11 +63,12 @@ def ceil_sqrt_array(x):
     import numpy as np
 
     x = np.asarray(x, dtype=np.int64)
-    if x.size and int(x.min()) < 0:
+    if x.size and np.minimum.reduce(x, axis=None) < 0:
         raise ValueError("ceil_sqrt_array requires nonnegative entries")
-    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    r = np.where(r * r > x, r - 1, r)  # now r == floor(sqrt(x))
-    return r + (r * r < x).astype(np.int64)
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x  # now r == floor(sqrt(x))
+    r += r * r < x
+    return r
 
 
 def is_power_of_two(n: int) -> bool:

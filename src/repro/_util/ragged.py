@@ -2,8 +2,9 @@
 
 Every level-synchronous algorithm in :mod:`repro.core` lays sibling
 subproblems out as concatenated variable-width ranges ("ragged" rows of
-one flat candidate buffer).  :func:`ragged` is the single decomposition
-helper they all share; it used to be copy-pasted per module.
+one flat candidate buffer).  :func:`offsets_of` turns per-range counts
+into the ``[0, c0, c0+c1, …]`` offsets every such layout is indexed by,
+and :func:`ragged` adds each slot's owner and position within its range.
 """
 
 from __future__ import annotations
@@ -12,7 +13,23 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["ragged"]
+__all__ = ["offsets_of", "ragged"]
+
+
+def offsets_of(counts) -> np.ndarray:
+    """The int64 offsets ``[0, c0, c0+c1, …]`` of ranges of ``counts``.
+
+    One past-the-end per range plus the leading zero: range ``g``
+    occupies ``[off[g], off[g+1])``.  Equal to a zero followed by
+    ``np.cumsum(counts)`` (int64 wraparound included), but filled by the
+    ufunc's ``accumulate`` into a preallocated array, which skips
+    ``np.cumsum``'s Python-level dispatch on the small arrays the
+    recursions pass.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    off = np.zeros(counts.size + 1, dtype=np.int64)
+    np.add.accumulate(counts, out=off[1:])
+    return off
 
 
 def ragged(counts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -20,13 +37,10 @@ def ragged(counts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     For ``counts = [2, 0, 3]`` the flat layout has 5 slots; the return
     triple is ``local = [0, 1, 0, 1, 2]``, ``owner = [0, 0, 2, 2, 2]``
-    and ``offsets = [0, 2, 2, 5]`` (one past-the-end per group plus the
-    leading zero).
+    and ``offsets = [0, 2, 2, 5]`` (see :func:`offsets_of`).
     """
     counts = np.asarray(counts, dtype=np.int64)
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    owner = np.repeat(np.arange(counts.size), counts)
-    local = np.arange(total) - offsets[:-1][owner]
+    offsets = offsets_of(counts)
+    owner = np.arange(counts.size).repeat(counts)
+    local = np.arange(offsets[-1]) - offsets[:-1][owner]
     return local, owner, offsets

@@ -11,7 +11,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-__all__ = ["require", "as_float_matrix", "as_float_tensor", "check_axis_lengths"]
+__all__ = [
+    "require",
+    "as_float_matrix",
+    "as_float_tensor",
+    "as_index_vector",
+    "check_axis_lengths",
+]
 
 
 def require(condition: bool, message: str) -> None:
@@ -48,6 +54,22 @@ def as_float_tensor(a: Any, name: str = "tensor") -> np.ndarray:
     if arr.size and np.isnan(arr).any():
         raise ValueError(f"{name} contains NaN entries")
     return arr
+
+
+def as_index_vector(x: Any, name: str) -> np.ndarray:
+    """Coerce integer-typed ``x`` to int64; reject any other dtype.
+
+    Offsets, positions and window bounds index into arrays, so a float,
+    bool or string value must not be truncated into an index: a nonempty
+    ``x`` whose dtype is not a signed or unsigned integer raises
+    ``TypeError`` naming ``name``.  Python-int lists pass, and so does an
+    empty list (it holds no value to truncate).  The shape is left to
+    the caller.
+    """
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise TypeError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def check_axis_lengths(*pairs: Sequence) -> None:

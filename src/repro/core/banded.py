@@ -34,6 +34,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro._util.ragged import ragged
+from repro._util.validation import as_index_vector
 from repro.monge.arrays import as_search_array
 from repro.pram.machine import Pram
 from repro.pram.primitives import grouped_min
@@ -47,8 +49,8 @@ __all__ = [
 
 
 def _check_band(m: int, n: int, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
+    lo = as_index_vector(lo, "lo")
+    hi = as_index_vector(hi, "hi")
     if lo.shape != (m,) or hi.shape != (m,):
         raise ValueError(f"lo and hi must have shape ({m},)")
     if m and ((np.diff(lo) < 0).any() or (np.diff(hi) < 0).any()):
@@ -118,55 +120,42 @@ def banded_row_minima_pram(
     if m == 0 or n == 0:
         return vals, cols
 
-    solved = np.array([], dtype=np.int64)
     stride = 1
     while stride * 2 < m:
         stride *= 2
-    while stride >= 1:
-        level_rows = np.arange(stride - 1, m, stride, dtype=np.int64)
-        new_rows = level_rows[~np.isin(level_rows, solved)]
-        if new_rows.size:
-            pos = np.searchsorted(solved, new_rows)
-            if solved.size:
-                above = np.where(pos > 0, solved[np.maximum(pos - 1, 0)], -1)
-                below = np.where(
-                    pos < solved.size, solved[np.minimum(pos, solved.size - 1)], -1
-                )
-                # neighbors with empty windows give no bound
-                c_lo = np.where(
-                    (above >= 0) & (cols[np.maximum(above, 0)] >= 0),
-                    cols[np.maximum(above, 0)],
-                    0,
-                )
-                c_hi = np.where(
-                    (below >= 0) & (cols[np.maximum(below, 0)] >= 0),
-                    cols[np.maximum(below, 0)],
-                    n - 1,
-                )
-            else:
-                c_lo = np.zeros(new_rows.size, dtype=np.int64)
-                c_hi = np.full(new_rows.size, n - 1, dtype=np.int64)
-            w_lo = np.maximum(c_lo, lo[new_rows])
-            w_hi = np.minimum(c_hi, hi[new_rows] - 1)
-            widths = np.maximum(0, w_hi - w_lo + 1)
-            offsets = np.zeros(widths.size + 1, dtype=np.int64)
-            np.cumsum(widths, out=offsets[1:])
-            owner = np.repeat(np.arange(widths.size), widths)
-            local = np.arange(int(offsets[-1])) - offsets[:-1][owner]
-            rows_flat = new_rows[owner]
-            cols_flat = w_lo[owner] + local
-            pram.charge(rounds=2, processors=max(1, widths.size))
-            if cols_flat.size:
-                values_flat = a.eval(rows_flat, cols_flat, checked=False)
-                pram.charge_eval(values_flat.size)
-                gv, gi = grouped_min(pram, values_flat, offsets)
-                vals[new_rows] = gv
-                take = gi >= 0
-                cols[new_rows[take]] = cols_flat[gi[take]]
-            pram.charge(rounds=1, processors=max(1, new_rows.size))
-            solved = np.sort(np.concatenate([solved, new_rows]))
+    # the first level's rows (stride - 1, and m - 1 when m = 2·stride)
+    # have no solved neighbors
+    new_rows = np.arange(stride - 1, m, stride, dtype=np.int64)
+    c_lo = np.zeros(new_rows.size, dtype=np.int64)
+    c_hi = np.full(new_rows.size, n - 1, dtype=np.int64)
+    while True:
+        w_lo = np.maximum(c_lo, lo[new_rows])
+        w_hi = np.minimum(c_hi, hi[new_rows] - 1)
+        widths = np.maximum(0, w_hi - w_lo + 1)
+        local, owner, offsets = ragged(widths)
+        rows_flat = new_rows[owner]
+        cols_flat = w_lo[owner] + local
+        pram.charge(rounds=2, processors=max(1, widths.size))
+        if cols_flat.size:
+            values_flat = a.eval(rows_flat, cols_flat, checked=False)
+            pram.charge_eval(values_flat.size)
+            gv, gi = grouped_min(pram, values_flat, offsets)
+            vals[new_rows] = gv
+            take = gi >= 0
+            cols[new_rows[take]] = cols_flat[gi[take]]
+        pram.charge(rounds=1, processors=max(1, new_rows.size))
         stride //= 2
-    return vals, cols
+        if not stride:
+            return vals, cols
+        # every row at stride 2s is solved; the unsolved rows at stride s
+        # sit halfway between two of them, at row ± s, whose witnesses
+        # bound them (a neighbor with an empty window, witness -1, does not)
+        new_rows = np.arange(stride - 1, m, 2 * stride, dtype=np.int64)
+        below = new_rows + stride
+        c_lo = np.where(new_rows >= stride, cols[new_rows - stride], -1)
+        c_hi = np.where(below < m, cols[np.minimum(below, m - 1)], -1)
+        c_lo = np.where(c_lo >= 0, c_lo, 0)
+        c_hi = np.where(c_hi >= 0, c_hi, n - 1)
 
 
 def banded_row_maxima_pram(pram: Pram, array, lo, hi) -> Tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro._util.bits import ceil_sqrt_array
-from repro._util.ragged import ragged as _ragged
+from repro._util.ragged import offsets_of, ragged as _ragged
 from repro.monge.arrays import SearchArray, as_search_array
 from repro.kernels.api import eval_grouped_min
 from repro.kernels.chargefan import ChargeFan
@@ -88,9 +88,7 @@ class _Batch:
         return self.rs.size
 
     def row_offsets(self) -> np.ndarray:
-        out = np.zeros(len(self) + 1, dtype=np.int64)
-        np.cumsum(self.rcount, out=out[1:])
-        return out
+        return offsets_of(self.rcount)
 
     def select(self, mask: np.ndarray) -> "_Batch":
         return _Batch(self.rs[mask], self.rstride[mask], self.rcount[mask],
@@ -228,7 +226,8 @@ def _solve_batch(pram: Pram, arr: SearchArray, batch: _Batch, fan: Optional[Char
     if len(batch) == 0:
         return np.empty(0), np.empty(0, dtype=np.int64)
     small = batch.rcount <= _SMALL_ROWS
-    if small.all():
+    n_small = np.count_nonzero(small)
+    if n_small == len(batch):
         # the grouped minima already come out in batch-row order
         return _solve_small(pram, arr, batch, fan)
 
@@ -237,8 +236,8 @@ def _solve_batch(pram: Pram, arr: SearchArray, batch: _Batch, fan: Optional[Char
     vals = np.empty(total_rows)
     cols = np.empty(total_rows, dtype=np.int64)
     # rows phase (c) fills: everything but small-subproblem and sampled rows
-    if small.any():
-        small_rows = np.repeat(small, batch.rcount)
+    if n_small:
+        small_rows = small.repeat(batch.rcount)
         vals[small_rows], cols[small_rows] = _solve_small(pram, arr, batch.select(small), fan)
         interior = ~small_rows
         big = ~small
@@ -279,13 +278,12 @@ def _solve_batch(pram: Pram, arr: SearchArray, batch: _Batch, fan: Optional[Char
     # first-position tie-break is the leftmost column.
     g_localrow, g_prob, _ = _ragged(u)      # one group per sampled row
     cand_counts = nchunk[g_prob]
-    cand_offsets = np.zeros(cand_counts.size + 1, dtype=np.int64)
-    np.cumsum(cand_counts, out=cand_offsets[1:])
+    cand_offsets = offsets_of(cand_counts)
     # candidate (prob, row k, chunk c) is row k of child child_start[prob] + c
-    cand_child = np.arange(cand_offsets[-1]) + np.repeat(
-        child_start[g_prob] - cand_offsets[:-1], cand_counts
-    )
-    cand_flat = child_b.row_offsets()[cand_child] + np.repeat(g_localrow, cand_counts)
+    cand_child = np.arange(cand_offsets[-1]) + (
+        child_start[g_prob] - cand_offsets[:-1]
+    ).repeat(cand_counts)
+    cand_flat = child_b.row_offsets()[cand_child] + g_localrow.repeat(cand_counts)
     pram.charge(rounds=2, processors=max(1, cand_flat.size))  # gather winners
     if fan is not None:
         fan.charge(fan.counts(bb.owner, u * nchunk), rounds=2)
@@ -351,11 +349,10 @@ def _solve_small(pram: Pram, arr: SearchArray, sb: _Batch, fan: Optional[ChargeF
     (subproblem, row) of width ``ccount``, results in batch-row order."""
     lr, prob, _ = _ragged(sb.rcount)
     widths = sb.ccount[prob]
-    offsets = np.zeros(widths.size + 1, dtype=np.int64)
-    np.cumsum(widths, out=offsets[1:])
+    offsets = offsets_of(widths)
     total = int(offsets[-1])
-    rows_flat = np.repeat(sb.rs[prob] + lr * sb.rstride[prob], widths)
-    cols_flat = np.repeat(sb.cs[prob] - offsets[:-1], widths) + np.arange(total)
+    rows_flat = (sb.rs[prob] + lr * sb.rstride[prob]).repeat(widths)
+    cols_flat = (sb.cs[prob] - offsets[:-1]).repeat(widths) + np.arange(total)
     # allocation is uniform-per-subproblem: O(1) rounds
     pram.charge(rounds=1, processors=max(1, widths.size))
     if fan is not None:
@@ -377,14 +374,6 @@ def _solve_small(pram: Pram, arr: SearchArray, sb: _Batch, fan: Optional[ChargeF
     if fan is not None:
         fan.charge(group_counts)
     return gv, np.where(gi >= 0, cols_flat[np.maximum(gi, 0)], -1)
-
-
-def _safe_take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``a[idx]`` tolerating out-of-range entries that are masked later."""
-    clipped = np.clip(idx, 0, max(0, a.size - 1))
-    if a.size == 0:
-        return np.zeros(idx.shape, dtype=a.dtype if hasattr(a, "dtype") else np.int64)
-    return a[clipped]
 
 
 # --------------------------------------------------------------------- #
@@ -537,35 +526,35 @@ def _solve_halving(pram: Pram, arr: SearchArray):
     vals = np.full(m, np.inf)
     cols = np.full(m, -1, dtype=np.int64)
 
-    solved = np.array([], dtype=np.int64)  # solved row indices, ascending
     stride = 1
     while stride * 2 < m:
         stride *= 2
-    # rows at each level: stride s covers rows s-1, 2s-1, ... minus solved
-    while stride >= 1:
-        level_rows = np.arange(stride - 1, m, stride, dtype=np.int64)
-        new_rows = level_rows[~np.isin(level_rows, solved)]
-        if new_rows.size:
-            # bounds from neighbors among solved rows
-            pos = np.searchsorted(solved, new_rows)
-            lo = np.where(pos > 0, cols[_safe_take(solved, pos - 1)], 0)
-            hi = np.where(pos < solved.size, cols[_safe_take(solved, pos)], n - 1)
-            widths = hi - lo + 1
-            local, owner, offsets = _ragged(widths)
-            rows_flat = new_rows[owner]
-            cols_flat = lo[owner] + local
-            pram.charge(rounds=2, processors=max(1, widths.size))  # allocation
-            gv, gi = eval_grouped_min(
-                pram,
-                lambda lo, hi: arr.eval(
-                    rows_flat[lo:hi], cols_flat[lo:hi], checked=False
-                ),
-                rows_flat.size,
-                offsets,
-            )
-            vals[new_rows] = gv
-            cols[new_rows] = np.where(gi >= 0, cols_flat[np.maximum(gi, 0)], -1)
-            pram.charge(rounds=1, processors=max(1, new_rows.size))
-            solved = np.sort(np.concatenate([solved, new_rows]))
+    # the first level's rows (stride - 1, and m - 1 when m = 2·stride)
+    # have no solved neighbors
+    new_rows = np.arange(stride - 1, m, stride, dtype=np.int64)
+    lo = np.zeros(new_rows.size, dtype=np.int64)
+    hi = np.full(new_rows.size, n - 1, dtype=np.int64)
+    while True:
+        widths = hi - lo + 1
+        local, owner, offsets = _ragged(widths)
+        rows_flat = new_rows[owner]
+        cols_flat = lo[owner] + local
+        pram.charge(rounds=2, processors=max(1, widths.size))  # allocation
+        gv, gi = eval_grouped_min(
+            pram,
+            lambda lo, hi: arr.eval(rows_flat[lo:hi], cols_flat[lo:hi], checked=False),
+            rows_flat.size,
+            offsets,
+        )
+        vals[new_rows] = gv
+        cols[new_rows] = np.where(gi >= 0, cols_flat[np.maximum(gi, 0)], -1)
+        pram.charge(rounds=1, processors=max(1, new_rows.size))
         stride //= 2
-    return vals, cols
+        if not stride:
+            return vals, cols
+        # every row at stride 2s is solved; the unsolved rows at stride s
+        # sit halfway between two of them, at row ± s
+        new_rows = np.arange(stride - 1, m, 2 * stride, dtype=np.int64)
+        below = new_rows + stride
+        lo = np.where(new_rows >= stride, cols[new_rows - stride], 0)
+        hi = np.where(below < m, cols[np.minimum(below, m - 1)], n - 1)

@@ -49,7 +49,8 @@ from typing import Tuple
 import numpy as np
 
 from repro._util.bits import ceil_sqrt_array
-from repro._util.ragged import ragged as _ragged
+from repro._util.ragged import offsets_of, ragged as _ragged
+from repro._util.validation import as_index_vector
 from repro.monge.arrays import SearchArray
 from repro.monge.staircase_seq import effective_boundary
 from repro.pram.ansv import nearest_smaller_left_threshold
@@ -131,9 +132,7 @@ class _StairBatch:
         return self.rs.size
 
     def row_offsets(self) -> np.ndarray:
-        out = np.zeros(len(self) + 1, dtype=np.int64)
-        np.cumsum(self.rcount, out=out[1:])
-        return out
+        return offsets_of(self.rcount)
 
     def select(self, mask):
         return _StairBatch(self.rs[mask], self.rcount[mask], self.cs[mask], self.ccount[mask])
@@ -203,14 +202,30 @@ def staircase_row_minima_batch(
     level-synchronously — sibling instances share rounds, which is how
     the applications run their per-case staircase searches concurrently.
     Results are flat in batch-row order.
+
+    The subproblems are checked before anything is charged: ``rs``,
+    ``rcount``, ``cs`` and ``ccount`` must be equal-length 1-D integer
+    arrays, all nonnegative, with ``rs + rcount <= m``; ``f`` must hold
+    ``m`` integers in ``[0, n]``.  A non-integer argument raises
+    ``TypeError``, any other violation ``ValueError``; both name it.
     """
-    batch = _StairBatch(
-        rs=np.asarray(rs, dtype=np.int64),
-        rcount=np.asarray(rcount, dtype=np.int64),
-        cs=np.asarray(cs, dtype=np.int64),
-        ccount=np.asarray(ccount, dtype=np.int64),
-    )
-    return _stair_solve(pram, arr, np.asarray(f, dtype=np.int64), batch)
+    m, n = arr.shape
+    names = ("rs", "rcount", "cs", "ccount")
+    fields = [as_index_vector(x, name) for x, name in zip((rs, rcount, cs, ccount), names)]
+    for x, name in zip(fields, names):
+        if x.shape != (fields[0].size,):
+            raise ValueError(f"{name} must be a 1-D array as long as rs, got shape {x.shape}")
+        if x.size and np.minimum.reduce(x) < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    batch = _StairBatch(*fields)
+    if batch.rs.size and np.maximum.reduce(batch.rs + batch.rcount) > m:
+        raise ValueError(f"rs + rcount must not exceed the array's {m} rows")
+    f = as_index_vector(f, "f")
+    if f.shape != (m,):
+        raise ValueError(f"f must have shape ({m},), got {f.shape}")
+    if m and (np.minimum.reduce(f) < 0 or np.maximum.reduce(f) > n):
+        raise ValueError(f"f must lie within [0, {n}]")
+    return _stair_solve(pram, arr, f, batch)
 
 
 def _effective_widths(f, batch: _StairBatch, rows_global, owner):
@@ -220,18 +235,19 @@ def _effective_widths(f, batch: _StairBatch, rows_global, owner):
 
 
 def _stair_solve(pram: Pram, arr: SearchArray, f: np.ndarray, batch: _StairBatch):
-    if len(batch) == 0 or not batch.rcount.any():
+    if not np.count_nonzero(batch.rcount):
         return np.empty(0), np.empty(0, dtype=np.int64)
     small = batch.rcount <= _SMALL_ROWS
-    if small.all():
+    n_small = np.count_nonzero(small)
+    if n_small == len(batch):
         # the grouped minima already come out in batch-row order
         return _stair_small(pram, arr, f, batch)
 
     row_off = batch.row_offsets()
     vals = np.full(int(row_off[-1]), np.inf)
     cols = np.full(int(row_off[-1]), -1, dtype=np.int64)
-    if small.any():
-        small_rows = np.repeat(small, batch.rcount)
+    if n_small:
+        small_rows = small.repeat(batch.rcount)
         vals[small_rows], cols[small_rows] = _stair_small(pram, arr, f, batch.select(small))
         big = ~small
         bb = batch.select(big)
@@ -280,9 +296,7 @@ def _stair_solve(pram: Pram, arr: SearchArray, f: np.ndarray, batch: _StairBatch
     order = np.lexsort((-kept_j[c_blk], grp_id))
     cand_val = bvals[order]
     cand_col = bcols[order]
-    counts = np.bincount(grp_id, minlength=samp_local_k.size)
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    offsets = offsets_of(np.bincount(grp_id, minlength=samp_local_k.size))
     pram.charge(rounds=3, processors=max(1, cand_val.size))  # gather + route
     sv, si = grouped_min(pram, cand_val, offsets)
     c_pos = _pick(cand_col, si)  # global col of c_k
@@ -317,7 +331,7 @@ def _stair_solve(pram: Pram, arr: SearchArray, f: np.ndarray, batch: _StairBatch
     has_monge = (blk_rows > 0) & (c_pos >= 0)
     mgb = _Batch(
         rs=(bb.rs[samp_owner] + blk_r0)[has_monge],
-        rstride=np.ones(int(has_monge.sum()), dtype=np.int64),
+        rstride=np.ones(np.count_nonzero(has_monge), dtype=np.int64),
         rcount=blk_rows[has_monge],
         cs=L[has_monge],
         ccount=(c_pos - L + 1)[has_monge],
@@ -368,14 +382,14 @@ def _stair_solve(pram: Pram, arr: SearchArray, f: np.ndarray, batch: _StairBatch
     # Monge-region results
     if len(mgb):
         li, _, _ = _ragged(mgb.rcount)
-        dest = np.repeat(blk_start[has_monge], mgb.rcount) + li
+        dest = blk_start[has_monge].repeat(mgb.rcount) + li
         _combine_min(vals, cols, dest, mg_vals, mg_cols)
         pram.charge(rounds=1, processors=max(1, dest.size))
     # staircase (overhang + tail) results
     if len(stb):
         st_start = np.concatenate([blk_start[has_over], (big_start + tail_r0)[has_tail]])
         li2, _, _ = _ragged(st_rcount)
-        dest2 = np.repeat(st_start, st_rcount) + li2
+        dest2 = st_start.repeat(st_rcount) + li2
         _combine_min(vals, cols, dest2, st_vals, st_cols)
         pram.charge(rounds=1, processors=max(1, dest2.size))
     return vals, cols
@@ -387,13 +401,12 @@ def _stair_small(pram: Pram, arr: SearchArray, f: np.ndarray, sb: _StairBatch):
     lr, owner, _ = _ragged(sb.rcount)
     rows_g = sb.rs[owner] + lr
     widths = _effective_widths(f, sb, rows_g, owner)
-    offsets = np.zeros(widths.size + 1, dtype=np.int64)
-    np.cumsum(widths, out=offsets[1:])
+    offsets = offsets_of(widths)
     total = int(offsets[-1])
     pram.charge(rounds=2, processors=max(1, widths.size))
     if total:
-        rows_flat = np.repeat(rows_g, widths)
-        cols_flat = np.repeat(sb.cs[owner] - offsets[:-1], widths) + np.arange(total)
+        rows_flat = rows_g.repeat(widths)
+        cols_flat = (sb.cs[owner] - offsets[:-1]).repeat(widths) + np.arange(total)
         gv, gi = eval_grouped_min(
             pram,
             lambda lo, hi: arr.eval(rows_flat[lo:hi], cols_flat[lo:hi], checked=False),
@@ -422,20 +435,25 @@ def _shift_within(x: np.ndarray, direction: int) -> np.ndarray:
     ``+1`` brings the *previous* (the first gets 0).  Values that cross
     a segment boundary are masked by callers.
     """
-    out = np.zeros_like(x)
+    out = np.empty_like(x)
     if direction < 0:
         out[:-1] = x[1:]
+        out[-1:] = 0
     else:
         out[1:] = x[:-1]
+        out[:1] = 0
     return out
+
+
+_NO_COLUMN = np.iinfo(np.int64).max  # a -1 witness ranks after every column
 
 
 def _combine_min(vals, cols, dest, new_vals, new_cols):
     """Keep the smaller value; ties prefer the smaller column (leftmost)."""
     cur_v = vals[dest]
     cur_c = cols[dest]
-    nc = np.where(new_cols >= 0, new_cols, np.iinfo(np.int64).max)
-    cc = np.where(cur_c >= 0, cur_c, np.iinfo(np.int64).max)
+    nc = np.where(new_cols >= 0, new_cols, _NO_COLUMN)
+    cc = np.where(cur_c >= 0, cur_c, _NO_COLUMN)
     take = (new_vals < cur_v) | ((new_vals == cur_v) & (nc < cc))
     vals[dest] = np.where(take, new_vals, cur_v)
     cols[dest] = np.where(take, new_cols, cur_c)

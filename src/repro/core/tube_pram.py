@@ -180,38 +180,27 @@ def _tube_min_halving(pram: Pram, c: MongeComposite):
         return V, J
     kk = np.arange(r, dtype=np.int64)
 
-    solved = np.array([], dtype=np.int64)
     stride = 1
     while stride * 2 < p:
         stride *= 2
-    while stride >= 1:
-        level_rows = np.arange(stride - 1, p, stride, dtype=np.int64)
-        new_rows = level_rows[~np.isin(level_rows, solved)]
-        if new_rows.size:
-            pos = np.searchsorted(solved, new_rows)
-            if solved.size:
-                above = np.where(pos > 0, solved[np.maximum(pos - 1, 0)], -1)
-                below = np.where(
-                    pos < solved.size, solved[np.minimum(pos, solved.size - 1)], -1
-                )
-            else:
-                above = np.full(new_rows.size, -1, dtype=np.int64)
-                below = np.full(new_rows.size, -1, dtype=np.int64)
-            # per-(row, k) bounds from neighbors
-            cell_i = np.repeat(new_rows, r)
-            cell_k = np.tile(kk, new_rows.size)
-            lo = np.where(
-                np.repeat(above, r) >= 0, J[np.repeat(np.maximum(above, 0), r), cell_k], 0
-            )
-            hi = np.where(
-                np.repeat(below, r) >= 0,
-                J[np.repeat(np.maximum(below, 0), r), cell_k],
-                q - 1,
-            )
-            _fill_rows(pram, c, (cell_i, cell_k), lo, hi, J, V)
-            solved = np.sort(np.concatenate([solved, new_rows]))
+    # the first level's rows (stride - 1, and p - 1 when p = 2·stride)
+    # have no solved neighbors
+    new_rows = np.arange(stride - 1, p, stride, dtype=np.int64)
+    lo = np.zeros((new_rows.size, r), dtype=np.int64)
+    hi = np.full((new_rows.size, r), q - 1, dtype=np.int64)
+    while True:
+        # per-(row, k) bounds from neighbors, cells row-major
+        cells = (new_rows.repeat(r), _tile(kk, new_rows.size))
+        _fill_rows(pram, c, cells, lo.ravel(), hi.ravel(), J, V)
         stride //= 2
-    return V, J
+        if not stride:
+            return V, J
+        # every row at stride 2s is solved; the unsolved rows at stride s
+        # sit halfway between two of them, at row ± s
+        new_rows = np.arange(stride - 1, p, 2 * stride, dtype=np.int64)
+        below = new_rows + stride
+        lo = np.where((new_rows >= stride)[:, None], J[new_rows - stride], 0)
+        hi = np.where((below < p)[:, None], J[np.minimum(below, p - 1)], q - 1)
 
 
 def _tube_min_sampling(pram: Pram, c: MongeComposite):
@@ -225,53 +214,60 @@ def _tube_min_sampling(pram: Pram, c: MongeComposite):
     return V, J
 
 
+def _tile(x, count):
+    """``np.tile(x, count)`` for 1-D ``x``, through C-level methods."""
+    return x[None, :].repeat(count, axis=0).ravel()
+
+
 def _sampling_solve(pram, c, rows, ks, J, V):
     """Solve output cells ``rows × ks`` (index subsets), writing J/V."""
     p, q, r = c.shape
     nr, nk = rows.size, ks.size
     if nr * nk <= 16:
-        cell_i = np.repeat(rows, nk)
-        cell_k = np.tile(ks, nr)
+        cell_i = rows.repeat(nk)
+        cell_k = _tile(ks, nr)
         lo = np.zeros(cell_i.size, dtype=np.int64)
         hi = np.full(cell_i.size, q - 1, dtype=np.int64)
         _fill_rows(pram, c, (cell_i, cell_k), lo, hi, J, V)
         return
+    # every sr-th row and sk-th column (never empty: ceil_sqrt(x) <= x);
+    # the rest, the complement of these stride slices, are interpolated
     sr = ceil_sqrt(nr)
     sk = ceil_sqrt(nk)
     samp_rows = rows[sr - 1 :: sr]
     samp_ks = ks[sk - 1 :: sk]
-    if samp_rows.size == 0:
-        samp_rows = rows[-1:]
-    if samp_ks.size == 0:
-        samp_ks = ks[-1:]
     with pram.obs_phase("sampled-grid"):
         _sampling_solve(pram, c, samp_rows, samp_ks, J, V)
 
     # ---- pass A: every row at the sampled columns (monotone in i) ----- #
-    interp_rows = rows[~np.isin(rows, samp_rows)]
-    if interp_rows.size and samp_ks.size:
-        pos = np.searchsorted(samp_rows, interp_rows)
+    interp = np.ones(nr, dtype=bool)
+    interp[sr - 1 :: sr] = False
+    interp_rows = rows[interp]
+    if interp_rows.size:
+        pos = samp_rows.searchsorted(interp_rows)
         above = np.where(pos > 0, samp_rows[np.maximum(pos - 1, 0)], -1)
         below = np.where(pos < samp_rows.size, samp_rows[np.minimum(pos, samp_rows.size - 1)], -1)
-        cell_i = np.repeat(interp_rows, samp_ks.size)
-        cell_k = np.tile(samp_ks, interp_rows.size)
-        a = np.repeat(above, samp_ks.size)
-        b = np.repeat(below, samp_ks.size)
+        cell_i = interp_rows.repeat(samp_ks.size)
+        cell_k = _tile(samp_ks, interp_rows.size)
+        a = above.repeat(samp_ks.size)
+        b = below.repeat(samp_ks.size)
         lo = np.where(a >= 0, J[np.maximum(a, 0), cell_k], 0)
         hi = np.where(b >= 0, J[np.maximum(b, 0), cell_k], q - 1)
         with pram.obs_phase("interp-rows"):
             _fill_rows(pram, c, (cell_i, cell_k), lo, hi, J, V)
 
     # ---- pass B: every row, remaining columns (monotone in k) --------- #
-    interp_ks = ks[~np.isin(ks, samp_ks)]
+    interp = np.ones(nk, dtype=bool)
+    interp[sk - 1 :: sk] = False
+    interp_ks = ks[interp]
     if interp_ks.size:
-        pos = np.searchsorted(samp_ks, interp_ks)
+        pos = samp_ks.searchsorted(interp_ks)
         left = np.where(pos > 0, samp_ks[np.maximum(pos - 1, 0)], -1)
         right = np.where(pos < samp_ks.size, samp_ks[np.minimum(pos, samp_ks.size - 1)], -1)
-        cell_i = np.repeat(rows, interp_ks.size)
-        cell_k = np.tile(interp_ks, rows.size)
-        lf = np.tile(left, rows.size)
-        rt = np.tile(right, rows.size)
+        cell_i = rows.repeat(interp_ks.size)
+        cell_k = _tile(interp_ks, rows.size)
+        lf = _tile(left, rows.size)
+        rt = _tile(right, rows.size)
         lo = np.where(lf >= 0, J[cell_i, np.maximum(lf, 0)], 0)
         hi = np.where(rt >= 0, J[cell_i, np.maximum(rt, 0)], q - 1)
         with pram.obs_phase("interp-cols"):

@@ -24,6 +24,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro._util.ragged import ragged
+from repro._util.validation import as_index_vector
 from repro.core.banded import banded_row_minima_pram
 from repro.core.staircase_pram import staircase_row_minima_batch
 from repro.monge.arrays import SearchArray, as_search_array
@@ -43,8 +45,8 @@ def windowed_monge_row_minima(
     """
     a = as_search_array(array)
     m, n = a.shape
-    lo = np.clip(np.asarray(lo, dtype=np.int64), 0, n)
-    hi = np.clip(np.asarray(hi, dtype=np.int64), 0, n)
+    lo = np.clip(as_index_vector(lo, "lo"), 0, n)
+    hi = np.clip(as_index_vector(hi, "hi"), 0, n)
     if lo.shape != (m,) or hi.shape != (m,):
         raise ValueError(f"lo and hi must have shape ({m},)")
     vals = np.full(m, np.inf)
@@ -131,11 +133,7 @@ def _staircase_runs(pram, sub: SearchArray, lo, hi):
 def _direct(pram, sub: SearchArray, lo, hi):
     """Unpruned grouped minimum per row (seam fallback)."""
     m, n = sub.shape
-    widths = np.maximum(0, hi - lo)
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(widths, out=offsets[1:])
-    owner = np.repeat(np.arange(m), widths)
-    local = np.arange(int(offsets[-1])) - offsets[:-1][owner]
+    local, owner, offsets = ragged(np.maximum(0, hi - lo))
     vals = np.full(m, np.inf)
     cols = np.full(m, -1, dtype=np.int64)
     if owner.size == 0:

@@ -23,6 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from repro._util.bits import ceil_log2
+from repro._util.validation import as_index_vector
 from repro.pram.machine import Pram
 
 __all__ = [
@@ -70,7 +71,7 @@ def nearest_smaller_left_threshold(
     """
     x = np.asarray(x, dtype=np.float64)
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.int64)
+    positions = as_index_vector(positions, "positions")
     if thresholds.shape != positions.shape:
         raise ValueError("thresholds and positions must have equal shape")
     if hasattr(pram, "network_nearest_smaller_left_threshold"):
@@ -79,7 +80,7 @@ def nearest_smaller_left_threshold(
     nq = positions.size
     if n == 0 or nq == 0:
         return np.full(nq, -1, dtype=np.int64)
-    if positions.min() < 0 or positions.max() > n:
+    if np.minimum.reduce(positions, axis=None) < 0 or np.maximum.reduce(positions, axis=None) > n:
         raise ValueError("query positions must lie in [0, len(x)]")
     table = _sparse_table(pram, x)
     K = ceil_log2(max(2, n))
@@ -99,11 +100,11 @@ def nearest_smaller_left_threshold(
     ok = pos >= 0
     bad = ok & (x[np.maximum(pos, 0)] >= target)
     # One more sweep: any residual position still >= target means none exists.
-    while bad.any():
+    while np.count_nonzero(bad):
         pos = np.where(bad, pos - 1, pos)
         ok = pos >= 0
         bad = ok & (x[np.maximum(pos, 0)] >= target)
-        pram.charge(rounds=1, processors=int(bad.sum()) or 1)
+        pram.charge(rounds=1, processors=int(np.count_nonzero(bad)) or 1)
     pram.charge(rounds=1, processors=max(1, nq))
     return np.where(pos >= 0, pos, -1).astype(np.int64)
 

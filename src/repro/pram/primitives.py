@@ -35,6 +35,7 @@ from typing import Callable, Literal, Tuple
 import numpy as np
 
 from repro._util.bits import ceil_div, ceil_log2, ceil_sqrt
+from repro._util.validation import as_index_vector
 from repro.kernels.registry import current_tier
 from repro.pram.ledger import notify_kernel
 from repro.pram.machine import Pram
@@ -352,16 +353,16 @@ def _grouped_extremum(
     strategy: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.int64)
+    offsets = as_index_vector(offsets, "offsets")
     if offsets.ndim != 1 or offsets.size == 0:
         raise ValueError("offsets must be a nonempty 1-D array")
     widths = offsets[1:] - offsets[:-1]
-    if offsets[0] != 0 or offsets[-1] != values.size or widths.min(initial=0) < 0:
+    if offsets[0] != 0 or offsets[-1] != values.size or np.minimum.reduce(widths, initial=0) < 0:
         raise ValueError("offsets must start at 0, end at len(values), and be nondecreasing")
     n_groups = widths.size
     if n_groups == 0:
         return np.empty(0), np.empty(0, dtype=np.int64)
-    max_w = int(widths.max())
+    max_w = int(np.maximum.reduce(widths))
     if max_w == 0:
         return np.full(n_groups, np.inf), np.full(n_groups, -1, dtype=np.int64)
 
@@ -403,15 +404,15 @@ def _grouped_min_fused(values, offsets, widths):
     n_groups = widths.size
     starts = offsets[:-1]
     ne = None
-    if n_groups == 0 or widths.min() == 0:
+    if n_groups == 0 or np.minimum.reduce(widths) == 0:
         # Consecutive nonempty groups are contiguous in the flat array
         # (empty groups occupy zero width), so their starts segment it.
-        ne = np.nonzero(widths > 0)[0]
+        ne = (widths > 0).nonzero()[0]
         if ne.size == 0:
             return np.full(n_groups, np.inf), np.full(n_groups, -1, dtype=np.int64)
         starts, widths = starts[ne], widths[ne]
     gmin = np.minimum.reduceat(values, starts)
-    cand = np.where(values == np.repeat(gmin, widths),
+    cand = np.where(values == gmin.repeat(widths),
                     np.arange(values.size, dtype=np.int64), values.size)
     argm = np.where(gmin < np.inf, np.minimum.reduceat(cand, starts), -1)
     if ne is None:
@@ -490,8 +491,8 @@ def _width_class_counts(widths: np.ndarray) -> list[tuple[int, int]]:
     the fast paths charge per class but never gather the members, so a
     ``bincount`` over class labels replaces the ``unique`` sort.
     """
-    counts = np.bincount(_padded_class(widths[widths > 0]))
-    return [(1 << int(c), int(counts[c])) for c in np.nonzero(counts)[0]]
+    counts = np.bincount(_padded_class(widths[widths > 0])).tolist()
+    return [(1 << c, count) for c, count in enumerate(counts) if count]
 
 
 _POWERS_OF_TWO = np.int64(1) << np.arange(63, dtype=np.int64)
@@ -523,15 +524,14 @@ def _grouped_min_allpairs(pram, values, offsets, widths):
     blocks, so they share the same 3 rounds; processors charged are the
     total number of pairwise comparisons across classes.
     """
-    n_groups = widths.size
-    out_v = np.full(n_groups, np.inf)
-    out_i = np.full(n_groups, -1, dtype=np.int64)
     if current_tier() == "fused":
         out_v, out_i = _grouped_min_fused(values, offsets, widths)
         total_pairs = sum(cnt * width * width for width, cnt in _width_class_counts(widths))
         if total_pairs:
             pram.charge(rounds=3, processors=total_pairs, work=3 * total_pairs)
         return out_v, out_i
+    out_v = np.full(widths.size, np.inf)
+    out_i = np.full(widths.size, -1, dtype=np.int64)
     total_pairs = 0
     for width, gids in _width_classes(widths):
         mat, starts = _padded_matrix(values, offsets, widths, gids, width)
@@ -554,10 +554,7 @@ def _grouped_min_allpairs(pram, values, offsets, widths):
 
 def _grouped_min_doubly_log(pram, values, offsets, widths):
     """Recursive sqrt-splitting: ``O(lg lg w)`` levels of 3-round all-pairs."""
-    n_groups = widths.size
-    out_v = np.full(n_groups, np.inf)
-    out_i = np.full(n_groups, -1, dtype=np.int64)
-    if current_tier() == "fused" and not np.isneginf(values).any():
+    if current_tier() == "fused" and not np.count_nonzero(values == -np.inf):
         # Reference semantics here disqualify +inf entries (idx -1
         # before the recursion), so all-∞ groups report (inf, -1); a
         # -inf entry additionally eliminates candidates in a way that
@@ -567,6 +564,8 @@ def _grouped_min_doubly_log(pram, values, offsets, widths):
         for width, cnt in _width_class_counts(widths):
             _replay_doubly_log_charges(pram, cnt, width)
         return out_v, out_i
+    out_v = np.full(widths.size, np.inf)
+    out_i = np.full(widths.size, -1, dtype=np.int64)
     for width, gids in _width_classes(widths):
         mat, starts = _padded_matrix(values, offsets, widths, gids, width)
         idx = starts[:, None] + np.arange(width)[None, :]

@@ -8,9 +8,15 @@ processors, work)`` and kernel events ``(name, size)`` for the
 blocks vary in width, a fused ``solve_many`` sweep whose ChargeFan
 replays each owner's charges, and a ``prepare`` of the submatrix index
 followed by eight rectangle queries (its leaf and merge-level charges,
-then each query's scan and combine).  Each event also records which ledger
-received it (numbered by first appearance), so the fused sweep's global
-charges and its per-owner replays are both held in place.
+then each query's scan and combine).  Further cases pin the searches the
+benchmark mix does not run: the ``halving`` rowmin strategy, the banded
+and windowed searches, ``staircase_max`` (a banded search), a direct
+multi-case ``staircase_row_minima_batch`` as the empty-rectangle
+application calls it; and every case runs again on a Brent machine with
+64 physical processors, whose wide grouped minima take the doubly-log
+strategy.  Each event also records which ledger received it (numbered
+by first appearance), so the fused sweep's global charges and its
+per-owner replays are both held in place.
 
 A digest drift means a recursion charged something different or in a
 different order.  The kernel tier must not matter: run this file under
@@ -23,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro import Session
+from repro.core.staircase_pram import staircase_row_minima_batch
 from repro.monge.generators import (
     random_composite,
     random_monge,
@@ -42,7 +49,7 @@ def _squared_distances(n, rng, column_noise=0.0):
     return (x[:, None] - y[None, :]) ** 2 + column_noise * rng.normal(size=n)[None, :]
 
 
-def _solve(problem, make):
+def _solve(problem, make, **overrides):
     """One query, or one ``solve_many`` batch pinned to the fused tier so
     the stacked sweep runs whatever tier the environment selects."""
 
@@ -50,9 +57,38 @@ def _solve(problem, make):
         data = make(np.random.default_rng(7))
         if isinstance(data, list):
             return session.solve_many(problem, data, kernel_tier="fused")
-        return session.solve(problem, data)
+        return session.solve(problem, data, **overrides)
 
     return run
+
+
+def _band(m, n, rng):
+    """``(array, lo, hi)``: a Monge array with co-monotone windows."""
+    a = random_monge(m, n, rng)
+    lo = np.sort(rng.integers(0, n + 1, size=m))
+    hi = np.maximum(np.sort(np.minimum(n, lo + rng.integers(0, n + 1, size=m))), lo)
+    return a, lo, hi
+
+
+def _windows(m, n, rng):
+    """``(array, lo, hi)``: windows on a random walk, so the dispatcher
+    meets banded runs and staircase runs (``hi`` falling)."""
+    a = random_monge(m, n, rng)
+    base = np.cumsum(rng.integers(-3, 4, size=m)) + n // 4
+    lo = np.clip(base, 0, n)
+    hi = np.maximum(np.clip(base + rng.integers(0, n // 2, size=m), 0, n), lo)
+    return a, lo, hi
+
+
+def _stair_batch(session):
+    """Three staircase instances of one array solved by one direct
+    ``staircase_row_minima_batch`` call on the session's machine (on
+    ``pram-crcw``, the ``Pram(CRCW_COMMON, 2**40)`` the empty-rectangle
+    application builds)."""
+    a = random_staircase_monge(120, 100, np.random.default_rng(7))
+    return staircase_row_minima_batch(
+        session.machine(), a, a.boundary, [0, 30, 70], [30, 40, 50], [0, 10, 25], [100, 90, 75]
+    )
 
 
 def _index(m, n):
@@ -89,26 +125,67 @@ CASES = {
     ),
     "index_n256": _index(256, 256),
     "index_100x37": _index(100, 37),
+    "rowmin_halving_n64": _solve(
+        "rowmin", lambda rng: random_monge(64, 64, rng), strategy="halving"
+    ),
+    "banded_min_n64": _solve("banded_min", lambda rng: _band(64, 64, rng)),
+    "windowed_min_n64": _solve("windowed_min", lambda rng: _windows(64, 64, rng)),
+    "staircase_max_n128": _solve(
+        "staircase_max", lambda rng: random_staircase_monge(128, 128, rng)
+    ),
+    "staircase_batch_3x": _stair_batch,
+}
+
+# Session arguments per backend label.  ``brent-crcw-64`` is a CRCW Brent
+# machine with 64 physical processors, where grouped minima too wide for
+# all-pairs take the doubly-log strategy.
+BACKENDS = {
+    "pram-crcw": dict(backend="pram-crcw"),
+    "pram-crew": dict(backend="pram-crew"),
+    "brent-crcw-64": dict(backend="pram-crcw", physical_processors=64),
 }
 
 # (event count, SHA-256 of the event sequence) per (backend, case)
 PINNED = {
+    ("brent-crcw-64", "banded_min_n64"): (66, "dd71139bcb73f0b2b097cc2fa7c621e5f0c5d0f66199a8e2a38ec7edaa77fa72"),
+    ("brent-crcw-64", "index_100x37"): (54, "b684719bde16d8dac2fb83d57124e1654345040bd6a2ca0eac1daeec47e03c60"),
+    ("brent-crcw-64", "index_n256"): (58, "2b3c9260a59afc8be1251001fbaf118a513fe9065bec8eec0c757c6ce6652984"),
+    ("brent-crcw-64", "rowmax_fused_4x64"): (230, "3d2d29806a81639e7eb26a49fbc7bdebf56d1a44f21e4c4fa4e8ca632025eeb6"),
+    ("brent-crcw-64", "rowmax_n128"): (55, "7d4232e64a195c328fd795e03eef247b6dae01abcc1c9c95f9a1973c4da822ef"),
+    ("brent-crcw-64", "rowmin_halving_n64"): (55, "14de25ed08afddfed5409316aa1f2de819a43c2d2b48d6e51dd2c66fc1d542fa"),
+    ("brent-crcw-64", "rowmin_n64"): (55, "7f83a550272d396c6782eff89422a4422bd673117af54a9bc2f57608da1883c3"),
+    ("brent-crcw-64", "rowmin_sqdist_n256"): (63, "5de8c55d5d6599e715db1b5a81e3418cf7355ad580bd3b61ef6b3d9d946fff81"),
+    ("brent-crcw-64", "staircase_batch_3x"): (188, "24ef70f49a83276a6b60f51e321dee303e807908b328aa1cce877a8ee85a8087"),
+    ("brent-crcw-64", "staircase_max_n128"): (62, "b9cf29b7ab0762f7a122ab6caaa8c01daadace379c7ebda458371db3ba9b9976"),
+    ("brent-crcw-64", "staircase_min_n128"): (173, "0e5aabf2c357e51b39e1813939ab5996171300620e60aeebd815cfa8675c4fed"),
+    ("brent-crcw-64", "tube_min_n16"): (23, "d99fea665bad3c98560e0e61768b7c24e5ba65997e1327b8a8208744e4f95000"),
+    ("brent-crcw-64", "windowed_min_n64"): (243, "ebbe1eb12d2338a68068b0331f1d3a203957d2cc2f4fd699a61db8cd4a647ff2"),
+    ("pram-crcw", "banded_min_n64"): (36, "b85d3ac2e5207dc1cad9e76a70613da45a62c55c037c69c58bb13046fd066c96"),
     ("pram-crcw", "index_100x37"): (54, "5a78873b81fc5559be7cf8998e409c39a772fb8ee74960549b7002b8bcdad973"),
     ("pram-crcw", "index_n256"): (58, "fa6df8c9d531f18e896bece9703deb2e590bbb778b678f6498427f1c52966ebb"),
     ("pram-crcw", "rowmax_fused_4x64"): (209, "546af664ec0587ae7dbd313ecfc347f06c3e5b603a4ce6ab3c5de76b317fb930"),
     ("pram-crcw", "rowmax_n128"): (45, "1d29a7c3b0aa19a2c7717b4ea55c6c19604109623840584c1727b03fc4a31d3b"),
+    ("pram-crcw", "rowmin_halving_n64"): (36, "c4b6cc8054cc977b116ecbbe2538c3449b32b7daa730c5a1c157139becbdbf6e"),
     ("pram-crcw", "rowmin_n64"): (45, "aa3ba809fd4ad5924da0863164f221353f845c08425f3f294637b8c5264a19d2"),
     ("pram-crcw", "rowmin_sqdist_n256"): (45, "a30f66675ba8b0b0e1e7163aa1b77d1ee32d777b1f433452eecaf06f0cdb31f2"),
+    ("pram-crcw", "staircase_batch_3x"): (126, "f31f59faf6905e02a7dfdb250d919a9dba981cf3123c76e5b1e0eca6f2c2c953"),
+    ("pram-crcw", "staircase_max_n128"): (42, "4b5743794abad65101ef6f5f4e1482c5ae3e3b534f5238ee93ae5514d13f21c8"),
     ("pram-crcw", "staircase_min_n128"): (122, "46038d86a14c8cfa0b0033ea383dfc414f1707f118772812ec2e99e2693462ea"),
     ("pram-crcw", "tube_min_n16"): (18, "d2d26d63dee18d08702e3bf931c7c55b5c9ef1f450b18b1562f056cd48db7e11"),
+    ("pram-crcw", "windowed_min_n64"): (156, "17170b0739cda4d79bd02c4a8e27f04a604517f90c673376a4549243f0218bf5"),
+    ("pram-crew", "banded_min_n64"): (63, "615bca4bfd517c3ca2af5aac588cd0b52aba3684e03fae9be06746d39085a16e"),
     ("pram-crew", "index_100x37"): (61, "28e468b54b7321cdea1b69df8a2c8040741a7bcf48f21053c013e52f6e005089"),
     ("pram-crew", "index_n256"): (66, "a1f98d8aa6f07c827819c3ae300b468eadbd211328922cdad024e1dd9fc5c598"),
     ("pram-crew", "rowmax_fused_4x64"): (314, "6550754b50432ba58f50cbef0f4f1a2d31b3b1466e423e1bf6b70ab6ffec314f"),
     ("pram-crew", "rowmax_n128"): (71, "75873401fc19c31707d530c9124badfb2cfd2a600c3d8ca94c4a197dd12f2066"),
+    ("pram-crew", "rowmin_halving_n64"): (72, "dcd4cb0c4f6ab34363e79464f2133d5dd35b614006831d49d70bcfbaa56d2713"),
     ("pram-crew", "rowmin_n64"): (66, "10c9ef4764cd65ac9423f8e1242d5ea5a015d99bae542c5dc14c167a32478fdf"),
     ("pram-crew", "rowmin_sqdist_n256"): (67, "6bebc9ba9f07376baa70dd72e16b43b0a84567d14c974796e31dd24eb133d41d"),
+    ("pram-crew", "staircase_batch_3x"): (179, "74650d0017b50997288263f0f6cc5728c83075590ce2fa4484fd7752b6cb8e9e"),
+    ("pram-crew", "staircase_max_n128"): (91, "ae4a5e93b73207364df712f69d924606dfdb215fdf6fbaff3fed98f16c97d525"),
     ("pram-crew", "staircase_min_n128"): (167, "861dc3b06ff761fc193a14e14504f264b945c6acaea1eac3d896fa6f393577df"),
     ("pram-crew", "tube_min_n16"): (40, "48f958bf7a38704256f3ec6d4a71eb0ba5bed2b6b30400e08fc32dd33179d6e1"),
+    ("pram-crew", "windowed_min_n64"): (280, "8ff3437760f0b990eac46b6fca9c4b862bf44ac999ddab4a376ba9383e018953"),
 }
 
 
@@ -128,14 +205,14 @@ def _record(run, backend):
     def on_kernel(ledger, name, size):
         events.append(f"k{tag(ledger)}:{name},{size}")
 
-    session = Session(backend)
+    session = Session(**BACKENDS[backend])
     with round_hook(on_round), kernel_hook(on_kernel):
         run(session)
     digest = hashlib.sha256("\n".join(events).encode()).hexdigest()
     return len(events), digest, types
 
 
-@pytest.mark.parametrize("backend", ["pram-crcw", "pram-crew"])
+@pytest.mark.parametrize("backend", list(BACKENDS))
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_charge_sequence_is_pinned(backend, case):
     count, digest, types = _record(CASES[case], backend)

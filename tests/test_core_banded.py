@@ -11,6 +11,7 @@ from repro.core.banded import (
     banded_row_minima,
     banded_row_minima_pram,
 )
+from repro.core.windowed import windowed_monge_row_minima
 from repro.monge.generators import random_inverse_monge, random_monge
 from repro.pram import CRCW_COMMON, CREW, CostLedger, Pram
 
@@ -107,6 +108,28 @@ def test_band_validation(rng):
         banded_row_minima(a, np.array([0, 0, 0, 0]), np.array([4, 4, 4, 5]))
     with pytest.raises(ValueError, match="shape"):
         banded_row_minima(a, np.array([0, 0]), np.array([4, 4]))
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+@pytest.mark.parametrize("bad", [
+    np.array([0.0, 0.5, 1.0, 1.0]),   # float: used to truncate to [0, 0, 1, 1]
+    np.array(["0", "0", "1", "1"]),   # strings: used to parse as integers
+], ids=["float", "str"])
+@pytest.mark.parametrize("solver", [
+    lambda a, lo, hi: banded_row_minima(a, lo, hi),
+    lambda a, lo, hi: banded_row_minima_pram(make(), a, lo, hi),
+    lambda a, lo, hi: banded_row_maxima_pram(make(), a, lo, hi),
+    lambda a, lo, hi: windowed_monge_row_minima(make(), a, lo, hi),
+], ids=["seq", "pram", "pram_max", "windowed"])
+def test_band_rejects_non_integer_bounds(rng, solver, bad, side):
+    a = random_monge(4, 4, rng)
+    lo, hi = np.array([0, 0, 1, 1]), np.array([2, 3, 4, 4])
+    if side == "lo":
+        lo = bad
+    else:
+        hi = bad
+    with pytest.raises(TypeError, match=side):
+        solver(a, lo, hi)
 
 
 def test_zero_size_inputs(rng):

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.staircase_pram import staircase_row_minima_pram
+from repro.core.staircase_pram import (
+    staircase_row_minima_batch,
+    staircase_row_minima_pram,
+)
 from repro.monge.arrays import ExplicitArray, StaircaseArray
 from repro.monge.generators import (
     random_monge,
@@ -92,6 +95,68 @@ def test_constant_finite_part_leftmost():
 def test_empty_input():
     v, c = staircase_row_minima_pram(make(), np.empty((0, 4)))
     assert v.size == 0
+
+
+def _batch_brute(dense, f, rs, rcount, cs, ccount):
+    """Leftmost minima of each subproblem row over its finite columns."""
+    vals, cols = [], []
+    for r0, rc, c0, cc in zip(rs, rcount, cs, ccount):
+        for row in range(r0, r0 + rc):
+            hi = min(f[row], c0 + cc)
+            seg = dense[row, c0:hi] if hi > c0 else np.empty(0)
+            k = int(np.argmin(seg)) if seg.size else -1
+            vals.append(seg[k] if seg.size else np.inf)
+            cols.append(c0 + k if seg.size and np.isfinite(seg[k]) else -1)
+    return np.array(vals), np.array(cols)
+
+
+@pytest.mark.parametrize("model", [CRCW_COMMON, CREW])
+def test_batch_matches_bruteforce(model):
+    a = random_staircase_monge(20, 15, np.random.default_rng(4))
+    sub = ([0, 5, 12], [5, 7, 8], [0, 4, 9], [15, 11, 6])
+    v, c = staircase_row_minima_batch(make(model), a, a.boundary, *sub)
+    bv, bc = _batch_brute(a.materialize(), a.boundary, *sub)
+    np.testing.assert_array_equal(c, bc)
+    np.testing.assert_array_equal(v, bv)
+
+
+_GOOD = dict(rs=[0, 10], rcount=[10, 10], cs=[0, 3], ccount=[15, 12])
+_F_EDITS = {
+    "short": lambda f: f[:-1],
+    "negative": lambda f: np.where(np.arange(f.size) == 3, -1, f),
+    "wide": lambda f: np.where(np.arange(f.size) == 3, 16, f),
+    "float": lambda f: f.astype(float),
+}
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    pytest.param(dict(cs=[-3, 3], ccount=[18, 12]), ValueError, "^cs ", id="negative-cs"),
+    pytest.param(dict(rs=[0.5, 10]), TypeError, "^rs ", id="float-rs"),
+    pytest.param(dict(ccount=["15", "12"]), TypeError, "^ccount ", id="str-ccount"),
+    pytest.param(dict(rcount=[10]), ValueError, "^rcount ", id="ragged-lengths"),
+    pytest.param(dict(rs=[[0, 10]]), ValueError, "^rs ", id="2d-rs"),
+    pytest.param(dict(rcount=[10, -1]), ValueError, "^rcount ", id="negative-rcount"),
+    pytest.param(dict(ccount=[15, -2]), ValueError, "^ccount ", id="negative-ccount"),
+    pytest.param(dict(rs=[0, 15]), ValueError, r"^rs \+ rcount ", id="rows-past-m"),
+    pytest.param(dict(f="short"), ValueError, "^f ", id="short-f"),
+    pytest.param(dict(f="negative"), ValueError, "^f ", id="negative-f"),
+    pytest.param(dict(f="wide"), ValueError, "^f ", id="f-past-n"),
+    pytest.param(dict(f="float"), TypeError, "^f ", id="float-f"),
+])
+def test_batch_rejects_malformed_subproblems_before_charging(bad, error, message):
+    """``staircase_row_minima_batch`` is public (the empty-rectangle
+    application calls it): malformed subproblems are refused by name
+    before any charge, not run on garbage or failed inside NumPy."""
+    a = random_staircase_monge(20, 15, np.random.default_rng(4))
+    args = {**_GOOD, **bad}
+    f = _F_EDITS.get(args.pop("f", None), lambda f: f)(a.boundary.copy())
+    pram = make()
+    before = pram.ledger.snapshot()
+    with pytest.raises(error, match=message):
+        staircase_row_minima_batch(
+            pram, a, f, args["rs"], args["rcount"], args["cs"], args["ccount"]
+        )
+    assert pram.ledger.snapshot() == before
 
 
 def test_round_growth_logarithmic():

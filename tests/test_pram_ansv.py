@@ -1,6 +1,7 @@
 """All-nearest-smaller-values [BBG+89]."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,22 @@ def test_known_example():
     x = np.array([3.0, 1.0, 4.0, 1.5, 5.0, 0.5])
     np.testing.assert_array_equal(nearest_smaller_left(make(), x), [-1, -1, 1, 1, 3, -1])
     np.testing.assert_array_equal(nearest_smaller_right(make(), x), [1, 5, 3, 5, 5, -1])
+
+
+@pytest.mark.parametrize("positions", [
+    [2.7, 1.2],                  # used to answer for positions 2 and 1
+    np.array(["2", "1"]),
+], ids=["float", "str"])
+def test_threshold_query_rejects_non_integer_positions(positions):
+    pram = make()
+    with pytest.raises(TypeError, match="positions"):
+        nearest_smaller_left_threshold(pram, [1.0, 5.0, 0.0], [2.0, 2.0], positions)
+    assert pram.ledger.rounds == 0
+
+
+def test_threshold_query_accepts_integer_lists():
+    got = nearest_smaller_left_threshold(make(), [1.0, 5.0, 0.0], [2.0, 2.0], [2, 1])
+    np.testing.assert_array_equal(got, [0, 0])
 
 
 def test_sorted_ascending():

@@ -224,6 +224,30 @@ def test_grouped_max_negates_correctly(rng):
     assert v[1] == values[20:].max()
 
 
+@pytest.mark.parametrize("offsets", [
+    np.array([0, 1.9, 3.0]),          # float: used to truncate to [0, 1, 3]
+    np.array(["0", "1", "3"]),        # strings: used to parse as integers
+], ids=["float", "str"])
+@pytest.mark.parametrize("fn", [grouped_min, grouped_max])
+def test_grouped_extremum_rejects_non_integer_offsets(fn, offsets):
+    pram = make(CRCW_COMMON)
+    with pytest.raises(TypeError, match="offsets"):
+        fn(pram, np.array([3.0, 1.0, 2.0]), offsets)
+    assert pram.ledger.rounds == 0
+
+
+def test_grouped_min_keeps_integer_offset_forms():
+    """Python-int lists and unsigned arrays are integers: they pass, and
+    an empty list still fails as empty (``ValueError``), not by type."""
+    values = np.array([3.0, 1.0, 2.0])
+    want = grouped_min(make(CREW), values, np.array([0, 1, 3]))
+    for offsets in ([0, 1, 3], np.array([0, 1, 3], dtype=np.uint8)):
+        got = grouped_min(make(CREW), values, offsets)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+    with pytest.raises(ValueError, match="nonempty"):
+        grouped_min(make(CREW), values, [])
+
+
 def test_grouped_min_allpairs_requires_crcw():
     from repro.pram.models import ConcurrencyViolation
 

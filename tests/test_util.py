@@ -14,7 +14,13 @@ from repro._util.bits import (
     iterated_log2,
     next_power_of_two,
 )
-from repro._util.validation import as_float_matrix, check_axis_lengths, require
+from repro._util.ragged import offsets_of, ragged
+from repro._util.validation import (
+    as_float_matrix,
+    as_index_vector,
+    check_axis_lengths,
+    require,
+)
 
 
 def test_ceil_div():
@@ -94,3 +100,33 @@ def test_check_axis_lengths():
     check_axis_lengths((3, 3, "rows"))
     with pytest.raises(ValueError, match="rows"):
         check_axis_lengths((2, 3, "rows"))
+
+
+@pytest.mark.parametrize("counts", [
+    [], [0], [0, 0, 0], [2, 0, 3], [1 << 40], [0, 1 << 40, 0, 5],
+    np.arange(50, dtype=np.int32), np.array([3, 0, 1], dtype=np.uint8),
+], ids=["empty", "zero", "zeros", "mixed", "large", "large-mixed", "int32", "uint8"])
+def test_offsets_of_matches_cumsum(counts):
+    want = np.concatenate([[0], np.cumsum(np.asarray(counts, dtype=np.int64))])
+    got = offsets_of(counts)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("counts", [[], [0, 0], [2, 0, 3], [0, 7, 0, 1]])
+def test_ragged_matches_reference(counts):
+    local, owner, offsets = ragged(counts)
+    want_owner = [g for g, c in enumerate(counts) for _ in range(c)]
+    want_local = [k for c in counts for k in range(c)]
+    np.testing.assert_array_equal(offsets, offsets_of(counts))
+    assert owner.tolist() == want_owner and local.tolist() == want_local
+    assert local.dtype == owner.dtype == np.int64
+
+
+def test_as_index_vector():
+    assert as_index_vector([0, 1, 3], "x").dtype == np.int64
+    assert as_index_vector(np.array([1], dtype=np.uint16), "x").tolist() == [1]
+    assert as_index_vector([], "x").size == 0
+    for bad in ([0.0, 1.5], np.array(["1"]), np.array([True]), [1, None]):
+        with pytest.raises(TypeError, match="^offsets must hold integers"):
+            as_index_vector(bad, "offsets")
