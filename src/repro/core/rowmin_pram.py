@@ -48,7 +48,7 @@ import numpy as np
 
 from repro._util.bits import ceil_sqrt_array
 from repro._util.ragged import offsets_of, ragged as _ragged
-from repro.monge.arrays import SearchArray, as_search_array
+from repro.monge.arrays import SearchArray, as_search_array, read_buffer
 from repro.kernels.api import eval_grouped_min
 from repro.kernels.chargefan import ChargeFan
 from repro.pram.machine import Pram
@@ -383,6 +383,12 @@ class _StackedArray(SearchArray):
     """``B`` same-shape arrays stacked along rows: global row
     ``q·m + r`` evaluates part ``q`` at local row ``r``.
 
+    Each part's dense buffer (:meth:`SearchArray._buffer`) is resolved
+    once, here: a run of entries of a buffered part is one
+    :func:`~repro.monge.arrays.read_buffer` gather, which counts the
+    run on every array beneath the part as a ``part.eval`` would.  A
+    part without a buffer is read through ``part.eval``.
+
     ``B = 1`` is legal (the stacked view degenerates to a pass-through
     over the single part — every owner run covers the whole batch), but
     callers that can detect it should prefer :func:`stack_arrays`,
@@ -403,27 +409,31 @@ class _StackedArray(SearchArray):
                 "fused sweep — group same-shape queries instead)"
             )
         self.parts = list(parts)
+        self.buffers = [p._buffer() for p in self.parts]
         self.m = shape[0]
         super().__init__((self.m * len(parts), shape[1]))
 
     def _eval(self, rows, cols):
+        shape = rows.shape
+        rows = rows.ravel()
+        cols = cols.ravel()
         owner = rows // self.m
-        out = np.empty(rows.shape, dtype=np.float64)
-        # split into runs of equal owner: evaluation sites visit parts
-        # in batch order, so runs are whole per-part segments and the
-        # slices below cost O(parts) python work, not O(parts)·masks
-        bounds = np.concatenate(
-            [[0], np.nonzero(np.diff(owner))[0] + 1, [rows.size]]
-        )
-        for k in range(bounds.size - 1):
-            lo, hi = int(bounds[k]), int(bounds[k + 1])
-            if lo == hi:
-                continue
+        out = np.empty(rows.size)
+        # one read per run of equal owner: the sweep's evaluation sites
+        # visit parts in batch order, so there a run is a part's whole
+        # segment, but any row order reads correctly
+        head = np.empty(rows.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(owner[1:], owner[:-1], out=head[1:])
+        starts = head.nonzero()[0].tolist()
+        for lo, hi in zip(starts, starts[1:] + [rows.size]):
             q = int(owner[lo])
-            out[lo:hi] = self.parts[q].eval(
-                rows[lo:hi] - q * self.m, cols[lo:hi], checked=False
-            )
-        return out
+            r = rows[lo:hi] - q * self.m
+            if self.buffers[q] is None:
+                out[lo:hi] = self.parts[q].eval(r, cols[lo:hi], checked=False)
+            else:
+                read_buffer(self.buffers[q], r, cols[lo:hi], out[lo:hi])
+        return out.reshape(shape)
 
 
 def _extremum_view(a: SearchArray, problem: str) -> SearchArray:

@@ -8,14 +8,9 @@ the canonical *minima-of-Monge* orientation plus windows
   (:func:`repro.core.banded.banded_row_minima_pram`);
 - ``hi`` nonincreasing → group rows by equal ``lo`` and solve the
   groups as one batch of staircase-Monge instances (Theorem 2.3 —
-  a nonincreasing prefix boundary *is* the staircase shape);
-- anything else (rare residue at run seams) → a direct grouped minimum
-  per row, which is still a legal constant-depth parallel step, just
-  without the Monge pruning.
+  a nonincreasing prefix boundary *is* the staircase shape).
 
-The geometric applications (visibility arcs, empty-rectangle cases)
-produce windows that fall entirely into the first two classes; the
-dispatcher keeps them correct even at degenerate seams.
+Every row falls into one of the two: a single row is a banded run.
 """
 
 from __future__ import annotations
@@ -24,13 +19,11 @@ from typing import Tuple
 
 import numpy as np
 
-from repro._util.ragged import ragged
 from repro._util.validation import as_index_vector
 from repro.core.banded import banded_row_minima_pram
 from repro.core.staircase_pram import staircase_row_minima_batch
 from repro.monge.arrays import SearchArray, as_search_array
 from repro.pram.machine import Pram
-from repro.pram.primitives import grouped_min
 
 __all__ = ["windowed_monge_row_minima"]
 
@@ -60,10 +53,8 @@ def windowed_monge_row_minima(
         sub = _RowSlice(a, r0, r1 - r0)
         if kind == "banded":
             v, c = banded_row_minima_pram(pram, sub, lo[rows], hi[rows])
-        elif kind == "staircase":
-            v, c = _staircase_runs(pram, sub, lo[rows], hi[rows])
         else:
-            v, c = _direct(pram, sub, lo[rows], hi[rows])
+            v, c = _staircase_runs(pram, sub, lo[rows], hi[rows])
         vals[rows] = v
         cols[rows] = c
     return vals, cols
@@ -82,7 +73,10 @@ class _RowSlice(SearchArray):
 
 
 def _split_runs(lo: np.ndarray, hi: np.ndarray):
-    """Maximal row runs classified banded / staircase / direct."""
+    """Maximal row runs classified banded / staircase, tiling the rows
+    in order.  A run from row ``i`` is banded when it is at least as long
+    as the staircase run from ``i`` (so a single row is banded), else it
+    is that staircase run, two rows or more."""
     m = lo.size
     runs = []
     i = 0
@@ -96,12 +90,9 @@ def _split_runs(lo: np.ndarray, hi: np.ndarray):
         if jb >= js:
             runs.append((i, jb, "banded"))
             i = jb
-        elif js > i + 1:
+        else:
             runs.append((i, js, "staircase"))
             i = js
-        else:  # pragma: no cover - a singleton always forms a banded run
-            runs.append((i, i + 1, "direct"))
-            i += 1
     return runs
 
 
@@ -127,23 +118,4 @@ def _staircase_runs(pram, sub: SearchArray, lo, hi):
     owner = np.concatenate([np.arange(r, r + k) for r, k in zip(rs[keep], rcount[keep])])
     vals[owner] = v
     cols[owner] = c
-    return vals, cols
-
-
-def _direct(pram, sub: SearchArray, lo, hi):
-    """Unpruned grouped minimum per row (seam fallback)."""
-    m, n = sub.shape
-    local, owner, offsets = ragged(np.maximum(0, hi - lo))
-    vals = np.full(m, np.inf)
-    cols = np.full(m, -1, dtype=np.int64)
-    if owner.size == 0:
-        return vals, cols
-    cc = lo[owner] + local
-    pram.charge(rounds=2, processors=max(1, m))
-    flat = sub.eval(owner, cc, checked=False)
-    pram.charge_eval(flat.size)
-    gv, gi = grouped_min(pram, flat, offsets)
-    vals[:] = gv
-    take = gi >= 0
-    cols[take] = cc[gi[take]]
     return vals, cols

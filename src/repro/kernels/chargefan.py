@@ -2,7 +2,11 @@
 
 :class:`ChargeFan` charges the ``fused`` tier's batched sweeps
 (DESIGN.md §13).  It works on owner/width metadata, never on the
-candidate values themselves.
+candidate values themselves.  Each charge site costs one vectorized
+tally over the site's groups plus one Python step per owner that
+receives a charge: a ``bincount`` gives every owner's unit count, and
+one :func:`~repro.pram.primitives.replay_grouped_min_per_owner` pass
+bills every owner's grouped minimum.
 """
 
 from __future__ import annotations
@@ -37,42 +41,28 @@ class ChargeFan:
         self.budget = int(budget)
 
     def counts(self, owner: np.ndarray, weights=None) -> np.ndarray:
-        """Per-owner unit totals: ``sum(weights)`` (or multiplicity) by owner."""
-        owner = np.asarray(owner, dtype=np.int64)
-        if weights is None:
-            c = np.bincount(owner, minlength=len(self.ledgers))
-        else:
-            c = np.bincount(
-                owner,
-                weights=np.asarray(weights, dtype=np.float64),
-                minlength=len(self.ledgers),
-            )
-        return np.rint(c).astype(np.int64)
+        """Per-owner unit totals: ``sum(weights)`` (or multiplicity) by
+        owner, as int64.  ``owner`` and ``weights`` are int64; a
+        ``bincount`` sums integer weights exactly in float64 below
+        ``2**53``."""
+        c = np.bincount(owner, weights, minlength=len(self.ledgers))
+        return c if weights is None else c.astype(np.int64)
 
     def charge(self, counts: np.ndarray, rounds: int = 1) -> None:
         """Charge each owner with a positive count ``rounds`` rounds at
         ``counts[q]`` processors — owners absent from a site charge
         nothing, exactly as their serial run would skip the branch."""
-        for q in np.nonzero(counts)[0]:
-            self.ledgers[int(q)].charge(rounds=rounds, processors=int(counts[q]))
+        for ledger, count in zip(self.ledgers, counts.tolist()):
+            if count:
+                ledger.charge(rounds=rounds, processors=count)
 
     def grouped_min(self, widths: np.ndarray, group_owner: np.ndarray) -> None:
         """Replay one serial ``grouped_min(strategy="auto")`` per owner
         over that owner's own groups (``group_owner`` is nondecreasing —
         the batch layout keeps owners contiguous)."""
-        from repro.pram.primitives import replay_grouped_min_charges
+        # imported here: repro.pram.primitives imports this package
+        from repro.pram.primitives import replay_grouped_min_per_owner
 
-        widths = np.asarray(widths, dtype=np.int64)
-        owner = np.asarray(group_owner, dtype=np.int64)
-        if owner.size == 0:
-            return
-        change = np.nonzero(np.diff(owner))[0] + 1
-        bounds = np.concatenate([[0], change, [owner.size]])
-        for k in range(bounds.size - 1):
-            lo, hi = int(bounds[k]), int(bounds[k + 1])
-            replay_grouped_min_charges(
-                self.ledgers[int(owner[lo])],
-                widths[lo:hi],
-                crcw=self.crcw,
-                budget=self.budget,
-            )
+        replay_grouped_min_per_owner(
+            self.ledgers, widths, group_owner, crcw=self.crcw, budget=self.budget
+        )

@@ -30,7 +30,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from repro._util.validation import as_float_matrix
+from repro._util.validation import as_float_matrix, as_index_vector
 
 __all__ = [
     "SearchArray",
@@ -64,16 +64,20 @@ class SearchArray:
     def eval(self, rows, cols, checked: bool = True) -> np.ndarray:
         """Entries at broadcasting index arrays ``rows``, ``cols``.
 
-        ``checked=False`` skips bounds validation — the hot-path option
-        for callers (the core searching recursions, internal index
-        transforms) whose indices are in range by construction.  This
-        runs on every entry evaluation of every algorithm, so the
-        checked path uses one fused out-of-bounds test instead of four
-        full min/max reductions; the extrema are only computed when the
-        check fails and the error message needs them.
+        ``checked=False`` skips validation — the hot-path option for
+        callers (the core searching recursions, internal index
+        transforms) whose indices are integers in range by construction.
+        The checked path rejects non-integer indices (``TypeError``)
+        and tests bounds with one fused out-of-bounds test instead of
+        four full min/max reductions; the extrema are only computed when
+        the check fails and the error message needs them.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        if checked:
+            rows = as_index_vector(rows, "rows")
+            cols = as_index_vector(cols, "cols")
+        else:
+            rows = np.asarray(rows, dtype=np.int64)
+            cols = np.asarray(cols, dtype=np.int64)
         if rows.shape != cols.shape:
             rows, cols = np.broadcast_arrays(rows, cols)
         if checked and rows.size:
@@ -115,7 +119,7 @@ class SearchArray:
 
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> "SearchArray":
         """The (virtual) subarray indexed by ``rows`` × ``cols``."""
-        return _Submatrix(self, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
+        return _Submatrix(self, as_index_vector(rows, "rows"), as_index_vector(cols, "cols"))
 
     def _buffer(self):
         """``(view, sign, chain)`` when every entry is ``sign * view[i, j]``
@@ -124,9 +128,29 @@ class SearchArray:
         ``view`` is a strided view of the buffer, never a copy.
         ``chain`` is this array and every array an ``eval`` on it passes
         through down to the buffer's owner: the arrays whose
-        ``eval_count`` that ``eval`` would advance.
+        ``eval_count`` that ``eval`` would advance.  Read it with
+        :func:`read_buffer`, or count reads with :func:`count_buffer_reads`.
         """
         return None
+
+
+def read_buffer(buffer, rows, cols, out: np.ndarray) -> None:
+    """Write the entries ``(rows, cols)`` of a :meth:`SearchArray._buffer`
+    into ``out`` (any index pair of its view; ``out`` has the result's
+    shape) and count them as an ``eval`` of those entries would."""
+    view, sign, chain = buffer
+    if sign < 0:
+        np.negative(view[rows, cols], out=out)
+    else:
+        out[...] = view[rows, cols]
+    count_buffer_reads(chain, out.size)
+
+
+def count_buffer_reads(chain, count: int) -> None:
+    """Add ``count`` entries read from a buffer to the ``eval_count`` of
+    every array of its ``chain``."""
+    for arr in chain:
+        arr.eval_count += count
 
 
 class ExplicitArray(SearchArray):
@@ -167,7 +191,7 @@ class StaircaseArray(SearchArray):
         if not isinstance(base, SearchArray):
             base = as_search_array(base)
         m, n = base.shape
-        b = np.asarray(boundary, dtype=np.int64)
+        b = as_index_vector(boundary, "boundary")
         if b.shape != (m,):
             raise ValueError(f"boundary must have length {m}, got shape {b.shape}")
         if b.size and (b.min() < 0 or b.max() > n):
@@ -210,10 +234,9 @@ class MongeComposite:
 
     def eval(self, i, j, k) -> np.ndarray:
         """``c[i,j,k]`` at broadcasting index arrays."""
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        k = np.asarray(k, dtype=np.int64)
-        i, j, k = np.broadcast_arrays(i, j, k)
+        i, j, k = np.broadcast_arrays(
+            as_index_vector(i, "i"), as_index_vector(j, "j"), as_index_vector(k, "k")
+        )
         return self.D.eval(i, j) + self.E.eval(j, k)
 
     def slab(self, i: int, k) -> SearchArray:

@@ -47,7 +47,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.monge.arrays import as_search_array
+from repro.monge.arrays import as_search_array, read_buffer
 
 __all__ = ["MongeIndex", "check_rectangle"]
 
@@ -140,10 +140,7 @@ class MongeIndex:
         # arrays (~1M candidates per chunk)
         buffer = a._buffer()
         if buffer is not None:
-            view, sign, chain = buffer
-            np.multiply(view, sign, out=env_val[P : P + m])
-            for arr in chain:
-                arr.eval_count += m * n
+            read_buffer(buffer, slice(None), slice(None), env_val[P : P + m])
         else:
             chunk = max(1, (1 << 20) // n)
             cols = np.arange(n, dtype=np.int64)

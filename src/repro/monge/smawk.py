@@ -24,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.monge.arrays import as_search_array
+from repro.monge.arrays import as_search_array, count_buffer_reads
 
 __all__ = ["smawk", "row_minima", "row_maxima"]
 
@@ -107,8 +107,7 @@ def smawk(array) -> Tuple[np.ndarray, np.ndarray]:
     finally:
         # every array in the chain reads as if each entry went through eval
         if buffer is not None:
-            for arr in chain:
-                arr.eval_count += count
+            count_buffer_reads(chain, count)
 
     rows_idx = np.arange(m)
     if buffer is not None and len(chain) == 1:

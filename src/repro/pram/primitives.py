@@ -429,14 +429,7 @@ def _grouped_min_binary(pram, values, offsets, widths, max_w):
     n = values.size
     if current_tier() == "fused":
         out_v, out_i = _grouped_min_fused(values, offsets, widths)
-        if max_w > 1:
-            d = 1
-            while d < max_w:
-                pram.charge(rounds=1, processors=n)
-                d <<= 1
-        else:
-            pram.charge(rounds=1, processors=max(1, n))
-        pram.charge(rounds=1, processors=max(1, int(np.count_nonzero(widths))))
+        _bill_binary(pram, n, max_w, int(np.count_nonzero(widths)))
         return out_v, out_i
     heads = np.zeros(n, dtype=bool)
     nonempty = widths > 0
@@ -479,9 +472,11 @@ def _width_classes(widths: np.ndarray) -> list[tuple[int, np.ndarray]]:
     Returns ``(padded_width, group_indices)`` pairs; padding a group to
     at most twice its width keeps the processor overcount ≤ 4x.
     """
-    nonempty = np.nonzero(widths > 0)[0]
-    classes = _padded_class(widths[nonempty])
-    return [(1 << int(c), nonempty[classes == c]) for c in np.unique(classes)]
+    classes = _width_class(widths)
+    return [
+        (1 << (int(c) - 1), np.nonzero(classes == c)[0])
+        for c in np.unique(classes[classes > 0])
+    ]
 
 
 def _width_class_counts(widths: np.ndarray) -> list[tuple[int, int]]:
@@ -491,17 +486,23 @@ def _width_class_counts(widths: np.ndarray) -> list[tuple[int, int]]:
     the fast paths charge per class but never gather the members, so a
     ``bincount`` over class labels replaces the ``unique`` sort.
     """
-    counts = np.bincount(_padded_class(widths[widths > 0])).tolist()
-    return [(1 << c, count) for c, count in enumerate(counts) if count]
+    return _class_pairs(np.bincount(_width_class(widths)).tolist())
 
 
-_POWERS_OF_TWO = np.int64(1) << np.arange(63, dtype=np.int64)
+def _class_pairs(counts: list) -> list[tuple[int, int]]:
+    """``(padded_width, group_count)`` pairs of a count list indexed by
+    :func:`_width_class`; index 0, the empty groups, bills nothing."""
+    return [(1 << c, count) for c, count in enumerate(counts[1:]) if count]
 
 
-def _padded_class(w: np.ndarray) -> np.ndarray:
-    """``ceil(lg w)`` of positive widths, exactly: the index of the first
-    power of two ``>= w``."""
-    return _POWERS_OF_TWO.searchsorted(w)
+_CLASS_EDGES = np.concatenate(([0], np.int64(1) << np.arange(63, dtype=np.int64)))
+
+
+def _width_class(widths: np.ndarray) -> np.ndarray:
+    """``0`` for an empty group, else ``1 + ceil(lg w)``, exactly: the
+    index of the first of ``0, 1, 2, 4, …`` that is ``>= w``.  Class
+    ``c >= 1`` holds the groups padded to width ``2**(c - 1)``."""
+    return _CLASS_EDGES.searchsorted(widths)
 
 
 def _padded_matrix(values, offsets, widths, group_ids, width):
@@ -526,9 +527,7 @@ def _grouped_min_allpairs(pram, values, offsets, widths):
     """
     if current_tier() == "fused":
         out_v, out_i = _grouped_min_fused(values, offsets, widths)
-        total_pairs = sum(cnt * width * width for width, cnt in _width_class_counts(widths))
-        if total_pairs:
-            pram.charge(rounds=3, processors=total_pairs, work=3 * total_pairs)
+        _bill_allpairs(pram, _width_class_counts(widths))
         return out_v, out_i
     out_v = np.full(widths.size, np.inf)
     out_i = np.full(widths.size, -1, dtype=np.int64)
@@ -561,8 +560,7 @@ def _grouped_min_doubly_log(pram, values, offsets, widths):
         # depends on the recursion's block structure, so such (degenerate)
         # inputs take the reference path instead of being fused.
         out_v, out_i = _grouped_min_fused(values, offsets, widths)
-        for width, cnt in _width_class_counts(widths):
-            _replay_doubly_log_charges(pram, cnt, width)
+        _bill_doubly_log(pram, _width_class_counts(widths))
         return out_v, out_i
     out_v = np.full(widths.size, np.inf)
     out_i = np.full(widths.size, -1, dtype=np.int64)
@@ -597,14 +595,34 @@ def _replay_allpairs_rows_charge(pram: Pram, B: int, w: int) -> None:
         pram.charge(rounds=3, processors=B * w * w, work=3 * B * w * w)
 
 
-def resolve_grouped_strategy(crcw: bool, budget: int, widths: np.ndarray) -> str:
-    """The concrete strategy ``grouped_min(strategy="auto")`` resolves to
-    for groups of the given ``widths`` on a machine with ``budget``
-    processors (the *physical* budget on Brent machines)."""
-    if not crcw:
-        return "binary"
-    widths = np.asarray(widths, dtype=np.int64)
-    return "allpairs" if int(np.dot(widths, widths)) <= budget else "doubly_log"
+def _bill_binary(target, size: int, widest: int, nonempty: int) -> None:
+    """The charges of a binary grouped minimum: the segmented scan over
+    ``size`` candidates in groups at most ``widest`` wide, then the
+    write round of the ``nonempty`` groups' winners."""
+    if widest > 1:
+        d = 1
+        while d < widest:
+            target.charge(rounds=1, processors=size)
+            d <<= 1
+    else:
+        target.charge(rounds=1, processors=max(1, size))
+    target.charge(rounds=1, processors=max(1, nonempty))
+
+
+def _bill_allpairs(target, classes: list[tuple[int, int]]) -> None:
+    """The charge of an all-pairs grouped minimum over padded width
+    ``classes`` — exactly what the all-pairs kernel bills, not the
+    tighter Σw² bound."""
+    pairs = sum(count * width * width for width, count in classes)
+    if pairs:
+        target.charge(rounds=3, processors=pairs, work=3 * pairs)
+
+
+def _bill_doubly_log(target, classes: list[tuple[int, int]]) -> None:
+    """The charges of a doubly-log grouped minimum over padded width
+    ``classes``, one recursion per class in ascending width."""
+    for width, count in classes:
+        _replay_doubly_log_charges(target, count, width)
 
 
 def replay_grouped_min_charges(
@@ -614,48 +632,76 @@ def replay_grouped_min_charges(
     of the given ``widths`` would issue, without computing anything.
 
     ``target`` is any object with a ``charge(rounds=, processors=,
-    work=)`` method — a machine, or a bare per-query
-    :class:`~repro.pram.ledger.CostLedger` during a fused batched sweep.
-    This is the fused-kernel invariant extended to multi-query batches:
-    the batched kernels compute every owner's results in one global
-    pass, then replay each owner's serial charge sequence into its own
-    sub-account.  Strategy resolution happens *per owner* (a global
-    ``auto`` could cross the all-pairs budget differently than each
-    query alone would).
+    work=)`` method — a machine, or a bare
+    :class:`~repro.pram.ledger.CostLedger`.  ``crcw``/``budget`` are the
+    machine context ``strategy="auto"`` resolves against (the *physical*
+    budget on Brent machines).  This is the one-owner case of
+    :func:`replay_grouped_min_per_owner`.
     """
     widths = np.asarray(widths, dtype=np.int64)
+    replay_grouped_min_per_owner(
+        [target], widths, np.zeros(widths.size, dtype=np.int64),
+        crcw=crcw, budget=budget, strategy=strategy,
+    )
+
+
+def replay_grouped_min_per_owner(
+    targets, widths: np.ndarray, owner: np.ndarray,
+    *, crcw: bool, budget: int, strategy: str = "auto",
+) -> None:
+    """Replay into ``targets[q]`` the kernel event and charges one serial
+    :func:`grouped_min` over owner ``q``'s own groups would issue, for
+    every owner at once.
+
+    Group ``i`` has width ``widths[i]`` and belongs to ``owner[i]``;
+    both are int64 and ``owner`` is nondecreasing.  This is the
+    fused-kernel invariant extended to multi-query batches: the batched
+    kernels compute every owner's results in one global pass, then
+    replay each owner's serial charge sequence into its own sub-account,
+    in owner order.  One vectorized pass tallies every owner's candidates, widest
+    group, nonempty groups, Σw² and padded width classes; strategy
+    resolution happens *per owner* (a global ``auto`` could cross the
+    all-pairs budget differently than each query alone would).
+    """
+    if strategy not in ("auto", "binary", "allpairs", "doubly_log"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if widths.size == 0:
         return
-    max_w = int(widths.max(initial=0))
-    if max_w == 0:
-        return
-    if strategy == "auto":
-        strategy = resolve_grouped_strategy(crcw, budget, widths)
-    # mirror the serial kernel event so fused per-query traces line up
-    notify_kernel(getattr(target, "ledger", target), f"grouped-min:{strategy}", int(widths.sum()))
+    head = np.empty(owner.size, dtype=bool)
+    head[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    sizes = np.add.reduceat(widths, starts).tolist()
+    widest = np.maximum.reduceat(widths, starts).tolist()
+    owners = owner[starts].tolist()
+    if strategy == "auto" and not crcw:
+        strategy = "binary"
     if strategy == "binary":
-        n = int(widths.sum())
-        if max_w > 1:
-            d = 1
-            while d < max_w:
-                target.charge(rounds=1, processors=n)
-                d <<= 1
+        nonempty = np.add.reduceat(widths > 0, starts).tolist()
+    else:
+        if strategy == "auto":
+            # Σw² in int64, as the serial resolution's np.dot sums it
+            pairs = np.add.reduceat(widths * widths, starts).tolist()
+        # group counts per (owner, width class)
+        k = (max(widest) - 1).bit_length() + 2
+        classes = np.bincount(
+            owner * k + _width_class(widths), minlength=len(targets) * k
+        ).reshape(-1, k).tolist()
+    for run, q in enumerate(owners):
+        if not widest[run]:
+            continue
+        target = targets[q]
+        strat = strategy
+        if strat == "auto":
+            strat = "allpairs" if pairs[run] <= budget else "doubly_log"
+        # mirror the serial kernel event so fused per-query traces line up
+        notify_kernel(getattr(target, "ledger", target), f"grouped-min:{strat}", sizes[run])
+        if strat == "binary":
+            _bill_binary(target, sizes[run], widest[run], nonempty[run])
+        elif strat == "allpairs":
+            _bill_allpairs(target, _class_pairs(classes[q]))
         else:
-            target.charge(rounds=1, processors=max(1, n))
-        target.charge(rounds=1, processors=max(1, int(np.count_nonzero(widths))))
-        return
-    if strategy == "allpairs":
-        # charge per padded width class — exactly what the serial
-        # all-pairs kernel bills, not the tighter Σw² bound
-        total_pairs = sum(cnt * w * w for w, cnt in _width_class_counts(widths))
-        if total_pairs:
-            target.charge(rounds=3, processors=total_pairs, work=3 * total_pairs)
-        return
-    if strategy == "doubly_log":
-        for w, cnt in _width_class_counts(widths):
-            _replay_doubly_log_charges(target, cnt, w)
-        return
-    raise ValueError(f"unknown strategy {strategy!r}")
+            _bill_doubly_log(target, _class_pairs(classes[q]))
 
 
 def replay_pair_min_charges(target, count: int, *, crcw: bool, budget: int) -> None:

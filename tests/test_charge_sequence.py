@@ -5,10 +5,12 @@ golden trace pins one rowmin run charge by charge.  These cases pin the
 full ordered sequence of ``CostLedger.charge`` calls ``(rounds,
 processors, work)`` and kernel events ``(name, size)`` for the
 ``solve_small`` benchmark mix, a squared-distance rowmin whose interior
-blocks vary in width, a fused ``solve_many`` sweep whose ChargeFan
-replays each owner's charges, and a ``prepare`` of the submatrix index
-followed by eight rectangle queries (its leaf and merge-level charges,
-then each query's scan and combine).  Further cases pin the searches the
+blocks vary in width, two fused ``solve_many`` sweeps whose ChargeFan
+replays each owner's charges (one over plain matrices, one over parts
+the sweep reads through a dense buffer, a strided buffer and ``eval``),
+and a ``prepare`` of the submatrix index followed by eight rectangle
+queries (its leaf and merge-level charges, then each query's scan and
+combine).  Further cases pin the searches the
 benchmark mix does not run: the ``halving`` rowmin strategy, the banded
 and windowed searches, ``staircase_max`` (a banded search), a direct
 multi-case ``staircase_row_minima_batch`` as the empty-rectangle
@@ -30,6 +32,7 @@ import pytest
 
 from repro import Session
 from repro.core.staircase_pram import staircase_row_minima_batch
+from repro.monge.arrays import ExplicitArray, ImplicitArray
 from repro.monge.generators import (
     random_composite,
     random_monge,
@@ -60,6 +63,19 @@ def _solve(problem, make, **overrides):
         return session.solve(problem, data, **overrides)
 
     return run
+
+
+def _read_paths(rng):
+    """Three 64×64 squared-distance parts, one per way the stacked sweep
+    reads a part: a dense buffer, the transpose of one (a strided
+    buffer) and a bufferless :class:`ImplicitArray`."""
+    x = np.sort(rng.random(64))
+    y = np.sort(rng.random(64))
+    return [
+        ExplicitArray(_squared_distances(64, rng)),
+        ExplicitArray(_squared_distances(64, rng)).transpose(),
+        ImplicitArray(lambda r, c: (x[r] - y[c]) ** 2, (64, 64)),
+    ]
 
 
 def _band(m, n, rng):
@@ -123,6 +139,7 @@ CASES = {
         "rowmax",
         lambda rng: [_squared_distances(64, rng, column_noise=0.05) for _ in range(4)],
     ),
+    "rowmin_fused_read_paths_3x64": _solve("rowmin", _read_paths),
     "index_n256": _index(256, 256),
     "index_100x37": _index(100, 37),
     "rowmin_halving_n64": _solve(
@@ -152,6 +169,7 @@ PINNED = {
     ("brent-crcw-64", "index_n256"): (58, "2b3c9260a59afc8be1251001fbaf118a513fe9065bec8eec0c757c6ce6652984"),
     ("brent-crcw-64", "rowmax_fused_4x64"): (230, "3d2d29806a81639e7eb26a49fbc7bdebf56d1a44f21e4c4fa4e8ca632025eeb6"),
     ("brent-crcw-64", "rowmax_n128"): (55, "7d4232e64a195c328fd795e03eef247b6dae01abcc1c9c95f9a1973c4da822ef"),
+    ("brent-crcw-64", "rowmin_fused_read_paths_3x64"): (170, "7258eced433a82724d9d4042666bd91773c889c4121682062b34b8a66096852e"),
     ("brent-crcw-64", "rowmin_halving_n64"): (55, "14de25ed08afddfed5409316aa1f2de819a43c2d2b48d6e51dd2c66fc1d542fa"),
     ("brent-crcw-64", "rowmin_n64"): (55, "7f83a550272d396c6782eff89422a4422bd673117af54a9bc2f57608da1883c3"),
     ("brent-crcw-64", "rowmin_sqdist_n256"): (63, "5de8c55d5d6599e715db1b5a81e3418cf7355ad580bd3b61ef6b3d9d946fff81"),
@@ -165,6 +183,7 @@ PINNED = {
     ("pram-crcw", "index_n256"): (58, "fa6df8c9d531f18e896bece9703deb2e590bbb778b678f6498427f1c52966ebb"),
     ("pram-crcw", "rowmax_fused_4x64"): (209, "546af664ec0587ae7dbd313ecfc347f06c3e5b603a4ce6ab3c5de76b317fb930"),
     ("pram-crcw", "rowmax_n128"): (45, "1d29a7c3b0aa19a2c7717b4ea55c6c19604109623840584c1727b03fc4a31d3b"),
+    ("pram-crcw", "rowmin_fused_read_paths_3x64"): (168, "015ced8edeadd3499c687838aa56d11173ae72ad5ca1a9a224587cbe5405f2ff"),
     ("pram-crcw", "rowmin_halving_n64"): (36, "c4b6cc8054cc977b116ecbbe2538c3449b32b7daa730c5a1c157139becbdbf6e"),
     ("pram-crcw", "rowmin_n64"): (45, "aa3ba809fd4ad5924da0863164f221353f845c08425f3f294637b8c5264a19d2"),
     ("pram-crcw", "rowmin_sqdist_n256"): (45, "a30f66675ba8b0b0e1e7163aa1b77d1ee32d777b1f433452eecaf06f0cdb31f2"),
@@ -178,6 +197,7 @@ PINNED = {
     ("pram-crew", "index_n256"): (66, "a1f98d8aa6f07c827819c3ae300b468eadbd211328922cdad024e1dd9fc5c598"),
     ("pram-crew", "rowmax_fused_4x64"): (314, "6550754b50432ba58f50cbef0f4f1a2d31b3b1466e423e1bf6b70ab6ffec314f"),
     ("pram-crew", "rowmax_n128"): (71, "75873401fc19c31707d530c9124badfb2cfd2a600c3d8ca94c4a197dd12f2066"),
+    ("pram-crew", "rowmin_fused_read_paths_3x64"): (234, "a0fd4b4553385d1fb4da269e0f86ace55a3cc205242bad48ca54ae7b36491b99"),
     ("pram-crew", "rowmin_halving_n64"): (72, "dcd4cb0c4f6ab34363e79464f2133d5dd35b614006831d49d70bcfbaa56d2713"),
     ("pram-crew", "rowmin_n64"): (66, "10c9ef4764cd65ac9423f8e1242d5ea5a015d99bae542c5dc14c167a32478fdf"),
     ("pram-crew", "rowmin_sqdist_n256"): (67, "6bebc9ba9f07376baa70dd72e16b43b0a84567d14c974796e31dd24eb133d41d"),

@@ -35,6 +35,22 @@ def test_split_runs_classification():
     assert "staircase" in kinds
     covered = sorted((r0, r1) for r0, r1, _ in runs)
     assert covered[0][0] == 0 and covered[-1][1] == 6
+    # on random windows the runs tile [0, m) in order, and each is
+    # banded (both bounds nondecreasing) or staircase (hi nonincreasing)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 60))
+        lo = rng.integers(0, 20, size=m)
+        hi = lo + rng.integers(0, 20, size=m)
+        runs = _split_runs(lo, hi)
+        assert [r0 for r0, _, _ in runs] == [0] + [r1 for _, r1, _ in runs[:-1]]
+        assert runs[-1][1] == m and all(r0 < r1 for r0, r1, _ in runs)
+        for r0, r1, kind in runs:
+            if kind == "banded":
+                assert (np.diff(lo[r0:r1]) >= 0).all() and (np.diff(hi[r0:r1]) >= 0).all()
+            else:
+                assert kind == "staircase" and r1 - r0 >= 2
+                assert (np.diff(hi[r0:r1]) <= 0).all()
 
 
 @pytest.mark.parametrize("pattern", ["nondecreasing", "nonincreasing", "vee", "wedge"])

@@ -22,7 +22,7 @@ from repro.engine import (
     plan_query,
 )
 from repro.kernels import current_tier
-from repro.monge.arrays import ExplicitArray
+from repro.monge.arrays import ExplicitArray, ImplicitArray, SearchArray
 from repro.monge.generators import random_composite, random_monge
 from repro.pram.machine import Pram
 from repro.pram.models import CRCW_COMMON
@@ -231,6 +231,78 @@ def test_stack_arrays_rejects_empty_and_ragged():
         stack_arrays([])
     with pytest.raises(ValueError, match="share one shape"):
         stack_arrays([np.zeros((3, 4)), np.zeros((3, 5))])
+
+
+def _chain(a):
+    """``a`` and every array an ``eval`` on it passes through."""
+    out = []
+    while isinstance(a, SearchArray):
+        out.append(a)
+        a = getattr(a, "base", None)
+    return out
+
+
+def test_stack_arrays_evaluates_any_index_shape():
+    rng = np.random.default_rng(11)
+    a = random_monge(5, 7, rng)
+    b = random_monge(5, 7, rng)
+    d = random_monge(5, 7, rng).data
+    parts = [a, b.flip_rows().negate(), ImplicitArray(lambda r, c: d[r, c], (5, 7))]
+    dense = np.vstack([a.data, -b.data[::-1], d])
+    view = stack_arrays(parts)
+    np.testing.assert_array_equal(view.materialize(), dense)
+    assert [x.eval_count for p in parts for x in _chain(p)] == [35] * 5
+
+    # interleaved and repeated rows: each entry is read from its own
+    # part, and each part (with every array beneath it) counts its own
+    rows = np.array([14, 0, 7, 0, 9, 14, 3, 12, 5])
+    cols = np.array([6, 0, 3, 0, 2, 6, 1, 5, 4])
+    np.testing.assert_array_equal(view.eval(rows, cols), dense[rows, cols])
+    own = np.bincount(rows // 5, minlength=3).tolist()  # [4, 3, 2]
+    assert [[x.eval_count - 35 for x in _chain(p)] for p in parts] == [
+        [own[0]], [own[1]] * 3, [own[2]]
+    ]
+    np.testing.assert_array_equal(view.eval(rows.reshape(3, 3), cols.reshape(3, 3)),
+                                  dense[rows, cols].reshape(3, 3))
+    np.testing.assert_array_equal(view.row(8), dense[8])
+    assert view.eval([], []).shape == (0,)
+
+
+def _read_path_parts(problem, seed):
+    """Four same-shape Monge parts, one per way the stacked sweep reads
+    a part: a dense buffer, a transposed (strided) buffer, a doubly
+    flipped view and a bufferless ImplicitArray; negated (inverse
+    Monge) for ``rowmax_inverse``."""
+    rng = np.random.default_rng(seed)
+
+    def sq(m, n):
+        x, y = np.sort(rng.random(m)), np.sort(rng.random(n))
+        return (x[:, None] - y[None, :]) ** 2
+
+    x, y = np.sort(rng.random(23)), np.sort(rng.random(17))
+    parts = [
+        ExplicitArray(sq(23, 17)),
+        ExplicitArray(sq(17, 23)).transpose(),
+        ExplicitArray(sq(23, 17)).flip_rows().flip_cols(),
+        ImplicitArray(lambda r, c: (x[r] - y[c]) ** 2, (23, 17)),
+    ]
+    return [p.negate() for p in parts] if problem == "rowmax_inverse" else parts
+
+
+@pytest.mark.parametrize("problem", ["rowmin", "rowmax", "rowmax_inverse"])
+def test_fused_sweep_counts_evaluations_as_serial_solves_do(problem):
+    serial = _read_path_parts(problem, 3)
+    session = Session("pram-crcw")
+    refs = [session.solve(problem, p) for p in serial]
+    fused = _read_path_parts(problem, 3)
+    batch = Session("pram-crcw").solve_many(problem, fused)
+    assert batch.fused_queries == _fused(len(fused))
+    for ref, got in zip(refs, batch):
+        np.testing.assert_array_equal(ref.values, got.values)
+        np.testing.assert_array_equal(ref.witnesses, got.witnesses)
+    counts = [[x.eval_count for x in _chain(p)] for p in serial]
+    assert [[x.eval_count for x in _chain(p)] for p in fused] == counts
+    assert all(c > 0 for chain in counts for c in chain)
 
 
 def test_batched_row_extrema_single_query():

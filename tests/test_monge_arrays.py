@@ -119,3 +119,33 @@ def test_as_search_array_passthrough():
     assert as_search_array(a) is a
     b = as_search_array([[1, 2]])
     assert isinstance(b, ExplicitArray)
+
+
+def test_float_and_string_indices_are_rejected():
+    """An index must hold integers: a float is never truncated, and a
+    string never parsed, into an index."""
+    a = ExplicitArray(np.arange(9.0).reshape(3, 3))
+    with pytest.raises(TypeError, match="boundary"):
+        StaircaseArray(a, [2.9, 1.5, 0.2])
+    with pytest.raises(TypeError, match="rows"):
+        a.eval([0.7, 2.2], [1, 0])
+    with pytest.raises(TypeError, match="cols"):
+        a.eval([0, 2], [1.9, 0.1])
+    with pytest.raises(TypeError, match="rows"):
+        a.eval(["1"], [0])
+    with pytest.raises(TypeError):
+        a[1.9, 0.2]
+    with pytest.raises(TypeError):
+        a.row(1.5)
+    with pytest.raises(TypeError, match="rows"):
+        a.submatrix([0.5, 1.5], [0, 1])
+    with pytest.raises(TypeError, match="cols"):
+        a.submatrix([0, 1], ["0"])
+    with pytest.raises(TypeError):
+        MongeComposite(a, a).eval([1.7], [0.2], [2.9])
+    # integers of any width pass, as do Python ints and empty lists
+    assert a[np.int32(1), np.uint8(2)] == 5.0
+    np.testing.assert_array_equal(a.eval(np.array([2], dtype=np.uint16), [0]), [6.0])
+    assert a.eval([], []).size == 0
+    assert StaircaseArray(a, np.array([3, 2, 0], dtype=np.int32)).boundary.dtype == np.int64
+    assert MongeComposite(a, a).eval(1, 2, 0) == 5.0 + 6.0

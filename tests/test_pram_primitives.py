@@ -372,3 +372,44 @@ def test_allpairs_bill_matches_exact_classes(case):
             with tier_context(tier):
                 grouped_min(pram, values, offsets, strategy="allpairs")
             assert _billed(pram.ledger) == _allpairs_bill(widths), tier
+
+
+@pytest.mark.parametrize(
+    "model,budget", [(CRCW_COMMON, 1 << 40), (CRCW_COMMON, 450), (CREW, 1 << 40)]
+)
+def test_per_owner_replay_matches_each_owners_grouped_min(model, budget):
+    """One vectorized per-owner replay issues into each owner's ledger
+    exactly the kernel event and charges of that owner's own
+    ``grouped_min``: ``auto`` resolves per owner (all-pairs while Σw²
+    fits the budget, else doubly-log; binary on CREW), and an owner with
+    no groups, or only empty ones, receives nothing."""
+    from repro.obs.hooks import kernel_hook, round_hook
+    from repro.pram.primitives import replay_grouped_min_per_owner
+
+    rng = np.random.default_rng(23)
+    owner = np.sort(rng.integers(0, 6, size=48))
+    widths = rng.integers(0, 13, size=48)
+    widths[owner == 5] = 0
+    ledgers = [CostLedger() for _ in range(7)]  # owner 6 has no groups
+    got = {id(ledger): [] for ledger in ledgers}
+    with round_hook(lambda ledger, *c: got[id(ledger)].append(c)), \
+            kernel_hook(lambda ledger, *k: got[id(ledger)].append(k)):
+        replay_grouped_min_per_owner(
+            ledgers, widths, owner, crcw=model is CRCW_COMMON, budget=budget
+        )
+    strategies = set()
+    for q, ledger in enumerate(ledgers):
+        mine = widths[owner == q]
+        strategy = "binary"
+        if model is CRCW_COMMON:
+            strategy = "allpairs" if int(mine @ mine) <= budget else "doubly_log"
+        offsets = np.concatenate([[0], np.cumsum(mine)])
+        want = []
+        with round_hook(lambda _, *c: want.append(c)), \
+                kernel_hook(lambda _, *k: want.append(k)):
+            grouped_min(make(model, 1 << 40), rng.normal(size=int(offsets[-1])), offsets,
+                        strategy=strategy)
+        assert got[id(ledger)] == want, q
+        assert bool(want) == (q < 5)
+        strategies.update(k[0] for k in want if isinstance(k[0], str))
+    assert len(strategies) == (2 if budget == 450 else 1)
