@@ -58,7 +58,7 @@ bench-index:
 	PYTHONPATH=$(PYTHONPATH) $(PY) benchmarks/bench_index.py
 
 ## serve-smoke: the serving suites (virtual-clock state machine,
-## real-asyncio concurrency + chaos) plus the served-vs-direct
+## real-asyncio concurrency) plus the served-vs-direct
 ## equivalence smoke of the query-service benchmark
 serve-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PY) -m pytest -x -q tests/test_serve_service.py tests/test_serve_concurrency.py

@@ -16,7 +16,7 @@ CRCW engine session:
 
 Equivalence is asserted on every run, smoke or full: values and
 witnesses bit-identical, and every query's ledger sub-account snapshot
-equal to its serial twin (the batched no-fault ledger is *derivable*
+equal to its serial twin (the batched ledger is *derivable*
 from the serial path — here it is byte-equal).  The harness refuses to
 emit a baseline that violates this.  Wall-clock is best-of-``--repeats``
 per side; the JSON lands in ``BENCH_batch.json``.

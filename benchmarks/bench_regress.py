@@ -201,7 +201,7 @@ def run_matrix(smoke: bool, repeats: int) -> Dict:
                  "kernel_tiers": dict(CONFIGS)},
         "workloads": {r.name: r.as_json() for r in records},
         # process-wide engine counters for the whole matrix
-        # (DESIGN.md §10.2): rounds/query, retry counts
+        # (DESIGN.md §10.2): rounds/query, certification counts
         "metrics": obs_snapshot(),
     }
 

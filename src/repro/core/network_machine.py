@@ -52,15 +52,7 @@ class NetworkMachine(Pram):
     """Pram-interface adapter over a hypercube-like network."""
 
     def __init__(self, network: CubeLike) -> None:
-        # the network's fault plan (if any) covers the machine's PRAM-side
-        # bookkeeping rounds too, so one plan drives the whole stack
-        super().__init__(
-            model=CREW,
-            processors=max(1, network.size),
-            ledger=network.ledger,
-            faults=network.faults,
-            retry_limit=network.retry_limit,
-        )
+        super().__init__(model=CREW, processors=max(1, network.size), ledger=network.ledger)
         self.network = network
 
     # ------------------------------------------------------------------ #

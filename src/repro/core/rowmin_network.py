@@ -45,9 +45,7 @@ _TOPOLOGIES = {
 }
 
 
-def make_network(
-    topology: Topology, nodes: int, ledger: CostLedger | None = None, faults=None
-):
+def make_network(topology: Topology, nodes: int, ledger: CostLedger | None = None):
     """A topology instance with at least ``nodes`` logical nodes."""
     cls = _TOPOLOGIES.get(topology)
     if cls is None:
@@ -55,10 +53,10 @@ def make_network(
             f"unknown topology {topology!r}; expected one of {sorted(_TOPOLOGIES)}"
         )
     dim = ceil_log2(max(2, nodes))
-    return cls(dim, ledger=ledger, faults=faults)
+    return cls(dim, ledger=ledger)
 
 
-def network_machine_for(topology: Topology, nodes: int, faults=None) -> NetworkMachine:
+def network_machine_for(topology: Topology, nodes: int) -> NetworkMachine:
     """A fresh :class:`NetworkMachine` sized for ``nodes`` processors."""
     from repro.engine import build_machine
 
@@ -66,53 +64,47 @@ def network_machine_for(topology: Topology, nodes: int, faults=None) -> NetworkM
         raise ValueError(
             f"unknown topology {topology!r}; expected one of {sorted(_TOPOLOGIES)}"
         )
-    return build_machine(topology, nodes, faults=faults)
+    return build_machine(topology, nodes)
 
 
 def monge_row_minima_network(
-    array, topology: Topology = "hypercube", strict: bool = True, faults=None
+    array, topology: Topology = "hypercube"
 ) -> Tuple[np.ndarray, np.ndarray, CostLedger]:
     """Leftmost row minima of a Monge array on a network (§3).
 
     The network has ``max(m, n)`` logical nodes (the paper's input model
     stores ``v[i]``/``w[j]`` one per node).  Returns
-    ``(values, columns, ledger)``.  ``strict``/``faults`` behave as in
-    :func:`~repro.core.rowmin_pram.monge_row_minima_pram` and
-    :class:`~repro.resilience.faults.FaultPlan`.
+    ``(values, columns, ledger)``.
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
     a = as_search_array(array)
     m, n = a.shape
-    machine = network_machine_for(topology, max(m, n, 2), faults=faults)
-    cfg = ExecutionConfig(strategy="sqrt", strict=strict)
+    machine = network_machine_for(topology, max(m, n, 2))
+    cfg = ExecutionConfig(strategy="sqrt")
     vals, cols = dispatch_on(machine, "rowmin", a, cfg)
     return vals, cols, machine.ledger
 
 
-def monge_row_maxima_network(
-    array, topology: Topology = "hypercube", strict: bool = True, faults=None
-):
+def monge_row_maxima_network(array, topology: Topology = "hypercube"):
     """Theorem 3.2's row maxima of a Monge array on a network."""
     from repro.engine import ExecutionConfig, dispatch_on
 
     a = as_search_array(array)
     m, n = a.shape
-    machine = network_machine_for(topology, max(m, n, 2), faults=faults)
-    cfg = ExecutionConfig(strategy="sqrt", strict=strict)
+    machine = network_machine_for(topology, max(m, n, 2))
+    cfg = ExecutionConfig(strategy="sqrt")
     vals, cols = dispatch_on(machine, "rowmax", a, cfg)
     return vals, cols, machine.ledger
 
 
-def inverse_monge_row_maxima_network(
-    array, topology: Topology = "hypercube", strict: bool = True, faults=None
-):
+def inverse_monge_row_maxima_network(array, topology: Topology = "hypercube"):
     """Row maxima of an inverse-Monge array (Fig. 1.1 form) on a network."""
     from repro.engine import ExecutionConfig, dispatch_on
 
     a = as_search_array(array)
     m, n = a.shape
-    machine = network_machine_for(topology, max(m, n, 2), faults=faults)
-    cfg = ExecutionConfig(strategy="sqrt", strict=strict)
+    machine = network_machine_for(topology, max(m, n, 2))
+    cfg = ExecutionConfig(strategy="sqrt")
     vals, cols = dispatch_on(machine, "rowmax_inverse", a, cfg)
     return vals, cols, machine.ledger

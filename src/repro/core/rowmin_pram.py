@@ -53,7 +53,6 @@ from repro.kernels.api import eval_grouped_min
 from repro.kernels.chargefan import ChargeFan
 from repro.pram.machine import Pram
 from repro.pram.primitives import grouped_min
-from repro.resilience import degrade
 
 __all__ = [
     "monge_row_minima_pram",
@@ -97,7 +96,7 @@ class _Batch:
 
 
 def monge_row_minima_pram(
-    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
+    pram: Pram, array, strategy: str = "sqrt"
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Leftmost row minima of a Monge array, parallel.
 
@@ -106,61 +105,43 @@ def monge_row_minima_pram(
     minima pick the CRCW doubly-log primitive automatically when the
     machine is CRCW, else the CREW binary scan.
 
-    ``strict=False`` verifies the Monge precondition first (an
-    ``O(mn)`` dense scan) and degrades to a charged dense fallback —
-    with a :class:`~repro.resilience.degrade.DegradedResultWarning` —
-    when the input is not Monge, instead of returning garbage.
-
     Thin wrapper over the engine registry (``("rowmin", <backend of
     pram>)``); the algorithm body is :func:`_row_minima_impl`.
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strategy=strategy, strict=strict)
-    return dispatch_on(pram, "rowmin", array, cfg)
+    return dispatch_on(pram, "rowmin", array, ExecutionConfig(strategy=strategy))
 
 
 def monge_row_maxima_pram(
-    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
+    pram: Pram, array, strategy: str = "sqrt"
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Leftmost row maxima of a **Monge** array (Table 1.1 semantics).
 
     Row-flipping a Monge array yields an inverse-Monge array; negating
     that restores Monge.  Leftmost minima of the transform, read in
     reverse row order, are the leftmost maxima of the original.
-    ``strict=False`` degrades to a dense scan on non-Monge input (see
-    :func:`monge_row_minima_pram`).
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strategy=strategy, strict=strict)
-    return dispatch_on(pram, "rowmax", array, cfg)
+    return dispatch_on(pram, "rowmax", array, ExecutionConfig(strategy=strategy))
 
 
 def inverse_monge_row_maxima_pram(
-    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
+    pram: Pram, array, strategy: str = "sqrt"
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Leftmost row maxima of an **inverse-Monge** array (Fig. 1.1 use).
 
     The negation is Monge and leftmost minima coincide positionally.
-    ``strict=False`` degrades to a dense scan on non-inverse-Monge input.
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strategy=strategy, strict=strict)
-    return dispatch_on(pram, "rowmax_inverse", array, cfg)
+    return dispatch_on(pram, "rowmax_inverse", array, ExecutionConfig(strategy=strategy))
 
 
-def _row_minima_impl(
-    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def _row_minima_impl(pram: Pram, array, strategy: str = "sqrt") -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`monge_row_minima_pram`."""
     a = as_search_array(array)
-    if not strict:
-        reason = degrade.monge_reason(a)
-        if reason is not None:
-            degrade.warn_degraded("monge_row_minima_pram", reason, "dense row scan")
-            return degrade.brute_rows(pram, a.materialize(), mode="min")
     m, n = a.shape
     if n == 0:
         raise ValueError("cannot take row minima of a zero-column array")
@@ -181,32 +162,18 @@ def _row_minima_impl(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _row_maxima_impl(
-    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def _row_maxima_impl(pram: Pram, array, strategy: str = "sqrt") -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`monge_row_maxima_pram`."""
     a = as_search_array(array)
-    if not strict:
-        reason = degrade.monge_reason(a)
-        if reason is not None:
-            degrade.warn_degraded("monge_row_maxima_pram", reason, "dense row scan")
-            return degrade.brute_rows(pram, a.materialize(), mode="max")
     vals, cols = _row_minima_impl(pram, _extremum_view(a, "rowmax"), strategy=strategy)
     return -vals[::-1], cols[::-1].copy()
 
 
 def _inverse_row_maxima_impl(
-    pram: Pram, array, strategy: str = "sqrt", *, strict: bool = True
+    pram: Pram, array, strategy: str = "sqrt"
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`inverse_monge_row_maxima_pram`."""
     a = as_search_array(array)
-    if not strict:
-        reason = degrade.inverse_monge_reason(a)
-        if reason is not None:
-            degrade.warn_degraded(
-                "inverse_monge_row_maxima_pram", reason, "dense row scan"
-            )
-            return degrade.brute_rows(pram, a.materialize(), mode="max")
     vals, cols = _row_minima_impl(pram, _extremum_view(a, "rowmax_inverse"), strategy=strategy)
     return -vals, cols
 

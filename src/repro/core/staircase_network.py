@@ -21,21 +21,18 @@ __all__ = ["staircase_row_minima_network"]
 
 
 def staircase_row_minima_network(
-    array, topology: Topology = "hypercube", strict: bool = True, faults=None
+    array, topology: Topology = "hypercube"
 ) -> Tuple[np.ndarray, np.ndarray, CostLedger]:
     """Leftmost row minima of a staircase-Monge array on a network.
 
     Returns ``(values, columns, ledger)``; all-``∞`` rows give
-    ``(inf, -1)``.  ``strict=False`` degrades on non-staircase-Monge
-    input (the machine is sized from the dense shape either way);
-    ``faults`` binds a :class:`~repro.resilience.faults.FaultPlan`.
+    ``(inf, -1)``.
     """
     from repro.engine import ExecutionConfig, dispatch_on
     from repro.monge.arrays import as_search_array
 
     m, n = as_search_array(array).shape
-    if strict:
-        effective_boundary(array)  # fail fast, before building the machine
-    machine = network_machine_for(topology, max(m, n, 2), faults=faults)
-    vals, cols = dispatch_on(machine, "staircase_min", array, ExecutionConfig(strict=strict))
+    effective_boundary(array)  # fail fast, before building the machine
+    machine = network_machine_for(topology, max(m, n, 2))
+    vals, cols = dispatch_on(machine, "staircase_min", array, ExecutionConfig())
     return vals, cols, machine.ledger

@@ -58,7 +58,6 @@ from repro.pram.machine import Pram
 from repro.kernels.api import eval_grouped_min
 from repro.pram.primitives import grouped_min
 from repro.core.rowmin_pram import _Batch, _solve_batch
-from repro.resilience import degrade
 
 __all__ = [
     "staircase_row_minima_pram",
@@ -67,9 +66,7 @@ __all__ = [
 ]
 
 
-def staircase_row_maxima_pram(
-    pram: Pram, array, *, strict: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def staircase_row_maxima_pram(pram: Pram, array) -> Tuple[np.ndarray, np.ndarray]:
     """Row maxima of a staircase-Monge array over its finite prefixes —
     §1.2's *easy* direction, parallel.
 
@@ -78,30 +75,20 @@ def staircase_row_maxima_pram(
     become nondecreasing too — a co-monotone band, solved by the
     Table 1.1-class banded search (no Theorem 2.3 machinery needed,
     which is exactly the paper's point).  All-``∞`` rows give
-    ``(-inf, -1)``.  ``strict=False`` degrades to a dense scan on
-    non-staircase-Monge input.
+    ``(-inf, -1)``.
 
     Thin wrapper over the engine registry (``("staircase_max", <backend
     of pram>)``); the algorithm body is :func:`_staircase_maxima_impl`.
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strict=strict)
-    return dispatch_on(pram, "staircase_max", array, cfg)
+    return dispatch_on(pram, "staircase_max", array, ExecutionConfig())
 
 
-def _staircase_maxima_impl(
-    pram: Pram, array, *, strict: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def _staircase_maxima_impl(pram: Pram, array) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`staircase_row_maxima_pram`."""
     from repro.core.banded import banded_row_maxima_pram
-    from repro.monge.arrays import as_search_array as _asa
 
-    if not strict:
-        reason = degrade.staircase_reason(array)
-        if reason is not None:
-            degrade.warn_degraded("staircase_row_maxima_pram", reason, "dense row scan")
-            return degrade.brute_rows(pram, _asa(array).materialize(), mode="max")
     arr, f = effective_boundary(array)
     m = arr.shape[0]
     if m == 0:
@@ -138,40 +125,22 @@ class _StairBatch:
         return _StairBatch(self.rs[mask], self.rcount[mask], self.cs[mask], self.ccount[mask])
 
 
-def staircase_row_minima_pram(
-    pram: Pram, array, *, strict: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def staircase_row_minima_pram(pram: Pram, array) -> Tuple[np.ndarray, np.ndarray]:
     """Leftmost row minima of a staircase-Monge array, parallel.
 
     Rows whose finite prefix is empty report ``(inf, -1)``.
     Returns ``(values, columns)``.
-
-    ``strict=False`` verifies the staircase-Monge precondition first
-    and degrades to a charged dense fallback — with a
-    :class:`~repro.resilience.degrade.DegradedResultWarning` — when the
-    ``∞`` pattern is not staircase-shaped or the finite part is not
-    Monge, instead of raising/misbehaving.
 
     Thin wrapper over the engine registry (``("staircase_min", <backend
     of pram>)``); the algorithm body is :func:`_staircase_minima_impl`.
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strict=strict)
-    return dispatch_on(pram, "staircase_min", array, cfg)
+    return dispatch_on(pram, "staircase_min", array, ExecutionConfig())
 
 
-def _staircase_minima_impl(
-    pram: Pram, array, *, strict: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def _staircase_minima_impl(pram: Pram, array) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`staircase_row_minima_pram`."""
-    if not strict:
-        reason = degrade.staircase_reason(array)
-        if reason is not None:
-            from repro.monge.arrays import as_search_array as _asa
-
-            degrade.warn_degraded("staircase_row_minima_pram", reason, "dense row scan")
-            return degrade.brute_rows(pram, _asa(array).materialize(), mode="min")
     arr, f = effective_boundary(array)
     m, n = arr.shape
     if m == 0:

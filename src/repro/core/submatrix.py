@@ -69,7 +69,7 @@ def submatrix_max_pram(machine, data) -> Tuple[np.floating, np.ndarray]:
     a = as_search_array(array)
     r0, r1, c0, c1 = check_rectangle(a.shape, rows, cols)
     sub = a.submatrix(np.arange(r0, r1), np.arange(c0, c1))
-    vals, argcols = _row_maxima_impl(machine, sub, strategy="sqrt", strict=True)
+    vals, argcols = _row_maxima_impl(machine, sub, strategy="sqrt")
     machine.charge(rounds=1, processors=max(1, r1 - r0))
     return _reduce_row_maxima(vals, argcols, r0, c0)
 

@@ -30,26 +30,26 @@ def _machine_for(composite) -> "NetworkMachine":
 
 
 def tube_minima_network(
-    composite, topology: Topology = "hypercube", strict: bool = True, faults=None
+    composite, topology: Topology = "hypercube"
 ) -> Tuple[np.ndarray, np.ndarray, CostLedger]:
     """Tube minima on a ``p·r``-node network: ``(values, j_args, ledger)``."""
     from repro.engine import ExecutionConfig, dispatch_on
 
     composite, nodes = _machine_for(composite)
-    machine = network_machine_for(topology, nodes, faults=faults)
-    cfg = ExecutionConfig(strategy="crew", strict=strict)
+    machine = network_machine_for(topology, nodes)
+    cfg = ExecutionConfig(strategy="crew")
     vals, args = dispatch_on(machine, "tube_min", composite, cfg)
     return vals, args, machine.ledger
 
 
 def tube_maxima_network(
-    composite, topology: Topology = "hypercube", strict: bool = True, faults=None
+    composite, topology: Topology = "hypercube"
 ) -> Tuple[np.ndarray, np.ndarray, CostLedger]:
     """Theorem 3.4's tube maxima on a network: ``(values, j_args, ledger)``."""
     from repro.engine import ExecutionConfig, dispatch_on
 
     composite, nodes = _machine_for(composite)
-    machine = network_machine_for(topology, nodes, faults=faults)
-    cfg = ExecutionConfig(strategy="crew", strict=strict)
+    machine = network_machine_for(topology, nodes)
+    cfg = ExecutionConfig(strategy="crew")
     vals, args = dispatch_on(machine, "tube_max", composite, cfg)
     return vals, args, machine.ledger

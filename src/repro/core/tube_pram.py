@@ -40,11 +40,9 @@ import numpy as np
 
 from repro._util.bits import ceil_sqrt
 from repro._util.ragged import ragged as _ragged
-from repro._util.validation import as_float_tensor
 from repro.monge.arrays import MongeComposite
 from repro.pram.machine import Pram
 from repro.kernels.api import eval_grouped_min
-from repro.resilience import degrade
 
 __all__ = ["tube_minima_pram", "tube_maxima_pram"]
 
@@ -57,66 +55,37 @@ def _as_composite(c) -> MongeComposite:
     raise TypeError("expected a MongeComposite or a (D, E) pair")
 
 
-def _degraded_tube(pram: Pram, c: MongeComposite, problem: str, mode: str):
-    """Dense-cube fallback for composites with untrusted factors."""
-    cube = as_float_tensor(
-        c.D.materialize()[:, :, None] + c.E.materialize()[None, :, :],
-        "composite cube",
-    )
-    return degrade.brute_tube(pram, cube, mode=mode)
-
-
-def tube_minima_pram(
-    pram: Pram, composite, scheme: str = "auto", *, strict: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def tube_minima_pram(pram: Pram, composite, scheme: str = "auto") -> Tuple[np.ndarray, np.ndarray]:
     """Tube (product) minima with witnesses: ``(values, j_args)``,
     both of shape ``(p, r)``.
 
     ``scheme``: ``"crew"`` (halving), ``"crcw"`` (doubly-log sampling),
     or ``"auto"`` (pick by machine model).
 
-    ``strict=False`` verifies that both factors are Monge (dense scans)
-    and degrades to a charged dense-cube fallback — with a
-    :class:`~repro.resilience.degrade.DegradedResultWarning` — when
-    they are not.
-
     Thin wrapper over the engine registry (``("tube_min", <backend of
     pram>)``); the algorithm body is :func:`_tube_minima_impl`.
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strategy=scheme, strict=strict)
-    return dispatch_on(pram, "tube_min", composite, cfg)
+    return dispatch_on(pram, "tube_min", composite, ExecutionConfig(strategy=scheme))
 
 
-def tube_maxima_pram(
-    pram: Pram, composite, scheme: str = "auto", *, strict: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def tube_maxima_pram(pram: Pram, composite, scheme: str = "auto") -> Tuple[np.ndarray, np.ndarray]:
     """Tube maxima with smallest-``j`` witnesses.
 
     Reduction: flipping ``D``'s rows and ``E``'s columns and negating
     both factors yields Monge factors again; minima of the transformed
     composite at ``(p-1-i, r-1-k)`` are the negated maxima at ``(i,k)``,
     with identical ``j`` order (so leftmost ties are preserved).
-    ``strict=False`` degrades to a dense cube scan when a factor is
-    not Monge.
     """
     from repro.engine import ExecutionConfig, dispatch_on
 
-    cfg = ExecutionConfig(strategy=scheme, strict=strict)
-    return dispatch_on(pram, "tube_max", composite, cfg)
+    return dispatch_on(pram, "tube_max", composite, ExecutionConfig(strategy=scheme))
 
 
-def _tube_minima_impl(
-    pram: Pram, composite, scheme: str = "auto", *, strict: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def _tube_minima_impl(pram: Pram, composite, scheme: str = "auto") -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`tube_minima_pram`."""
     c = _as_composite(composite)
-    if not strict:
-        reason = degrade.composite_reason(c)
-        if reason is not None:
-            degrade.warn_degraded("tube_minima_pram", reason, "dense cube scan")
-            return _degraded_tube(pram, c, "tube_minima_pram", "min")
     if scheme == "auto":
         scheme = "crcw" if pram.model.is_crcw else "crew"
     if scheme == "crew":
@@ -127,16 +96,9 @@ def _tube_minima_impl(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _tube_maxima_impl(
-    pram: Pram, composite, scheme: str = "auto", *, strict: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def _tube_maxima_impl(pram: Pram, composite, scheme: str = "auto") -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`tube_maxima_pram`."""
     c = _as_composite(composite)
-    if not strict:
-        reason = degrade.composite_reason(c)
-        if reason is not None:
-            degrade.warn_degraded("tube_maxima_pram", reason, "dense cube scan")
-            return _degraded_tube(pram, c, "tube_maxima_pram", "max")
     flipped = MongeComposite(c.D.flip_rows().negate(), c.E.flip_cols().negate())
     vals, args = _tube_minima_impl(pram, flipped, scheme=scheme)
     return -vals[::-1, ::-1], args[::-1, ::-1].copy()

@@ -69,7 +69,8 @@ class _RowSlice(SearchArray):
         self.r0 = r0
 
     def _eval(self, rows, cols):
-        return self.base.eval(self.r0 + rows, cols)
+        # this view's own eval has range-checked (or trusted) the indices
+        return self.base.eval(self.r0 + rows, cols, checked=False)
 
 
 def _split_runs(lo: np.ndarray, hi: np.ndarray):

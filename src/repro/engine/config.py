@@ -1,10 +1,8 @@
 """The :class:`ExecutionConfig` — every cross-cutting solver knob in one place.
 
 Before the engine existed, each of the 12+ core entry points re-threaded
-``strategy=``/``scheme=``, ``strict=``, and fault plumbing by hand, and
-the retry/certify loop of :mod:`repro.resilience.executor` had to be
-wired up manually around every call.  ``ExecutionConfig`` consolidates
-all of it:
+``strategy=``/``scheme=`` by hand, and certification had to be wired up
+manually around every call.  ``ExecutionConfig`` consolidates all of it:
 
 ``strategy``
     The algorithmic variant.  ``"auto"`` (default) resolves per problem
@@ -13,25 +11,15 @@ all of it:
     on CRCW machines and ``"crew"`` (halving) otherwise.  The legacy
     per-function ``strategy=``/``scheme=`` arguments map onto this one
     field.
-``strict``
-    ``True`` (default) trusts the declared (staircase-)Monge structure;
-    ``False`` verifies it first and degrades to a charged dense fallback
-    with a :class:`~repro.resilience.degrade.DegradedResultWarning`.
 ``checked``
     Run the machine in validating mode (checked gather/scatter
     concurrency legality) where the backend supports it.
-``faults``
-    An optional seeded :class:`~repro.resilience.faults.FaultPlan` bound
-    to every machine the engine constructs for this query.
-``retries``
-    Additional attempts beyond the first.  ``retries > 0`` routes the
-    query through :func:`repro.resilience.executor.run_resilient`
-    (``max_attempts = retries + 1``, final attempt fault-free).
 ``certify``
     Self-certify the answer with the matching
-    :mod:`repro.resilience.certify` certificate.  Only the minima
-    problems carry certifiers; requesting certification elsewhere is a
-    declared-capability error.
+    :mod:`repro.resilience.certify` certificate; a failing certificate
+    raises :class:`~repro.resilience.certify.CertificationError`.  Only
+    the minima problems carry certifiers; requesting certification
+    elsewhere is a declared-capability error.
 ``trace``
     Attach the session's :class:`repro.obs.Tracer` to the query's
     machines and return the structured span tree as ``result.trace``
@@ -51,10 +39,7 @@ all of it:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.faults import FaultPlan
+from typing import Optional
 
 __all__ = ["ExecutionConfig", "ROW_STRATEGIES", "TUBE_STRATEGIES"]
 
@@ -75,10 +60,7 @@ class ExecutionConfig:
     """
 
     strategy: str = "auto"
-    strict: bool = True
     checked: bool = False
-    faults: Optional["FaultPlan"] = None
-    retries: int = 0
     certify: bool = False
     trace: bool = False
     kernel_tier: Optional[str] = None
@@ -93,10 +75,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of {_ALL_STRATEGIES}"
             )
-        if not isinstance(self.retries, int) or isinstance(self.retries, bool):
-            raise ValueError(f"retries must be an int, got {self.retries!r}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.kernel_tier is not None:
             from repro.kernels.registry import get_tier
 
@@ -110,16 +88,15 @@ class ExecutionConfig:
         """The batch-compatibility fingerprint (DESIGN.md §9).
 
         Two queries may share one fused sweep only when these fields
-        agree; strategy and shape are keyed separately by the planner,
-        and ``faults``/``retries`` disqualify fusion outright (so they
-        never appear here).  ``trace`` is included so traced and
-        untraced queries never share a bucket — a traced bucket pays
-        the per-owner span bookkeeping for all its members.
+        agree; strategy and shape are keyed separately by the planner.
+        ``trace`` is included so traced and untraced queries never
+        share a bucket — a traced bucket pays the per-owner span
+        bookkeeping for all its members.
         ``kernel_tier`` is not: the planner keys the *resolved* tier
         separately, so a query that names the tier it would get by
         default fuses with the queries that get it by default.
         """
-        return (self.strict, self.checked, self.certify, self.trace)
+        return (self.checked, self.certify, self.trace)
 
     # ------------------------------------------------------------------ #
     def resolve_strategy(self, problem: str, crcw: bool) -> str:

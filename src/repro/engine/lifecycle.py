@@ -5,9 +5,8 @@ request to a :class:`~repro.engine.planner.QueryPlan`), **admit** (each
 :class:`Executor` inspects a bucket and claims it or passes), **group**
 (:func:`~repro.engine.planner.group_plans` buckets compatible plans),
 **execute** (the claiming executor runs the bucket), and **settle**
-(merge sub-accounts, re-emit warnings, record the query).  The
-:class:`~repro.engine.session.Session` owns machine construction and
-bookkeeping; *how* a bucket runs — serially, or as one fused stacked
+(merge sub-accounts, record the query).  The :class:`~repro.engine.session.Session`
+owns machine construction and bookkeeping; *how* a bucket runs — serially, or as one fused stacked
 sweep — is decided here, by walking :data:`EXECUTORS` in priority
 order and taking the first executor whose :meth:`~Executor.admit`
 accepts the bucket.
@@ -19,8 +18,8 @@ witnesses, per-query ledger snapshots, trace totals —
 
 * :class:`SerialExecutor` — the unchanged per-query path: a private
   :class:`~repro.pram.ledger.CostLedger` sub-account per query, with
-  resilience (retry / certify) and tracing applied as stage wrappers
-  (:func:`ledger_swap`, :func:`run_attempts`, :class:`_SerialTrace`).
+  certification and tracing applied inline and as stage wrappers
+  (:func:`ledger_swap`, :class:`_SerialTrace`).
 * :class:`FusedExecutor` — one stacked multi-query sweep per bucket,
   per-query charges replayed by a
   :class:`~repro.kernels.chargefan.ChargeFan`.
@@ -28,7 +27,6 @@ witnesses, per-query ledger snapshots, trace totals —
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
@@ -49,89 +47,46 @@ __all__ = [
     "run_plans",
     "fused_ready",
     "ledger_swap",
-    "run_attempts",
 ]
 
 
 # --------------------------------------------------------------------- #
-# stage wrappers (resilience / tracing / ledger sub-accounts)
+# stage wrappers (tracing / ledger sub-accounts)
 # --------------------------------------------------------------------- #
 @contextmanager
-def ledger_swap(machine, qledger, fault_plan):
-    """Swap a machine's ledger (and faults) for a query sub-account.
+def ledger_swap(machine, qledger):
+    """Swap a machine's ledger for a query sub-account.
 
     Covers the network ledger too (cube machines charge through it);
-    restores the saved pair(s) on exit, success or not.  A ``None``
+    restores the saved ledger(s) on exit, success or not.  A ``None``
     machine (sequential backend) is a no-op.
     """
     if machine is None:
         yield
         return
-    saved = (machine.ledger, machine.faults)
+    saved = machine.ledger
     machine.ledger = qledger
-    machine.faults = fault_plan
     has_net = hasattr(machine, "network")
     if has_net:
-        saved_net = (machine.network.ledger, machine.network.faults)
+        saved_net = machine.network.ledger
         machine.network.ledger = qledger
-        machine.network.faults = fault_plan
     try:
         yield
     finally:
-        machine.ledger, machine.faults = saved
+        machine.ledger = saved
         if has_net:
-            machine.network.ledger, machine.network.faults = saved_net
-
-
-def run_attempts(spec, plan: QueryPlan, fault_plan, attempt):
-    """Resilience stage: run ``attempt`` plain or under ``run_resilient``.
-
-    Returns ``(values, witnesses, certificate, retries)``.  The retry
-    path certifies inside the resilience executor (a failing certificate
-    triggers a replay); the plain path certifies after the fact and
-    raises on a bad witness.
-    """
-    cfg = plan.config
-    if cfg.retries > 0 and spec.machine != "none":
-        from repro.resilience.executor import run_resilient
-
-        certifier = (
-            (lambda out: spec.certifier(plan.data, out[0], out[1]))
-            if cfg.certify
-            else None
-        )
-        report = run_resilient(
-            attempt,
-            certify=certifier,
-            plan=fault_plan,
-            max_attempts=cfg.retries + 1,
-        )
-        values, witnesses = report.result
-        return values, witnesses, report.attempts[-1].certificate, report.n_attempts - 1
-    values, witnesses = attempt()
-    certificate = None
-    if cfg.certify:
-        certificate = spec.certifier(plan.data, values, witnesses)
-        certificate.require()
-    return values, witnesses, certificate, 0
+            machine.network.ledger = saved_net
 
 
 class _SerialTrace:
-    """Tracing stage for the serial path: the solve span, per-attempt
-    spans on the resilient path, and the final :class:`Trace` assembly.
-    Every method is a no-op when tracing is off."""
+    """Tracing stage for the serial path: the solve span, bound to the
+    query's sub-account, and the final :class:`Trace` assembly.  Every
+    method is a no-op when tracing is off."""
 
-    def __init__(self, plan: QueryPlan, backend: str, qledger, fault_plan,
-                 track_attempts: bool) -> None:
-        cfg = plan.config
-        self.tracer = Tracer() if cfg.trace else None
+    def __init__(self, plan: QueryPlan, backend: str, qledger) -> None:
+        self.tracer = Tracer() if plan.config.trace else None
         self.qledger = qledger
-        self.fault_plan = fault_plan
-        self.track_attempts = track_attempts
         self.solve_span = None
-        self._span = None
-        self._n = 0
-        self._fired0 = 0
         if self.tracer is not None:
             self.solve_span = self.tracer.begin(
                 "solve",
@@ -145,45 +100,13 @@ class _SerialTrace:
             if qledger is not None:
                 self.tracer.bind(qledger, self.solve_span)
 
-    def _fired(self) -> int:
-        return self.fault_plan.total_fired if self.fault_plan is not None else 0
-
-    def before_reset(self) -> None:
-        """An attempt is about to wipe the sub-account: discard the
-        previous attempt span (its charges are being replayed)."""
-        if self.tracer is None or self.qledger is None:
-            return
-        prev = self._span
-        if prev is not None:
-            prev.discarded = True
-            prev.attrs["faults_fired"] = self._fired() - self._fired0
-            self.tracer.end(prev)
-
-    def after_reset(self) -> None:
-        """The sub-account was reset: rebind it and (on the resilient
-        path) open the next attempt span."""
-        if self.tracer is None or self.qledger is None:
-            return
-        self.tracer.rebind(self.qledger)
-        if self.track_attempts:
-            self._n += 1
-            self._fired0 = self._fired()
-            self._span = self.tracer.push(
-                self.qledger, f"attempt-{self._n}", "attempt", index=self._n
-            )
-
-    def close_attempts(self) -> None:
+    def unbind(self) -> None:
         if self.tracer is not None and self.qledger is not None:
-            if self._span is not None:
-                self._span.attrs["faults_fired"] = self._fired() - self._fired0
-                self.tracer.pop(self.qledger, self._span)
             self.tracer.unbind(self.qledger)
 
-    def finalize(self, retries: int, degradation: list, certificate):
+    def finalize(self, certificate):
         if self.tracer is None:
             return None
-        self.solve_span.attrs["retries"] = retries
-        self.solve_span.attrs["degraded"] = bool(degradation)
         if certificate is not None:
             self.solve_span.attrs["certified"] = bool(certificate.ok)
             self.solve_span.attrs["certify_evals"] = int(certificate.evals)
@@ -211,10 +134,6 @@ def fused_ready(session, plan: QueryPlan) -> bool:
     if machine is None or type(machine) is not Pram:
         # Brent machines time-slice charges and NetworkMachines execute
         # genuinely on the network — both stay per-query.
-        return False
-    if machine.faults is not None:
-        # fault replay is per query; the fused sweep runs many owners on
-        # one machine
         return False
     if machine.ledger.processor_limit is not None or machine.processors < (1 << 40):
         # fused sweeps charge global (summed) sizes against the
@@ -254,7 +173,7 @@ class Executor:
 class SerialExecutor(Executor):
     """The unchanged per-query path; admits every bucket (it is the
     chain's terminal executor) and runs each plan on its own ledger
-    sub-account with resilience and tracing stage wrappers."""
+    sub-account, certifying and tracing it when its config asks."""
 
     name = "serial"
     fused = False
@@ -270,55 +189,26 @@ class SerialExecutor(Executor):
         spec, cfg, data = plan.spec, plan.config, plan.data
         nodes = spec.nodes_for(plan.shape) if spec.nodes_for is not None else 2
         machine = session.machine(nodes)
+        qledger = None
+        if machine is not None:
+            qledger = CostLedger(processor_limit=machine.ledger.processor_limit)
+        tracing = _SerialTrace(plan, session.backend, qledger)
 
-        fault_plan = cfg.faults if cfg.faults is not None else session.faults
-        limit = machine.ledger.processor_limit if machine is not None else None
-        qledger = CostLedger(processor_limit=limit) if machine is not None else None
-        caught: List[warnings.WarningMessage] = []
-
-        # attempt spans only exist on the resilient path; the plain path
-        # records charges straight onto the solve span
-        track_attempts = cfg.retries > 0 and spec.machine != "none"
-        tracing = _SerialTrace(
-            plan, session.backend, qledger, fault_plan, track_attempts
-        )
-
-        def attempt():
-            caught.clear()
-            if qledger is not None:
-                tracing.before_reset()
-                # reset the sub-account so a replayed attempt starts clean
-                qledger.__init__(processor_limit=limit)
-                tracing.after_reset()
-            with warnings.catch_warnings(record=True) as rec:
-                warnings.simplefilter("always")
-                out = spec.fn(machine, data, cfg, plan.strategy)
-            caught.extend(rec)
-            return out
-
-        with ledger_swap(machine, qledger, fault_plan):
+        certificate = None
+        with ledger_swap(machine, qledger):
             try:
                 with tier_context(plan.kernel):
-                    values, witnesses, certificate, retries = run_attempts(
-                        spec, plan, fault_plan, attempt
-                    )
+                    values, witnesses = spec.fn(machine, data, cfg, plan.strategy)
+                    if cfg.certify:
+                        certificate = spec.certifier(data, values, witnesses)
+                        certificate.require()
             finally:
-                tracing.close_attempts()
+                tracing.unbind()
 
         snapshot = qledger.snapshot() if qledger is not None else None
         if qledger is not None:
             session.ledger.merge(qledger)
-        # record degradation events; re-emit everything captured so
-        # ambient filters (pytest.warns, -W error) still see the warnings
-        from repro.resilience.degrade import DegradedResultWarning
-
-        degradation = [
-            w.message for w in caught if issubclass(w.category, DegradedResultWarning)
-        ]
-        for w in caught:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-
-        trace = tracing.finalize(retries, degradation, certificate)
+        trace = tracing.finalize(certificate)
 
         return SearchResult(
             values=values,
@@ -329,8 +219,6 @@ class SerialExecutor(Executor):
             snapshot=snapshot,
             ledger=qledger,
             certificate=certificate,
-            degradation=degradation,
-            retries=retries,
             trace=trace,
         )
 
@@ -402,7 +290,7 @@ class FusedExecutor(Executor):
                 tracer.bind(qledger, qspan)
                 qspans.append(qspan)
 
-        with ledger_swap(machine, scratch, None):
+        with ledger_swap(machine, scratch):
             try:
                 with tier_context(bucket[0].kernel):
                     outs = batched_row_extrema(
@@ -467,8 +355,6 @@ def _settle(session, plan: QueryPlan, values, witnesses, qledger,
         snapshot=qledger.snapshot(),
         ledger=qledger,
         certificate=certificate,
-        degradation=[],
-        retries=0,
         trace=trace,
     )
 

@@ -63,8 +63,6 @@ def build_machine(
     processors: Optional[int] = None,
     physical_processors: Optional[int] = None,
     validate: bool = False,
-    faults=None,
-    retry_limit: int = 8,
     ledger: Optional[CostLedger] = None,
 ) -> Optional[Pram]:
     """A fresh machine for ``backend``, sized for ``nodes`` logical nodes.
@@ -83,9 +81,7 @@ def build_machine(
 
         cls = _topology_classes()[backend]
         dim = ceil_log2(max(2, nodes))
-        return NetworkMachine(
-            cls(dim, ledger=ledger, faults=faults, retry_limit=retry_limit)
-        )
+        return NetworkMachine(cls(dim, ledger=ledger))
     if backend in ("pram-crcw", "pram-crew"):
         from repro.pram.models import CREW
         from repro.pram.models import CRCW_COMMON
@@ -96,22 +92,9 @@ def build_machine(
             from repro.pram.scheduling import BrentPram
 
             return BrentPram(
-                model,
-                budget,
-                physical_processors,
-                ledger=ledger,
-                validate=validate,
-                faults=faults,
-                retry_limit=retry_limit,
+                model, budget, physical_processors, ledger=ledger, validate=validate
             )
-        return Pram(
-            model,
-            budget,
-            ledger=ledger,
-            validate=validate,
-            faults=faults,
-            retry_limit=retry_limit,
-        )
+        return Pram(model, budget, ledger=ledger, validate=validate)
     raise ValueError(f"unknown backend {backend!r}")
 
 

@@ -12,7 +12,7 @@ The engine executes every query in three stages (DESIGN.md §9):
     :func:`group_plans` buckets compatible plans.  Plans with equal,
     non-``None`` fused keys execute as one stacked sweep on one machine
     allocation; everything else becomes a singleton bucket and runs
-    through the unchanged serial path (retries, faults, degradation).
+    through the unchanged serial path.
 
 **execute**
     :meth:`repro.engine.session.Session.solve_many` walks the buckets.
@@ -27,9 +27,6 @@ A plan is *fusable* (``fused_key is not None``) iff all of:
 - the resolved strategy is ``"sqrt"`` (the ``halving`` ablation
   localizes rows between *neighbors'* minima, which would couple
   stacked queries across owner boundaries);
-- ``strict=True`` (degradation probes inspect each array individually);
-- no fault plan (query- or session-level) and no retries — fault replay
-  and ``run_resilient`` stay strictly per-query;
 - a genuine 2-D shape with at least one row and column (edge shapes
   keep the serial error/empty contracts).
 
@@ -116,20 +113,11 @@ def _fused_key(
     shape: Tuple[int, ...],
     cfg: ExecutionConfig,
     kernel: str,
-    session_faults,
 ) -> Optional[Tuple]:
     """Apply the batch-compatibility rules (module docstring)."""
     if not spec.batchable:
         return None
     if strategy != "sqrt":
-        return None
-    if not cfg.strict:
-        return None
-    # the fused sweep runs one machine for many owners, so any fault
-    # plan keeps the query serial
-    if cfg.faults is not None or session_faults is not None:
-        return None
-    if cfg.retries:
         return None
     if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
         return None
@@ -143,7 +131,6 @@ def plan_query(
     backend: str,
     *,
     index: int = 0,
-    session_faults=None,
     registry=None,
 ) -> QueryPlan:
     """Lower one query to a :class:`QueryPlan` (stage one of the pipeline).
@@ -168,7 +155,7 @@ def plan_query(
         spec=spec,
         config=cfg,
         kernel=kernel,
-        fused_key=_fused_key(spec, strategy, shape, cfg, kernel, session_faults),
+        fused_key=_fused_key(spec, strategy, shape, cfg, kernel),
     )
 
 

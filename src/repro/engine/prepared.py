@@ -94,7 +94,7 @@ class PreparedHandle:
             if qledger is not None:
                 tracer.bind(qledger, span)
 
-        with ledger_swap(machine, qledger, None):
+        with ledger_swap(machine, qledger):
             values, witnesses, info = self.index.query_on(machine, rows, cols)
 
         trace = None
@@ -120,8 +120,6 @@ class PreparedHandle:
             snapshot=snapshot,
             ledger=qledger,
             certificate=None,
-            degradation=[],
-            retries=0,
             trace=trace,
         )
 
@@ -182,7 +180,7 @@ def prepare_handle(session, problem: str, data, cfg: ExecutionConfig
         if qledger is not None:
             tracer.bind(qledger, span)
 
-    with ledger_swap(machine, qledger, None):
+    with ledger_swap(machine, qledger):
         with tier_context(tier):
             index = spec.prepare(machine, data, cfg)
 

@@ -249,65 +249,51 @@ def _rowmin(machine, data, cfg, strategy):
     from repro.core.rowmin_pram import _row_minima_impl
 
     s = "sqrt" if strategy == "auto" else strategy
-    return _row_minima_impl(machine, data, strategy=s, strict=cfg.strict)
+    return _row_minima_impl(machine, data, strategy=s)
 
 
 def _rowmax(machine, data, cfg, strategy):
     from repro.core.rowmin_pram import _row_maxima_impl
 
     s = "sqrt" if strategy == "auto" else strategy
-    return _row_maxima_impl(machine, data, strategy=s, strict=cfg.strict)
+    return _row_maxima_impl(machine, data, strategy=s)
 
 
 def _rowmax_inverse(machine, data, cfg, strategy):
     from repro.core.rowmin_pram import _inverse_row_maxima_impl
 
     s = "sqrt" if strategy == "auto" else strategy
-    return _inverse_row_maxima_impl(machine, data, strategy=s, strict=cfg.strict)
+    return _inverse_row_maxima_impl(machine, data, strategy=s)
 
 
 def _staircase_min(machine, data, cfg, strategy):
     from repro.core.staircase_pram import _staircase_minima_impl
 
-    return _staircase_minima_impl(machine, data, strict=cfg.strict)
+    return _staircase_minima_impl(machine, data)
 
 
 def _staircase_max(machine, data, cfg, strategy):
     from repro.core.staircase_pram import _staircase_maxima_impl
 
-    return _staircase_maxima_impl(machine, data, strict=cfg.strict)
+    return _staircase_maxima_impl(machine, data)
 
 
 def _tube_min(machine, data, cfg, strategy):
     from repro.core.tube_pram import _tube_minima_impl
 
-    return _tube_minima_impl(machine, data, scheme=strategy, strict=cfg.strict)
+    return _tube_minima_impl(machine, data, scheme=strategy)
 
 
 def _tube_max(machine, data, cfg, strategy):
     from repro.core.tube_pram import _tube_maxima_impl
 
-    return _tube_maxima_impl(machine, data, scheme=strategy, strict=cfg.strict)
+    return _tube_maxima_impl(machine, data, scheme=strategy)
 
 
 # -- sequential baselines (SMAWK and friends; no simulated machine) ----- #
-def _require_sequential_capable(cfg, problem):
-    if not cfg.strict:
-        raise CapabilityError(
-            f"({problem}, sequential) has no charged degradation path; "
-            "strict=False needs a simulated machine backend"
-        )
-    if cfg.faults is not None:
-        raise CapabilityError(
-            f"({problem}, sequential) cannot inject faults: there is no "
-            "simulated machine to drive the plan"
-        )
-
-
 def _seq_rowmin(machine, data, cfg, strategy):
     from repro.monge.smawk import row_minima
 
-    _require_sequential_capable(cfg, "rowmin")
     return row_minima(data)
 
 
@@ -315,7 +301,6 @@ def _seq_rowmax(machine, data, cfg, strategy):
     from repro.monge.arrays import as_search_array
     from repro.monge.smawk import row_minima
 
-    _require_sequential_capable(cfg, "rowmax")
     # Monge row-flipped is inverse-Monge; its negation is Monge again and
     # leftmost minima in reversed row order are the leftmost maxima.
     vals, cols = row_minima(as_search_array(data).flip_rows().negate())
@@ -326,7 +311,6 @@ def _seq_rowmax_inverse(machine, data, cfg, strategy):
     from repro.monge.arrays import as_search_array
     from repro.monge.smawk import row_minima
 
-    _require_sequential_capable(cfg, "rowmax_inverse")
     vals, cols = row_minima(as_search_array(data).negate())
     return -vals, cols
 
@@ -334,28 +318,24 @@ def _seq_rowmax_inverse(machine, data, cfg, strategy):
 def _seq_staircase_min(machine, data, cfg, strategy):
     from repro.monge.staircase_seq import row_minima_staircase_blocks
 
-    _require_sequential_capable(cfg, "staircase_min")
     return row_minima_staircase_blocks(data)
 
 
 def _seq_staircase_max(machine, data, cfg, strategy):
     from repro.monge.staircase_seq import row_maxima_staircase
 
-    _require_sequential_capable(cfg, "staircase_max")
     return row_maxima_staircase(data)
 
 
 def _seq_tube_min(machine, data, cfg, strategy):
     from repro.monge.composite import tube_minima_sequential
 
-    _require_sequential_capable(cfg, "tube_min")
     return tube_minima_sequential(data)
 
 
 def _seq_tube_max(machine, data, cfg, strategy):
     from repro.monge.composite import tube_maxima_sequential
 
-    _require_sequential_capable(cfg, "tube_max")
     return tube_maxima_sequential(data)
 
 
@@ -370,19 +350,10 @@ def _window_args(data, problem):
     return data[0], data[1], data[2]
 
 
-def _require_window_strict(cfg, problem, backend):
-    if not cfg.strict:
-        raise CapabilityError(
-            f"({problem}, {backend}) declares no degradation path; the "
-            "windows already confine the search — run with strict=True"
-        )
-
-
 def _banded_min(machine, data, cfg, strategy):
     from repro.core.banded import banded_row_minima_pram
 
     array, lo, hi = _window_args(data, "banded_min")
-    _require_window_strict(cfg, "banded_min", "pram")
     return banded_row_minima_pram(machine, array, lo, hi)
 
 
@@ -390,7 +361,6 @@ def _banded_max(machine, data, cfg, strategy):
     from repro.core.banded import banded_row_maxima_pram
 
     array, lo, hi = _window_args(data, "banded_max")
-    _require_window_strict(cfg, "banded_max", "pram")
     return banded_row_maxima_pram(machine, array, lo, hi)
 
 
@@ -398,7 +368,6 @@ def _windowed_min(machine, data, cfg, strategy):
     from repro.core.windowed import windowed_monge_row_minima
 
     array, lo, hi = _window_args(data, "windowed_min")
-    _require_window_strict(cfg, "windowed_min", "pram")
     return windowed_monge_row_minima(machine, array, lo, hi)
 
 
@@ -406,7 +375,6 @@ def _seq_banded_min(machine, data, cfg, strategy):
     from repro.core.banded import banded_row_minima
 
     array, lo, hi = _window_args(data, "banded_min")
-    _require_sequential_capable(cfg, "banded_min")
     return banded_row_minima(array, lo, hi)
 
 
@@ -414,7 +382,6 @@ def _seq_banded_max(machine, data, cfg, strategy):
     from repro.core.banded import banded_row_maxima
 
     array, lo, hi = _window_args(data, "banded_max")
-    _require_sequential_capable(cfg, "banded_max")
     return banded_row_maxima(array, lo, hi)
 
 
@@ -422,18 +389,12 @@ def _seq_banded_max(machine, data, cfg, strategy):
 def _submatrix_max(machine, data, cfg, strategy):
     from repro.core.submatrix import submatrix_max_pram
 
-    if not cfg.strict:
-        raise CapabilityError(
-            "(submatrix_max, pram) declares no degradation path; the query "
-            "rectangle already confines the search — run with strict=True"
-        )
     return submatrix_max_pram(machine, data)
 
 
 def _seq_submatrix_max(machine, data, cfg, strategy):
     from repro.core.submatrix import submatrix_max_sequential
 
-    _require_sequential_capable(cfg, "submatrix_max")
     return submatrix_max_sequential(data)
 
 

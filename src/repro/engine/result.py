@@ -3,10 +3,9 @@
 Every engine query returns a :class:`SearchResult` carrying the answer
 (values + witnesses) together with everything the legacy entry points
 used to scatter across return conventions and side channels: the ledger
-snapshot of exactly this query, the self-certification verdict, any
-degradation events, the retry count, and the backend the query actually
-ran on.  ``values, witnesses = result`` keeps pre-engine call sites
-working unchanged.
+snapshot of exactly this query, the self-certification verdict, and
+the backend the query actually ran on.  ``values, witnesses = result``
+keeps pre-engine call sites working unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Trace
     from repro.pram.ledger import CostLedger
     from repro.resilience.certify import Certificate
-    from repro.resilience.degrade import DegradedResultWarning
 
 __all__ = ["SearchResult", "BatchResult"]
 
@@ -48,13 +46,6 @@ class SearchResult:
     certificate:
         The :class:`~repro.resilience.certify.Certificate` when
         ``certify=True`` was requested, else ``None``.
-    degradation:
-        Structured :class:`DegradedResultWarning` events captured while
-        solving (non-empty only under ``strict=False`` on untrusted
-        input).
-    retries:
-        Failed attempts that preceded the returned answer (0 when the
-        first attempt succeeded).
     trace:
         The structured span tree of this query when ``trace=True`` was
         requested (a :class:`repro.obs.Trace`), else ``None``.  Its
@@ -69,8 +60,6 @@ class SearchResult:
     snapshot: Optional[dict] = None
     ledger: Optional["CostLedger"] = None
     certificate: Optional["Certificate"] = None
-    degradation: List["DegradedResultWarning"] = field(default_factory=list)
-    retries: int = 0
     trace: Optional["Trace"] = None
 
     # -- tuple back-compat ---------------------------------------------- #
@@ -92,11 +81,6 @@ class SearchResult:
         return self.certificate is not None and bool(self.certificate.ok)
 
     @property
-    def degraded(self) -> bool:
-        """True iff the structured algorithm fell back to a dense scan."""
-        return bool(self.degradation)
-
-    @property
     def rounds(self) -> Optional[int]:
         """Simulated rounds this query charged (``None`` if sequential)."""
         return None if self.snapshot is None else self.snapshot["rounds"]
@@ -106,8 +90,7 @@ class SearchResult:
         return (
             f"SearchResult(problem={self.problem!r}, backend={self.backend!r}, "
             f"strategy={self.strategy!r}, shape={shape}, rounds={self.rounds}, "
-            f"certified={self.certified}, degraded={self.degraded}, "
-            f"retries={self.retries})"
+            f"certified={self.certified})"
         )
 
 
@@ -118,8 +101,8 @@ class BatchResult:
     ``results[i]`` answers query ``i`` exactly as a serial
     :meth:`~repro.engine.session.Session.solve` call would — values and
     witnesses bit-identical, and each result still carries its *own*
-    ledger sub-account snapshot, certificate, and degradation events,
-    whether the query ran inside a fused bucket or serially.
+    ledger sub-account snapshot and certificate, whether the query ran
+    inside a fused bucket or serially.
 
     ``groups`` records the execution buckets the planner formed: one
     ``dict`` per bucket with ``problem``, ``backend``, ``strategy``,

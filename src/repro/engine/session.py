@@ -27,8 +27,7 @@ result(s).
 :func:`dispatch_on` is the zero-overhead path the legacy
 :mod:`repro.core` wrappers use: it resolves the registry solver for an
 *existing* machine and calls straight through — no ledger swap, no
-warning capture, no added charges — so pre-engine call sites keep
-bit-identical ledgers.
+added charges — so pre-engine call sites keep bit-identical ledgers.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ def dispatch_on(machine, problem: str, data, config: ExecutionConfig):
     """Run ``problem`` on an existing machine through the registry.
 
     This is pure indirection: the solver is called with the machine as
-    given — same ledger, same faults, same strict/degrade semantics —
-    so it charges exactly what the pre-engine entry point charged.
+    given, on its own ledger, so it charges exactly what the pre-engine
+    entry point charged.
     Returns the raw ``(values, witnesses)`` pair.
     """
     backend = backend_of(machine)
@@ -85,8 +84,6 @@ class QueryRecord:
     shape: Tuple[int, ...]
     snapshot: Optional[dict]
     certified: Optional[bool]
-    degraded: bool
-    retries: int
     within_bound: bool
 
 
@@ -99,13 +96,10 @@ class Session:
         An engine backend key (``"auto"`` resolves to ``"pram-crcw"``),
         or pass ``machine=`` to adopt an existing machine and infer the
         backend from it.
-    processors, physical_processors, validate, retry_limit:
+    processors, physical_processors, validate:
         Machine-construction knobs forwarded to
         :func:`repro.engine.machines.build_machine`.  A
         ``physical_processors`` budget yields a Brent-scheduled PRAM.
-    faults:
-        Session-wide default fault plan; a query config's ``faults``
-        overrides it for that query.
     config:
         Session-default :class:`ExecutionConfig` (per-query configs /
         keyword overrides derive from it).
@@ -122,8 +116,6 @@ class Session:
         processors: Optional[int] = None,
         physical_processors: Optional[int] = None,
         validate: bool = False,
-        faults=None,
-        retry_limit: int = 8,
         config: Optional[ExecutionConfig] = None,
         index_cache: int = 8,
     ) -> None:
@@ -148,8 +140,6 @@ class Session:
         self.processors = processors
         self.physical_processors = physical_processors
         self.validate = validate
-        self.faults = faults
-        self.retry_limit = retry_limit
         #: Session-lifetime aggregate of every query's sub-account.
         self.ledger = CostLedger()
         #: One :class:`QueryRecord` per completed query.
@@ -184,8 +174,6 @@ class Session:
             processors=self.processors,
             physical_processors=self.physical_processors,
             validate=self.validate,
-            faults=self.faults,
-            retry_limit=self.retry_limit,
             ledger=self.ledger,
         )
         return self._machine
@@ -198,10 +186,6 @@ class Session:
                 "only the minima problems self-certify (certify.py derives "
                 "its witnesses from leftmost-minimum structure)"
             )
-        if spec.machine == "none" and cfg.retries > 0:
-            raise CapabilityError(
-                f"({spec.problem}, sequential) has no fault surface to retry over"
-            )
         spec.check_kernel_tier(cfg.kernel_tier)
 
     def _derive_config(self, config, overrides) -> ExecutionConfig:
@@ -212,9 +196,7 @@ class Session:
 
     # -- stage 1: plan -------------------------------------------------- #
     def _plan(self, problem: str, data, cfg: ExecutionConfig, index: int = 0) -> QueryPlan:
-        plan = plan_query(
-            problem, data, cfg, self.backend, index=index, session_faults=self.faults
-        )
+        plan = plan_query(problem, data, cfg, self.backend, index=index)
         self._capability_check(plan.spec, cfg)
         return plan
 
@@ -229,8 +211,6 @@ class Session:
             shape=plan.shape,
             snapshot=result.snapshot,
             certified=None if result.certificate is None else bool(result.certificate.ok),
-            degraded=result.degraded,
-            retries=result.retries,
             within_bound=within_bound,
         ))
         m = metrics()
@@ -241,10 +221,6 @@ class Session:
             m.counter("engine.rounds").inc(snap["rounds"])
             m.counter("engine.work").inc(snap["work"])
             m.histogram("engine.rounds_per_query").observe(snap["rounds"])
-        if result.retries:
-            m.counter("engine.retries").inc(result.retries)
-        if result.degraded:
-            m.counter("engine.degraded").inc()
         if result.certificate is not None:
             m.counter("engine.certified").inc(int(bool(result.certificate.ok)))
             m.counter("engine.certify_evals").inc(int(result.certificate.evals))
@@ -327,12 +303,12 @@ class Session:
 
         Results come back in **input order** regardless of how the
         planner grouped the queries.  Same-shape row-extremum queries
-        (no faults, no retries, strict, ``sqrt`` strategy) share one
-        machine allocation and one fused stacked sweep; each result
-        still carries its own ledger sub-account snapshot, bit-identical
-        to what a serial :meth:`solve` would have charged.  Everything
-        else — mixed shapes, staircase/tube problems, fault plans,
-        retries — runs through the serial path unchanged.
+        (``sqrt`` strategy) share one machine allocation and one fused
+        stacked sweep; each result still carries its own ledger
+        sub-account snapshot, bit-identical to what a serial
+        :meth:`solve` would have charged.  Everything else — mixed
+        shapes, staircase/tube problems, the ``halving`` strategy — runs
+        through the serial path unchanged.
         """
         cfg = self._derive_config(config, overrides)
         if isinstance(problem, str):

@@ -31,8 +31,8 @@ __all__ = ["CubeConnectedCycles"]
 class CubeConnectedCycles(CubeLike):
     """CCC executing normal hypercube algorithms with tracked rotations."""
 
-    def __init__(self, dim: int, ledger=None, faults=None, retry_limit: int = 8) -> None:
-        super().__init__(dim, ledger, faults=faults, retry_limit=retry_limit)
+    def __init__(self, dim: int, ledger=None) -> None:
+        super().__init__(dim, ledger)
         self.cursor = 0  # cycle position currently holding the registers
         self.nodes_per_logical = max(1, dim)
 
@@ -43,9 +43,6 @@ class CubeConnectedCycles(CubeLike):
         fwd = (d - self.cursor) % self.dim
         back = (self.cursor - d) % self.dim
         return min(fwd, back)
-
-    def _exchange_rounds(self, d: int) -> int:
-        return self.rotation_distance(d) + 1
 
     def _exchange(self, values: np.ndarray, d: int) -> np.ndarray:
         rot = self.rotation_distance(d)

@@ -26,8 +26,8 @@ __all__ = ["ShuffleExchange"]
 class ShuffleExchange(CubeLike):
     """Shuffle-exchange graph executing normal hypercube algorithms."""
 
-    def __init__(self, dim: int, ledger=None, faults=None, retry_limit: int = 8) -> None:
-        super().__init__(dim, ledger, faults=faults, retry_limit=retry_limit)
+    def __init__(self, dim: int, ledger=None) -> None:
+        super().__init__(dim, ledger)
         self.rot = 0  # net left-rotations applied to the register file
 
     def rotation_cost(self, d: int) -> tuple[int, int]:
@@ -39,9 +39,6 @@ class ShuffleExchange(CubeLike):
         if left <= right:
             return left, left
         return right, -right
-
-    def _exchange_rounds(self, d: int) -> int:
-        return self.rotation_cost(d)[0] + 1
 
     def _exchange(self, values: np.ndarray, d: int) -> np.ndarray:
         rounds, signed = self.rotation_cost(d)

@@ -30,71 +30,22 @@ class CubeLike:
     round counts through :meth:`charge`).
     """
 
-    def __init__(
-        self,
-        dim: int,
-        ledger: Optional[CostLedger] = None,
-        faults=None,
-        retry_limit: int = 8,
-    ) -> None:
+    def __init__(self, dim: int, ledger: Optional[CostLedger] = None) -> None:
         if dim < 0 or dim > 30:
             raise ValueError(f"dim must be in [0, 30], got {dim}")
-        if retry_limit < 1:
-            raise ValueError(f"retry_limit must be >= 1, got {retry_limit}")
         self.dim = dim
         self.size = 1 << dim
         self.ids = np.arange(self.size, dtype=np.int64)
         self.ledger = ledger if ledger is not None else CostLedger()
-        self.faults = faults
-        self.retry_limit = int(retry_limit)
 
     # -- required -------------------------------------------------------
     def exchange(self, values: np.ndarray, d: int) -> np.ndarray:
-        """Every node receives its dimension-``d`` neighbor's value.
-
-        With a fault plan bound, a ``link_drop`` fault loses the whole
-        exchange: the lost attempt's genuine round cost is charged to
-        the ledger's retry account and the exchange is replayed from
-        the pre-round register checkpoint (emulation state — CCC cursor
-        / shuffle rotation — advances only on the successful attempt).
-        A ``message_corrupt`` fault lets the exchange deliver but
-        perturbs one arriving register.
-        """
-        values = self._check_register(values, d)
-        plan = self.faults
-        if plan is not None:
-            self._replay_dropped_exchanges(d)
-        out = self._exchange(values, d)
-        if plan is not None:
-            out = plan.corrupt(
-                out,
-                site=f"{type(self).__name__}.exchange(d={d})",
-                round_index=self.ledger.rounds,
-            )
-        return out
+        """Every node receives its dimension-``d`` neighbor's value."""
+        return self._exchange(self._check_register(values, d), d)
 
     def _exchange(self, values: np.ndarray, d: int) -> np.ndarray:
         """Topology-specific exchange (register already validated)."""
         raise NotImplementedError
-
-    def _exchange_rounds(self, d: int) -> int:
-        """Edge rounds one exchange attempt costs (for retry replay)."""
-        return 1
-
-    def _replay_dropped_exchanges(self, d: int) -> None:
-        plan = self.faults
-        site = f"{type(self).__name__}.exchange(d={d})"
-        attempts = 0
-        while plan.fires("link_drop", site=site, round_index=self.ledger.rounds):
-            plan_rounds = self._exchange_rounds(d)
-            self.ledger.charge_retry(
-                rounds=plan_rounds,
-                processors=self.size * self.nodes_per_logical,
-                kind="link_drop",
-            )
-            attempts += 1
-            if attempts >= self.retry_limit:
-                plan.exhausted("link_drop", site, attempts)
 
     #: physical processors backing one logical node (CCC uses ``dim``).
     nodes_per_logical = 1

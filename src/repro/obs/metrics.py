@@ -1,10 +1,10 @@
 """Process-local metrics: counters, gauges, histograms (DESIGN.md §10).
 
 A single :class:`MetricsRegistry` accumulates engine-level telemetry —
-queries, simulated rounds/work, retry and degradation counts,
-certification cost, batch fusion, kernel-tier selection
-(``kernel.tier.*`` counters, DESIGN.md §13) — with near-zero overhead
-(one dict lookup and an integer add per update).  The registry is
+queries, simulated rounds/work, certification cost, batch fusion,
+kernel-tier selection (``kernel.tier.*`` counters, DESIGN.md §13) —
+with near-zero overhead (one dict lookup and an integer add per
+update).  The registry is
 *always on*: unlike tracing it never allocates per query, so there is
 nothing to enable.
 
@@ -178,7 +178,6 @@ class MetricsRegistry:
         q = c.get("engine.queries", 0)
         if q:
             out["rounds_per_query"] = c.get("engine.rounds", 0) / q
-            out["retries_per_query"] = c.get("engine.retries", 0) / q
         sr = c.get("serve.requests", 0)
         if sr:
             out["serve_shed_rate"] = c.get("serve.shed", 0) / (

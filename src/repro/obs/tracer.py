@@ -7,9 +7,8 @@ committed ``charge`` becomes a *round event*, every ledger ``phase``
 (and every observer-only ``machine.obs_phase``) becomes a *phase span*,
 and every kernel chokepoint (entry evaluation, grouped extrema, network
 collectives) emits a *kernel event*.  The engine adds the outer
-structure: one ``solve`` span per query, one ``attempt`` span per
-resilient retry (tagged with the faults that fired), one ``bucket`` /
-``sweep`` span pair per fused ``solve_many`` group.
+structure: one ``solve`` span per query, one ``bucket`` / ``sweep``
+span pair per fused ``solve_many`` group.
 
 Attribution is **per ledger**, not per thread: the tracer keeps one open
 span stack for each bound :class:`CostLedger`.  This is what makes fused
@@ -24,9 +23,7 @@ The charge identity the test suite pins::
         == the query ledger snapshot, bit for bit
 
 holds by construction: the solve span's inclusive totals are summed
-from the same committed charges the snapshot summarizes.  Discarded
-attempts (a retried query resets its sub-account) are excluded from
-totals the same way the ledger reset excludes them.
+from the same committed charges the snapshot summarizes.
 """
 
 from __future__ import annotations
@@ -45,9 +42,7 @@ __all__ = ["SpanEvent", "Span", "Trace", "Tracer"]
 class SpanEvent:
     """One point event inside a span.
 
-    ``kind`` is ``"round"`` (a committed :meth:`CostLedger.charge`),
-    ``"retry"`` (a :meth:`CostLedger.charge_retry` — excluded from the
-    paper-bound totals, exactly as the ledger excludes it), or
+    ``kind`` is ``"round"`` (a committed :meth:`CostLedger.charge`) or
     ``"kernel"`` (a kernel invocation; ``size`` is its candidate count,
     it carries no charges of its own).
     """
@@ -78,10 +73,7 @@ class Span:
 
     ``rounds``/``work``/``peak_processors``/``charges`` accumulate the
     round events recorded *directly* on this span (exclusive of
-    children); :meth:`totals` folds the subtree.  ``discarded`` marks
-    spans whose charges the ledger later reset (failed resilient
-    attempts) — they stay in the tree for inspection but are excluded
-    from totals.
+    children); :meth:`totals` folds the subtree.
     """
 
     name: str
@@ -93,14 +85,10 @@ class Span:
     events: List[SpanEvent] = field(default_factory=list)
     children: List["Span"] = field(default_factory=list)
     parent: Optional["Span"] = None
-    discarded: bool = False
     rounds: int = 0
     work: int = 0
     peak_processors: int = 0
     charges: int = 0
-    retry_rounds: int = 0
-    retry_work: int = 0
-    retry_charges: int = 0
 
     # ------------------------------------------------------------------ #
     def record_charge(self, rounds: int, processors: int, work: int, t: float) -> None:
@@ -112,45 +100,29 @@ class Span:
         self.peak_processors = max(self.peak_processors, processors)
         self.charges += 1
 
-    def record_retry(self, kind: str, rounds: int, processors: int, work: int, t: float) -> None:
-        self.events.append(SpanEvent(
-            kind="retry", name=kind, rounds=rounds, processors=processors, work=work, t=t
-        ))
-        self.retry_rounds += rounds
-        self.retry_work += work
-        self.retry_charges += 1
-
     def record_kernel(self, name: str, size: int, t: float) -> None:
         self.events.append(SpanEvent(kind="kernel", name=name, size=size, t=t))
 
     # ------------------------------------------------------------------ #
-    def walk(self, skip_discarded: bool = False) -> Iterator["Span"]:
+    def walk(self) -> Iterator["Span"]:
         """Depth-first iterator over the subtree."""
-        if skip_discarded and self.discarded:
-            return
         yield self
         for child in self.children:
-            yield from child.walk(skip_discarded=skip_discarded)
+            yield from child.walk()
 
     def totals(self) -> dict:
-        """Inclusive charge totals of the non-discarded subtree.
+        """Inclusive charge totals of the subtree.
 
         The ``rounds``/``work``/``peak_processors`` entries are, by
         construction, bit-identical to the query ledger snapshot the
         span was bound to (tests/test_obs_tracer.py pins this).
         """
-        out = {
-            "rounds": 0, "work": 0, "peak_processors": 0, "charges": 0,
-            "retry_rounds": 0, "retry_work": 0, "retry_charges": 0,
-        }
-        for span in self.walk(skip_discarded=True):
+        out = {"rounds": 0, "work": 0, "peak_processors": 0, "charges": 0}
+        for span in self.walk():
             out["rounds"] += span.rounds
             out["work"] += span.work
             out["peak_processors"] = max(out["peak_processors"], span.peak_processors)
             out["charges"] += span.charges
-            out["retry_rounds"] += span.retry_rounds
-            out["retry_work"] += span.retry_work
-            out["retry_charges"] += span.retry_charges
         return out
 
     def structure(self) -> dict:
@@ -163,12 +135,10 @@ class Span:
         return {
             "name": self.name,
             "kind": self.kind,
-            "discarded": self.discarded,
             "rounds": self.rounds,
             "work": self.work,
             "peak_processors": self.peak_processors,
             "charges": self.charges,
-            "retry_rounds": self.retry_rounds,
             "events": [e.structure() for e in self.events],
             "children": [c.structure() for c in self.children],
         }
@@ -207,7 +177,6 @@ class Trace:
                 "parent": ids.get(id(span.parent)) if span.parent is not None else None,
                 "name": span.name,
                 "kind": span.kind,
-                "discarded": span.discarded,
                 "t0_us": round((span.t0 - self.epoch) * 1e6, 1),
                 "t1_us": round((span.t1 - self.epoch) * 1e6, 1),
                 "attrs": _jsonable(span.attrs),
@@ -215,7 +184,6 @@ class Trace:
                 "work": span.work,
                 "peak_processors": span.peak_processors,
                 "charges": span.charges,
-                "retry_rounds": span.retry_rounds,
                 "events": [e.structure() for e in span.events],
             })
         if isinstance(path_or_file, (str, bytes)):
@@ -233,8 +201,8 @@ class Trace:
 
     def to_chrome(self, path_or_file) -> None:
         """Export in Chrome ``trace_event`` format (``chrome://tracing``,
-        Perfetto).  Spans become complete (``"X"``) events; round /
-        retry / kernel events become instants (``"i"``) carrying their
+        Perfetto).  Spans become complete (``"X"``) events; round and
+        kernel events become instants (``"i"``) carrying their
         charge payload in ``args``."""
         events = []
         for span in self.root.walk():
@@ -253,7 +221,6 @@ class Trace:
                     "rounds": span.rounds,
                     "work": span.work,
                     "peak_processors": span.peak_processors,
-                    "discarded": span.discarded,
                 },
             })
             for ev in span.events:
@@ -310,7 +277,7 @@ class Tracer:
     """Collects spans; implements the ledger observer protocol.
 
     A tracer is bound to ledgers (``bind``) by the engine; every
-    committed charge / retry / phase / kernel notification on a bound
+    committed charge / phase / kernel notification on a bound
     ledger is recorded on that ledger's innermost open span.  Spans not
     tied to a ledger (bucket containers, sequential-backend solves) are
     plain tree nodes.
@@ -353,14 +320,6 @@ class Tracer:
         self._stacks[id(ledger)] = _LedgerStack(ledger, span)
         ledger.observer = self
 
-    def rebind(self, ledger) -> None:
-        """Reattach after a ledger reset (``CostLedger.__init__`` wipes
-        the observer); the span stack is collapsed back to its root."""
-        slot = self._stacks.get(id(ledger))
-        if slot is not None:
-            del slot.stack[1:]
-            ledger.observer = self
-
     def unbind(self, ledger) -> None:
         slot = self._stacks.pop(id(ledger), None)
         if slot is not None:
@@ -369,22 +328,6 @@ class Tracer:
                 self.end(span)
             if ledger.observer is self:
                 ledger.observer = None
-
-    def push(self, ledger, name: str, kind: str, **attrs) -> Span:
-        """Open a child span on a bound ledger's stack (engine use:
-        attempt spans)."""
-        slot = self._stacks[id(ledger)]
-        span = self.begin(name, kind, parent=slot.stack[-1], **attrs)
-        slot.stack.append(span)
-        return span
-
-    def pop(self, ledger, span: Span) -> None:
-        slot = self._stacks.get(id(ledger))
-        if slot is not None and span in slot.stack:
-            while slot.stack[-1] is not span:
-                self.end(slot.stack.pop())
-            slot.stack.pop()
-        self.end(span)
 
     def _top(self, ledger) -> Optional[Span]:
         slot = self._stacks.get(id(ledger))
@@ -395,13 +338,6 @@ class Tracer:
         span = self._top(ledger)
         if span is not None:
             span.record_charge(rounds, processors, work, time.perf_counter())
-
-    def on_retry_charge(
-        self, ledger, rounds: int, processors: int, work: int, kind: str
-    ) -> None:
-        span = self._top(ledger)
-        if span is not None:
-            span.record_retry(kind, rounds, processors, work, time.perf_counter())
 
     def on_kernel(self, ledger, name: str, size: int) -> None:
         span = self._top(ledger)
@@ -416,7 +352,7 @@ class Tracer:
             span = self.begin(name, "phase", parent=slot.stack[-1])
             slot.stack.append(span)
         else:
-            # tolerate stacks collapsed by rebind/unbind mid-phase
+            # close the matching phase span and any span left open inside it
             for i in range(len(slot.stack) - 1, 0, -1):
                 if slot.stack[i].name == name and slot.stack[i].kind == "phase":
                     while len(slot.stack) > i:

@@ -16,12 +16,6 @@ many processors were active.  The ledger tracks:
 Phases let an algorithm attribute costs to named stages (e.g.
 ``"sampled-rows"`` vs ``"interpolation"``); nested phases accumulate
 into every open phase.
-
-Fault-tolerance charges live in a *separate* retry account
-(:meth:`CostLedger.charge_retry`): replayed rounds never touch
-``rounds``/``work``/``phases``, so the paper-bound measurements are
-unchanged by fault injection, and :meth:`CostLedger.snapshot` is
-bit-identical to the fault-free snapshot whenever no retry fired.
 """
 
 from __future__ import annotations
@@ -132,14 +126,7 @@ class CostLedger:
         self.peak_processors = 0
         self.phases: Dict[str, PhaseStats] = {}
         self._open_phases: List[str] = []
-        self.retry_rounds = 0
-        self.retry_work = 0
-        self.retry_peak_processors = 0
-        self.retry_charges = 0
-        self.retry_by_kind: Dict[str, PhaseStats] = {}
         #: Optional per-ledger observer (a bound :class:`repro.obs.Tracer`).
-        #: Deliberately reset by ``__init__`` — a retried query wipes its
-        #: sub-account and the engine rebinds the tracer with it.
         self.observer = None
 
     # ------------------------------------------------------------------ #
@@ -174,33 +161,6 @@ class CostLedger:
             for hook in tuple(_ROUND_HOOKS):
                 hook(self, rounds, processors, work)
 
-    def charge_retry(
-        self, rounds: int = 1, processors: int = 1, work: int | None = None, kind: str = "fault"
-    ) -> None:
-        """Record a replayed (faulted) round in the retry account.
-
-        Retry charges are kept apart from the paper-bound totals:
-        ``rounds``/``work``/``peak_processors``/``phases`` never see
-        them.  The processor budget is not re-checked — the replayed
-        round already passed it when it first ran.
-        """
-        if rounds < 0 or processors < 0:
-            raise ValueError("rounds and processors must be nonnegative")
-        if rounds == 0:
-            return
-        if processors == 0:
-            processors = 1
-        if work is None:
-            work = rounds * processors
-        self.retry_rounds += rounds
-        self.retry_work += work
-        self.retry_peak_processors = max(self.retry_peak_processors, processors)
-        self.retry_charges += 1
-        self.retry_by_kind.setdefault(kind, PhaseStats()).add(rounds, processors, work)
-        obs = self.observer
-        if obs is not None:
-            obs.on_retry_charge(self, rounds, processors, work, kind)
-
     @contextmanager
     def phase(self, name: str) -> Iterator[PhaseStats]:
         """Attribute charges inside the ``with`` block to ``name``."""
@@ -220,27 +180,13 @@ class CostLedger:
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
-        """Immutable summary, convenient for benches and reports.
-
-        The ``"retry"`` key appears only when at least one retry was
-        charged, keeping fault-free snapshots bit-identical to those of
-        a machine with no fault plan at all.
-        """
-        snap = {
+        """Immutable summary, convenient for benches and reports."""
+        return {
             "rounds": self.rounds,
             "work": self.work,
             "peak_processors": self.peak_processors,
             "phases": {k: vars(v).copy() for k, v in self.phases.items()},
         }
-        if self.retry_charges:
-            snap["retry"] = {
-                "rounds": self.retry_rounds,
-                "work": self.retry_work,
-                "peak_processors": self.retry_peak_processors,
-                "charges": self.retry_charges,
-                "by_kind": {k: vars(v).copy() for k, v in self.retry_by_kind.items()},
-            }
-        return snap
 
     def merge(self, other: "CostLedger") -> None:
         """Fold another ledger's totals into this one (sequential join)."""
@@ -249,16 +195,6 @@ class CostLedger:
         self.peak_processors = max(self.peak_processors, other.peak_processors)
         for name, stats in other.phases.items():
             mine = self.phases.setdefault(name, PhaseStats())
-            mine.rounds += stats.rounds
-            mine.work += stats.work
-            mine.peak_processors = max(mine.peak_processors, stats.peak_processors)
-            mine.charges += stats.charges
-        self.retry_rounds += other.retry_rounds
-        self.retry_work += other.retry_work
-        self.retry_peak_processors = max(self.retry_peak_processors, other.retry_peak_processors)
-        self.retry_charges += other.retry_charges
-        for name, stats in other.retry_by_kind.items():
-            mine = self.retry_by_kind.setdefault(name, PhaseStats())
             mine.rounds += stats.rounds
             mine.work += stats.work
             mine.peak_processors = max(mine.peak_processors, stats.peak_processors)

@@ -16,31 +16,16 @@ The machine is deliberately cheap to construct: applications create
 sub-machines (``pram.sub(processors)``) for recursive calls so that
 processor budgets of nested subproblems are enforced locally while all
 costs flow into one shared ledger.
-
-Fault tolerance: an optional :class:`~repro.resilience.faults.FaultPlan`
-turns the machine into a faulty one.  A ``processor_drop`` fault strikes
-a charged round before it commits; the simulation is deterministic, so
-the machine replays the round — charging its cost to the ledger's
-*retry* account (:meth:`~repro.pram.ledger.CostLedger.charge_retry`)
-once per lost attempt — and the paper-bound totals stay untouched.  A
-``write_conflict`` fault injects a ghost colliding write into a checked
-scatter: exclusive/common models detect it (one retry charge, then a
-clean replay), arbitrary/priority models resolve it legally with the
-ghost losing.  With no plan (or a plan whose rates are zero) every code
-path and every ledger byte is identical to the fault-free machine.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.pram.ledger import CostLedger, notify_kernel, observed_phase
 from repro.pram.models import CREW, ConcurrencyViolation, PramModel, resolve_concurrent_writes
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.resilience.faults import FaultPlan
 
 __all__ = ["Pram"]
 
@@ -61,13 +46,6 @@ class Pram:
     validate:
         When True, checked gather/scatter verify concurrency legality
         each round (slower; meant for tests and small runs).
-    faults:
-        Optional :class:`~repro.resilience.faults.FaultPlan`; see the
-        module docstring.  ``None`` (the default) means a perfect
-        machine.
-    retry_limit:
-        How many consecutive replays of one round to attempt before
-        raising ``FaultRetriesExhausted``.
     """
 
     def __init__(
@@ -76,19 +54,13 @@ class Pram:
         processors: int = 1,
         ledger: Optional[CostLedger] = None,
         validate: bool = False,
-        faults: "FaultPlan | None" = None,
-        retry_limit: int = 8,
     ) -> None:
         if processors < 1:
             raise ValueError(f"processors must be >= 1, got {processors}")
-        if retry_limit < 1:
-            raise ValueError(f"retry_limit must be >= 1, got {retry_limit}")
         self.model = model
         self.processors = int(processors)
         self.ledger = ledger if ledger is not None else CostLedger(processor_limit=None)
         self.validate = bool(validate)
-        self.faults = faults
-        self.retry_limit = int(retry_limit)
 
     # ------------------------------------------------------------------ #
     def charge(self, rounds: int = 1, processors: int | None = None, work: int | None = None):
@@ -102,23 +74,7 @@ class Pram:
             raise RuntimeError(
                 f"primitive used {p} processors but machine has only {self.processors}"
             )
-        if self.faults is not None:
-            self._replay_dropped_rounds(rounds, p, work)
         self.ledger.charge(rounds=rounds, processors=p, work=work)
-
-    def _replay_dropped_rounds(self, rounds: int, processors: int, work: int | None) -> None:
-        """Consume ``processor_drop`` faults for one charge, paying each
-        lost attempt into the ledger's retry account."""
-        plan = self.faults
-        site = f"{type(self).__name__}.charge"
-        attempts = 0
-        while plan.fires("processor_drop", site=site, round_index=self.ledger.rounds):
-            self.ledger.charge_retry(
-                rounds=rounds, processors=processors, work=work, kind="processor_drop"
-            )
-            attempts += 1
-            if attempts >= self.retry_limit:
-                plan.exhausted("processor_drop", site, attempts)
 
     def charge_eval(self, size: int) -> None:
         """Charge one entry-evaluation round for ``size`` candidates.
@@ -134,9 +90,7 @@ class Pram:
         """A view of this machine restricted to ``processors`` processors.
 
         Costs still flow to the shared ledger; the returned machine just
-        enforces the smaller budget for a nested subcomputation.  The
-        fault plan (if any) is shared too — faults do not stop at
-        recursion boundaries.
+        enforces the smaller budget for a nested subcomputation.
         """
         if processors < 1:
             processors = 1
@@ -145,14 +99,7 @@ class Pram:
                 f"cannot create sub-machine with {processors} processors "
                 f"from a machine with {self.processors}"
             )
-        return Pram(
-            self.model,
-            processors,
-            ledger=self.ledger,
-            validate=self.validate,
-            faults=self.faults,
-            retry_limit=self.retry_limit,
-        )
+        return Pram(self.model, processors, ledger=self.ledger, validate=self.validate)
 
     def phase(self, name: str):
         """Shorthand for ``self.ledger.phase(name)``."""
@@ -194,7 +141,14 @@ class Pram:
         addresses = np.asarray(addresses).ravel()
         values = np.asarray(values).ravel()
         if self.validate:
-            uniq, winners = self._resolve_writes(addresses, values, processor_ids)
+            uniq, winners = resolve_concurrent_writes(
+                self.model.write_policy,
+                addresses,
+                values,
+                processor_ids,
+                model_name=self.model.name,
+                round_index=self.ledger.rounds,
+            )
             memory[uniq] = winners
         else:
             if self.model.concurrent_write:
@@ -205,68 +159,6 @@ class Pram:
             else:
                 memory[addresses] = values
         self.charge(rounds=1, processors=max(1, addresses.size))
-
-    def _resolve_writes(self, addresses, values, processor_ids):
-        """Model-checked write resolution, with optional fault injection.
-
-        A fired ``write_conflict`` fault adds one *ghost* write that
-        collides with the step's first real write.  Exclusive and
-        common models reject the collision — the machine charges one
-        retry and replays the step cleanly; arbitrary and priority
-        models resolve it legally (the ghost is appended last and given
-        the worst priority, so it always loses and the memory image is
-        unchanged).
-        """
-        plan = self.faults
-        if plan is not None and addresses.size and plan.fires(
-            "write_conflict",
-            site=f"{type(self).__name__}.scatter[{self.model.name}]",
-            round_index=self.ledger.rounds,
-            detail=f"ghost write at address {addresses[0]!r}",
-        ):
-            ghost_addr = np.concatenate([addresses, addresses[:1]])
-            # a disagreeing value so COMMON detects it; EXCLUSIVE rejects
-            # any duplicate regardless of value
-            ghost_vals = np.concatenate([values, np.asarray([values[0] + 1])])
-            pids = (
-                np.asarray(processor_ids)
-                if processor_ids is not None
-                else np.arange(addresses.size)
-            )
-            ghost_pids = np.concatenate([pids, np.asarray([int(pids.max(initial=-1)) + 1])])
-            if self.model.concurrent_write and self.model.name != "CRCW-common":
-                # arbitrary/priority: the conflict is legal; resolve with
-                # the ghost in place (it loses either resolution rule).
-                return resolve_concurrent_writes(
-                    self.model.write_policy,
-                    ghost_addr,
-                    ghost_vals,
-                    ghost_pids,
-                    model_name=self.model.name,
-                    round_index=self.ledger.rounds,
-                )
-            try:
-                resolve_concurrent_writes(
-                    self.model.write_policy,
-                    ghost_addr,
-                    ghost_vals,
-                    ghost_pids,
-                    model_name=self.model.name,
-                    round_index=self.ledger.rounds,
-                )
-            except ConcurrencyViolation:
-                # detected: charge the lost attempt, then replay clean
-                self.ledger.charge_retry(
-                    rounds=1, processors=max(1, addresses.size), kind="write_conflict"
-                )
-        return resolve_concurrent_writes(
-            self.model.write_policy,
-            addresses,
-            values,
-            processor_ids,
-            model_name=self.model.name,
-            round_index=self.ledger.rounds,
-        )
 
     # ------------------------------------------------------------------ #
     def require_crcw(self, what: str) -> None:

@@ -53,17 +53,8 @@ class BrentPram(Pram):
         physical_processors: int,
         ledger: CostLedger | None = None,
         validate: bool = False,
-        faults=None,
-        retry_limit: int = 8,
     ) -> None:
-        super().__init__(
-            model,
-            virtual_processors,
-            ledger=ledger,
-            validate=validate,
-            faults=faults,
-            retry_limit=retry_limit,
-        )
+        super().__init__(model, virtual_processors, ledger=ledger, validate=validate)
         if physical_processors < 1:
             raise ValueError("physical_processors must be >= 1")
         self.physical_processors = int(physical_processors)
@@ -76,15 +67,10 @@ class BrentPram(Pram):
             )
         p = self.physical_processors
         slices = ceil_div(max(1, a), p)
-        eff_work = work if work is not None else rounds * a
-        if self.faults is not None:
-            # a drop loses the whole rescheduled batch: replay at the
-            # rescheduled (charged) shape
-            self._replay_dropped_rounds(rounds * slices, min(a, p), eff_work)
         self.ledger.charge(
             rounds=rounds * slices,
             processors=min(a, p),
-            work=eff_work,
+            work=work if work is not None else rounds * a,
         )
 
     def sub(self, processors: int) -> "BrentPram":
@@ -101,6 +87,4 @@ class BrentPram(Pram):
             self.physical_processors,
             ledger=self.ledger,
             validate=self.validate,
-            faults=self.faults,
-            retry_limit=self.retry_limit,
         )

@@ -45,9 +45,9 @@ nondecreasing in ``i`` (the ``(i,j)`` slab is Monge too) is checked as
 a necessary condition.  ``O(p(q + r))`` evaluations.
 
 All certificates are *conditional*: they assume the input has the
-structure the algorithm was promised.  Use
-:mod:`repro.resilience.degrade` (``strict=False``) when even that is in
-doubt.
+structure the algorithm was promised.  When even that is in doubt,
+check it first with :mod:`repro.monge.properties` (``is_monge``,
+``is_inverse_monge``, ``is_staircase_monge``).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ executor is idle, so requests that arrive while it is busy run as one
 fused sweep and a request on an idle service runs at once.  Each bucket
 is lowered through the existing planner and staged lifecycle, so served
 answers are bit-identical to direct :meth:`Session.solve` calls and
-inherit kernel tiers, resilience, and tracing unchanged.
+inherit kernel tiers, certification, and tracing unchanged.
 
 Quickstart::
 

@@ -11,7 +11,7 @@ drain: requests that arrive while the executor is busy accumulate and
 run as one fused bucket when it frees, so load sets the batch width and
 an idle service runs a request at once.  Dispatched buckets run through
 the ordinary staged lifecycle (:func:`repro.engine.lifecycle.run_plans`),
-so fused buckets inherit kernel tiers, resilience, and tracing
+so fused buckets inherit kernel tiers, certification, and tracing
 unchanged, and every answer is bit-identical to a direct
 :meth:`Session.solve`.
 
@@ -547,7 +547,6 @@ class QueryService:
                 replanned = plan_query(
                     r.plan.problem, r.plan.data, r.plan.config,
                     self._session.backend, index=r.plan.index,
-                    session_faults=self._session.faults,
                 )
             if replanned.fused_key != r.plan.fused_key:
                 raise AssertionError(

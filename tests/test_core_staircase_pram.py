@@ -1,12 +1,14 @@
 """Theorem 2.3: parallel staircase-Monge row minima (Table 1.2)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.staircase_network import staircase_row_minima_network
 from repro.core.staircase_pram import (
     staircase_row_minima_batch,
     staircase_row_minima_pram,
@@ -59,6 +61,29 @@ def test_all_infinite_rows():
     v, c = staircase_row_minima_pram(make(), st_arr)
     assert c.tolist()[:3] == [0, 0, 0]
     assert (c[3:] == -1).all() and np.isinf(v[3:]).all()
+
+
+def test_non_staircase_infinity_pattern_raises():
+    """An ``∞`` entry that does not spread right and down is rejected
+    before any charge, on the PRAM and the network entry points."""
+    a = np.zeros((4, 4))
+    a[0, 0] = np.inf
+    m = make()
+    with pytest.raises(ValueError):
+        staircase_row_minima_pram(m, a)
+    assert m.ledger.rounds == 0
+    with pytest.raises(ValueError):
+        staircase_row_minima_network(a, "hypercube")
+
+
+def test_staircase_input_solves_without_warnings():
+    a = random_staircase_monge(10, 10, np.random.default_rng(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, cols = staircase_row_minima_pram(make(), a)
+    want_vals, want_cols = brute(a.materialize())
+    np.testing.assert_array_equal(cols, want_cols)
+    np.testing.assert_array_equal(vals, want_vals)
 
 
 def test_strictly_decreasing_boundary(rng):

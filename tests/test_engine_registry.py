@@ -4,8 +4,7 @@ Every canonical ``(problem, backend)`` pair must either solve a small
 instance correctly (values matching the sequential baseline) or refuse
 with a :class:`~repro.engine.CapabilityError` — never fail with an
 unrelated exception.  Capability *violations* (certifying a maxima
-problem, injecting faults into the sequential baseline, undeclared
-strategies) must raise the declared error type.
+problem, undeclared strategies) must raise the declared error type.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from repro.engine import (
     NETWORK_BACKENDS,
     PROBLEMS,
     CapabilityError,
-    ExecutionConfig,
     Session,
     registry,
     solve,
@@ -26,7 +24,6 @@ from repro.monge.generators import (
     random_monge,
     random_staircase_monge,
 )
-from repro.resilience.faults import FaultPlan
 
 RNG = np.random.default_rng(11)
 MONGE = random_monge(8, 9, RNG)
@@ -91,20 +88,6 @@ def test_certify_on_maxima_is_a_capability_error():
     for problem in ("rowmax", "rowmax_inverse", "staircase_max", "tube_max"):
         with pytest.raises(CapabilityError, match="certifier"):
             solve(problem, DATA[problem], certify=True)
-
-
-def test_sequential_capability_refusals():
-    with pytest.raises(CapabilityError, match="strict"):
-        solve("rowmin", MONGE, backend="sequential", strict=False)
-    with pytest.raises(CapabilityError, match="faults"):
-        solve(
-            "rowmin",
-            MONGE,
-            backend="sequential",
-            config=ExecutionConfig(faults=FaultPlan(seed=0, processor_drop=0.5)),
-        )
-    with pytest.raises(CapabilityError, match="retry"):
-        solve("rowmin", MONGE, backend="sequential", retries=2)
 
 
 def test_undeclared_strategy_is_a_capability_error():

@@ -1,10 +1,10 @@
-"""Session behavior: ledger sub-accounts, machine reuse, retries, apps.
+"""Session behavior: ledger sub-accounts, machine reuse, certification, apps.
 
 The acceptance contract of the engine refactor: every query runs on its
 own :class:`~repro.pram.ledger.CostLedger` sub-account that merges into
-the session total, machines are reused across queries, resilience
-(retries + certification) rides behind :class:`ExecutionConfig`, and all
-four §1.3 applications can share one session.
+the session total, machines are reused across queries, certification
+rides behind :class:`ExecutionConfig`, and all four §1.3 applications
+can share one session.
 """
 
 import numpy as np
@@ -21,13 +21,12 @@ from repro.apps.string_edit import (
     edit_distance_wagner_fischer,
 )
 from repro.apps.visible_neighbors import neighbor_queries_brute, visible_neighbor_queries
-from repro.engine import CapabilityError, ExecutionConfig, Session, solve
+from repro.engine import CapabilityError, ExecutionConfig, Session
 from repro.monge.generators import (
     random_composite,
     random_monge,
     random_staircase_monge,
 )
-from repro.resilience.faults import FaultPlan
 
 RNG = np.random.default_rng(23)
 MONGE = random_monge(12, 12, RNG)
@@ -96,7 +95,7 @@ def test_unknown_backend_rejected():
 
 
 # --------------------------------------------------------------------- #
-# config plumbing + resilience
+# config plumbing + certification
 # --------------------------------------------------------------------- #
 def test_acceptance_auto_backend_certified_tube_min():
     """The ISSUE acceptance query, verbatim."""
@@ -117,24 +116,6 @@ def test_session_config_is_the_default_and_overrides_refine_it():
     assert r2.strategy == "sqrt"
     np.testing.assert_array_equal(r.values, r2.values)
 
-
-def test_retries_route_through_run_resilient_under_faults():
-    plan = FaultPlan(seed=5, processor_drop=0.05)
-    s = Session("pram-crcw", faults=plan)
-    r = s.solve("rowmin", MONGE, retries=3, certify=True)
-    ref, _ = solve("rowmin", MONGE, backend="sequential")
-    np.testing.assert_array_equal(r.values, ref)
-    assert r.certified
-    assert r.retries >= 0  # deterministic plan; attempts recorded
-
-
-def test_corrupting_faults_retried_to_a_certified_answer():
-    plan = FaultPlan(seed=3, message_corrupt=0.02)
-    s = Session("hypercube", faults=plan)
-    r = s.solve("rowmin", MONGE, retries=3, certify=True)
-    ref, _ = solve("rowmin", MONGE, backend="sequential")
-    np.testing.assert_array_equal(r.values, ref)
-    assert r.certified
 
 
 # --------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """Ledger bit-identity across the engine refactor.
 
-``tests/data/pre_refactor_snapshots.json`` pins the no-fault ledger
+``tests/data/pre_refactor_snapshots.json`` pins the ledger
 snapshots of every legacy core entry point (rowmin / rowmax / staircase /
 tube on CRCW and CREW), captured on the pre-engine implementations.  The
 legacy wrappers now route through :func:`repro.engine.dispatch_on`; this

@@ -175,11 +175,6 @@ class TestSubmatrixSolve:
         assert r.snapshot["rounds"] > 0
         assert s.ledger.rounds > 0
 
-    def test_lenient_mode_is_a_declared_capability_error(self):
-        a = random_monge(4, 4, np.random.default_rng(13))
-        with pytest.raises(CapabilityError, match="degradation"):
-            repro.solve("submatrix_max", (a, (0, 4), (0, 4)), strict=False)
-
     def test_malformed_data_is_a_type_error(self):
         a = random_monge(4, 4, np.random.default_rng(14))
         with pytest.raises(TypeError, match="triple"):

@@ -3,7 +3,7 @@
 The central invariant: a traced query's span-tree totals are
 bit-identical to its ledger snapshot — the spans are built from the very
 same committed charges the snapshot summarizes, across the serial path,
-fused batches, resilient retries, and network backends.
+fused batches, and network backends.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 
 import repro
 from repro.obs import (
-    Span,
     Tracer,
     clear_hooks,
     kernel_hook,
@@ -25,7 +24,6 @@ from repro.obs import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.pram import CostLedger
-from repro.resilience.faults import FaultPlan
 
 
 @pytest.fixture(autouse=True)
@@ -47,13 +45,6 @@ def _assert_totals_match(result):
     assert tt["rounds"] == snap["rounds"]
     assert tt["work"] == snap["work"]
     assert tt["peak_processors"] == snap["peak_processors"]
-    retry = snap.get("retry")
-    if retry is not None:
-        assert tt["retry_rounds"] == retry["rounds"]
-        assert tt["retry_work"] == retry["work"]
-        assert tt["retry_charges"] == retry["charges"]
-    else:
-        assert tt["retry_charges"] == 0
 
 
 # --------------------------------------------------------------------- #
@@ -102,41 +93,6 @@ def test_fused_trace_equals_serial_trace_structure():
         st, bt = s.trace.totals(), b.trace.totals()
         for key in ("rounds", "work", "peak_processors", "charges"):
             assert st[key] == bt[key]
-
-
-def test_retry_trace_totals_and_attempt_spans():
-    plan = FaultPlan(seed=5, processor_drop=0.03)
-    r = repro.solve("rowmin", _monge(28, 28), trace=True, retries=2, faults=plan)
-    _assert_totals_match(r)
-    attempts = [s for s in r.trace.spans() if s.kind == "attempt"]
-    assert attempts, "resilient path must create attempt spans"
-    assert "faults_fired" in attempts[-1].attrs
-
-
-def test_discarded_attempts_excluded_from_totals():
-    """Force genuine multi-attempt runs: a retry_limit of 1 makes the
-    first processor_drop raise FaultRetriesExhausted, run_resilient
-    replays, and the wiped attempt's span must be marked discarded."""
-    plan = FaultPlan(seed=11, processor_drop=0.2)
-    session = repro.Session("pram-crcw", retry_limit=1)
-    r = session.solve("rowmin", _monge(30, 30), trace=True, retries=6, faults=plan)
-    assert r.retries > 0
-    attempts = [s for s in r.trace.spans() if s.kind == "attempt"]
-    assert len(attempts) == r.retries + 1
-    assert all(s.discarded for s in attempts[:-1])
-    assert not attempts[-1].discarded
-    _assert_totals_match(r)
-
-
-def test_degraded_fallback_is_traced():
-    not_monge = np.array([[0.0, 0.0], [0.0, 1.0]])
-    with pytest.warns(Warning):
-        r = repro.solve("rowmin", not_monge, trace=True, strict=False)
-    assert r.degraded
-    assert r.trace.root.attrs["degraded"] is True
-    _assert_totals_match(r)
-    names = {s.name for s in r.trace.spans()}
-    assert "degraded-fallback" in names
 
 
 def test_trace_disabled_by_default():
@@ -188,7 +144,7 @@ def test_jsonl_export_roundtrips(tmp_path):
     ids = {row["id"] for row in rows}
     for row in rows[1:]:
         assert row["parent"] in ids
-    assert sum(row["rounds"] for row in rows if not row["discarded"]) == r.snapshot["rounds"]
+    assert sum(row["rounds"] for row in rows) == r.snapshot["rounds"]
 
 
 def test_chrome_export_shape(tmp_path):
@@ -214,13 +170,11 @@ def test_tracer_direct_api():
         ledger.charge(rounds=3, processors=5)
         with ledger.phase("inner"):
             ledger.charge(rounds=2, processors=7)
-        ledger.charge_retry(rounds=1, processors=2, kind="test")
         tracer.unbind(ledger)
     assert ledger.observer is None
     t = tracer.trace(root)
     assert t.totals()["rounds"] == ledger.rounds == 5
     assert t.totals()["peak_processors"] == 7
-    assert t.totals()["retry_charges"] == 1
     inner = [s for s in t.spans() if s.name == "inner"]
     assert len(inner) == 1 and inner[0].kind == "phase"
     assert inner[0].rounds == 2
@@ -238,17 +192,6 @@ def test_observed_phase_does_not_touch_ledger_phases():
     tracer.unbind(ledger)
     assert ledger.phases == {}  # pinned snapshots see no new phase
     assert [s.name for s in root.children] == ["marker"]
-
-
-def test_span_totals_skip_discarded_subtrees():
-    a = Span(name="root", kind="solve", span_id=0)
-    a.record_charge(4, 2, 8, 0.0)
-    bad = Span(name="attempt", kind="attempt", span_id=1, parent=a, discarded=True)
-    bad.record_charge(100, 100, 10000, 0.0)
-    a.children.append(bad)
-    assert a.totals()["rounds"] == 4
-    assert len(list(a.walk())) == 2
-    assert len(list(a.walk(skip_discarded=True))) == 1
 
 
 # --------------------------------------------------------------------- #
@@ -274,12 +217,10 @@ def test_metrics_batch_fusion_rate():
     assert snap["derived"]["batch_fusion_rate"] == 1.0
 
 
-def test_metrics_retry_and_certify_counters():
-    plan = FaultPlan(seed=11, processor_drop=0.2)
-    session = repro.Session("pram-crcw", retry_limit=1)
-    r = session.solve("rowmin", _monge(30, 30), retries=6, faults=plan, certify=True)
+def test_metrics_certify_counters():
+    session = repro.Session("pram-crcw")
+    r = session.solve("rowmin", _monge(30, 30), certify=True)
     snap = repro.obs.snapshot()
-    assert snap["counters"]["engine.retries"] == r.retries > 0
     assert snap["counters"]["engine.certified"] == 1
     assert snap["counters"]["engine.certify_evals"] == r.certificate.evals > 0
 

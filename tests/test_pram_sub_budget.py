@@ -94,5 +94,3 @@ def test_brent_physical_budget_validation():
         BrentPram(CREW, 16, 0, ledger=CostLedger())
     with pytest.raises(ValueError):
         Pram(CREW, 0, ledger=CostLedger())
-    with pytest.raises(ValueError):
-        Pram(CREW, 4, ledger=CostLedger(), retry_limit=0)

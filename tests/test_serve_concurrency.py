@@ -1,12 +1,11 @@
-"""Real-asyncio serving smoke: concurrency, ordering, and seeded chaos.
+"""Real-asyncio serving smoke: concurrency and ordering.
 
 The virtual-clock suite (``test_serve_service.py``) pins the dispatch /
 admission / deadline state machine; this one runs the *production*
 wiring — :class:`MonotonicClock` + :class:`ThreadExecutor` + the default
-policy — under real concurrent clients and seeded fault regimes.  Every
-check is against a deterministic reference (direct :class:`Session`
-answers, seeded :class:`FaultPlan` schedules), never against wall-clock
-timing.
+policy — under real concurrent clients.  Every check is against a
+deterministic reference (direct :class:`Session` answers), never against
+wall-clock timing.
 """
 
 import asyncio
@@ -18,7 +17,6 @@ from repro.engine import Session
 from repro.kernels import current_tier, resolve_kernel_tier, tier_context
 from repro.monge.generators import random_monge, random_staircase_monge
 from repro.obs import kernel_hook, metrics, reset_metrics
-from repro.resilience.faults import FaultPlan
 from repro.serve import QueryService, serve_solve
 
 @pytest.fixture(autouse=True)
@@ -148,39 +146,6 @@ def test_serve_solve_one_shot():
     a = random_monge(9, 9, np.random.default_rng(31))
     got = asyncio.run(serve_solve("rowmin", a, "pram-crcw"))
     _assert_same(Session("pram-crcw").solve("rowmin", a), got)
-
-
-# --------------------------------------------------------------------- #
-# seeded chaos under the service
-# --------------------------------------------------------------------- #
-def test_faulty_request_retries_accounted_to_that_request_only():
-    """One client opts into a deterministic machine-fault regime
-    (``processor_drop=1.0`` + ``retries=2``): its retries must land on
-    *its* sub-account while clean concurrent requests stay at zero and
-    every answer stays correct."""
-    clean = [random_monge(8, 8, np.random.default_rng(300 + k)) for k in range(4)]
-    faulty = random_monge(8, 8, np.random.default_rng(399))
-    plan = FaultPlan(seed=0, processor_drop=1.0)
-
-    async def body():
-        async with QueryService("pram-crcw") as svc:
-            chaotic = svc.solve("rowmin", faulty, faults=plan, retries=2)
-            calm = [svc.solve("rowmin", a) for a in clean]
-            return await asyncio.gather(chaotic, *calm)
-
-    got_faulty, *got_clean = asyncio.run(body())
-    ref = Session("pram-crcw")
-    # run_resilient disarms the final attempt, so rate 1.0 still converges
-    assert got_faulty.retries == 2
-    np.testing.assert_array_equal(
-        ref.solve("rowmin", faulty).values, got_faulty.values
-    )
-    for a, got in zip(clean, got_clean):
-        assert got.retries == 0
-        _assert_same(ref.solve("rowmin", a), got)
-    counters = metrics().snapshot()["counters"]
-    # machine faults disqualify fusion: the chaotic request ran serially
-    assert counters["serve.fused_requests"] == _fused(4)
 
 
 def test_concurrent_prepare_and_solve_share_the_executor_safely():
