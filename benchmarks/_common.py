@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
+import platform
+import sys
+import time
+from typing import Any, Dict
 
-from repro.engine import Session
+import numpy as np
+
 from repro.pram.ledger import CostLedger
 from repro.pram.models import CRCW_COMMON, CREW
 from repro.pram.scheduling import BrentPram
@@ -21,16 +27,6 @@ def crew_machine(n: int) -> BrentPram:
     return BrentPram(CREW, 1 << 44, phys, ledger=CostLedger())
 
 
-def crcw_session(n: int) -> Session:
-    """Engine session adopting the Table-budget CRCW machine."""
-    return Session(machine=crcw_machine(n))
-
-
-def crew_session(n: int) -> Session:
-    """Engine session adopting the Table-budget CREW machine."""
-    return Session(machine=crew_machine(n))
-
-
 def fmt_rows(title: str, header: str, rows) -> str:
     lines = [title, "-" * len(title), header]
     lines += rows
@@ -39,3 +35,33 @@ def fmt_rows(title: str, header: str, rows) -> str:
 
 def lg(n: float) -> float:
     return math.log2(max(2.0, n))
+
+
+class Timer:
+    """Context-manager stopwatch: ``with Timer() as t: ...; t.seconds``."""
+
+    def __enter__(self) -> "Timer":
+        self.seconds: float = 0.0
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.seconds = time.perf_counter() - self._t0
+
+
+def environment_fingerprint() -> Dict[str, str]:
+    """Provenance header for emitted JSON records."""
+    return {
+        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+    }
+
+
+def emit_json(path: str, payload: Dict[str, Any]) -> None:
+    """Write ``payload`` as stable pretty-printed JSON."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -43,9 +43,10 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from _common import Timer, emit_json, environment_fingerprint
+
 from repro.engine import Session
 from repro.monge.generators import random_monge
-from repro.perf import Timer, emit_json, environment_fingerprint
 from repro.pram.ledger import CostLedger, ProcessorBudgetExceeded
 
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_obs.json")
@@ -116,7 +117,7 @@ def run_workload(n: int, queries: int, repeats: int) -> Dict:
             raise RuntimeError("observability configuration changed the answers")
 
     # Interleave configs within each repeat so they sample the same
-    # host-load epochs (same rationale as bench_regress.py).
+    # host-load epochs and the overhead ratios stay stable on noisy hosts.
     best = {"stripped": float("inf"), "off": float("inf"), "traced": float("inf")}
     last_traced = None
     for _ in range(repeats):

@@ -11,9 +11,6 @@ manually around every call.  ``ExecutionConfig`` consolidates all of it:
     on CRCW machines and ``"crew"`` (halving) otherwise.  The legacy
     per-function ``strategy=``/``scheme=`` arguments map onto this one
     field.
-``checked``
-    Run the machine in validating mode (checked gather/scatter
-    concurrency legality) where the backend supports it.
 ``certify``
     Self-certify the answer with the matching
     :mod:`repro.resilience.certify` certificate; a failing certificate
@@ -60,7 +57,6 @@ class ExecutionConfig:
     """
 
     strategy: str = "auto"
-    checked: bool = False
     certify: bool = False
     trace: bool = False
     kernel_tier: Optional[str] = None
@@ -96,7 +92,7 @@ class ExecutionConfig:
         separately, so a query that names the tier it would get by
         default fuses with the queries that get it by default.
         """
-        return (self.checked, self.certify, self.trace)
+        return (self.certify, self.trace)
 
     # ------------------------------------------------------------------ #
     def resolve_strategy(self, problem: str, crcw: bool) -> str:

@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.engine.config import ExecutionConfig
 from repro.engine.lifecycle import SERIAL, run_plans
 from repro.engine.machines import backend_of, build_machine
-from repro.engine.planner import QueryPlan, plan_query, shape_of
+from repro.engine.planner import QueryPlan, plan_query
 from repro.engine.registry import (
     BACKENDS,
     CapabilityError,
@@ -52,9 +52,6 @@ from repro.obs.metrics import metrics
 from repro.pram.ledger import CostLedger
 
 __all__ = ["Session", "QueryRecord", "solve", "solve_many", "dispatch_on"]
-
-# Back-compat alias: the shape key now lives in the planner.
-_shape_of = shape_of
 
 
 def dispatch_on(machine, problem: str, data, config: ExecutionConfig):

@@ -329,7 +329,10 @@ def grouped_min(
         ``O(lg lg max_width)`` rounds with linear processors (CRCW).
     ``auto``
         ``allpairs`` when CRCW and the pair budget fits, else
-        ``doubly_log`` on CRCW, else ``binary``.
+        ``doubly_log`` on CRCW, else ``binary``.  All-pairs bills each
+        group at its padded power-of-two width; on a machine too small
+        for that bill, the first of ``doubly_log`` and ``binary`` whose
+        bill fits.
     """
     return _grouped_extremum(pram, values, offsets, "min", strategy)
 
@@ -377,6 +380,9 @@ def _grouped_extremum(
             # the *physical* width or all-pairs degenerates to O(n) slices.
             budget = getattr(pram, "physical_processors", pram.processors)
             strategy = "allpairs" if pair_budget <= budget else "doubly_log"
+            if 4 * pair_budget > pram.processors:
+                # padded width classes bill up to 4·Σw², which may not fit
+                strategy = _fitting_strategy(pram.processors, widths, max_w, strategy)
         else:
             strategy = "binary"
     if strategy in ("allpairs", "doubly_log"):
@@ -390,6 +396,34 @@ def _grouped_extremum(
     if strategy == "doubly_log":
         return _grouped_min_doubly_log(pram, values, offsets, widths)
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+class _PeakTally:
+    """A charge target that keeps only the widest charge billed to it."""
+
+    def __init__(self) -> None:
+        self.peak = 0
+
+    def charge(self, rounds=1, processors=1, work=None) -> None:
+        self.peak = max(self.peak, processors)
+
+
+def _fitting_strategy(processors: int, widths, max_w: int, first: str) -> str:
+    """The first of ``first``, ``doubly_log`` and ``binary`` whose bill
+    over groups of ``widths`` fits ``processors``; ``first`` when none
+    does, so its kernel raises the budget error."""
+    classes = _width_class_counts(widths)
+    for strategy in dict.fromkeys((first, "doubly_log", "binary")):
+        tally = _PeakTally()
+        if strategy == "allpairs":
+            _bill_allpairs(tally, classes)
+        elif strategy == "doubly_log":
+            _bill_doubly_log(tally, classes)
+        else:
+            _bill_binary(tally, int(widths.sum()), max_w, int(np.count_nonzero(widths)))
+        if tally.peak <= processors:
+            return strategy
+    return first
 
 
 def _grouped_min_fused(values, offsets, widths):

@@ -1,15 +1,15 @@
 """Async query serving with micro-batching (DESIGN.md §15).
 
 The paper's premise is that grouped Monge searches are cheaper together
-than apart; :meth:`Session.solve_many` proves it offline
-(BENCH_batch.json).  :class:`QueryService` makes real concurrent
-traffic get that speedup automatically: an asyncio front door that
-buckets compatible requests and dispatches a bucket as soon as the
-executor is idle, so requests that arrive while it is busy run as one
-fused sweep and a request on an idle service runs at once.  Each bucket
-is lowered through the existing planner and staged lifecycle, so served
-answers are bit-identical to direct :meth:`Session.solve` calls and
-inherit kernel tiers, certification, and tracing unchanged.
+than apart; :meth:`Session.solve_many` answers a batch offline as one
+fused sweep.  :class:`QueryService` makes real concurrent traffic get
+that fusion automatically: an asyncio front door that buckets
+compatible requests and dispatches a bucket as soon as the executor is
+idle, so requests that arrive while it is busy run as one fused sweep
+and a request on an idle service runs at once.  Each bucket is lowered
+through the existing planner and staged lifecycle, so served answers
+are bit-identical to direct :meth:`Session.solve` calls and inherit
+kernel tiers, certification, and tracing unchanged.
 
 Quickstart::
 

@@ -129,8 +129,8 @@ class ServiceConfig:
     ``max_batch``
         Size cap on a bucket's execution width: a bucket this wide is
         dispatched even while the executor is busy, and a wider one is
-        split into ``max_batch``-wide chunks.  ``1`` turns fusion off
-        (the unbatched baseline in ``bench_serve.py``).
+        split into ``max_batch``-wide chunks.  ``1`` turns fusion off:
+        every request runs as its own bucket.
     ``max_pending``
         Admission bound on in-flight requests (admitted, not yet
         settled).

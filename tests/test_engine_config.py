@@ -22,23 +22,26 @@ from repro.serve import InlineExecutor, QueryService
 def test_defaults():
     cfg = ExecutionConfig()
     assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
-        "strategy", "checked", "certify", "trace", "kernel_tier"
+        "strategy", "certify", "trace", "kernel_tier"
     ]
     assert cfg.strategy == "auto"
-    assert cfg.checked is False and cfg.certify is False and cfg.trace is False
+    assert cfg.certify is False and cfg.trace is False
     assert cfg.kernel_tier is None
-    assert cfg.fingerprint() == (False, False, False)
+    assert cfg.fingerprint() == (False, False)
 
 
 def test_removed_knobs_raise_type_error():
     """Knobs that are gone fail loudly, before any charge or admission,
     instead of being ignored or rebinding to the next slot: the entry
-    cache, the tile budget, and ``strict``, ``faults`` and ``retries``
-    with their machine and session spellings."""
+    cache, the tile budget, ``checked`` (which no backend read; a
+    validating machine is ``Session(validate=True)``), and ``strict``,
+    ``faults`` and ``retries`` with their machine and session spellings."""
     with pytest.raises(TypeError):
         ExecutionConfig(cache=True)
     with pytest.raises(TypeError):
         ExecutionConfig(tile_bytes=4096)
+    with pytest.raises(TypeError):
+        ExecutionConfig(checked=True)
     with pytest.raises(TypeError):
         ExecutionConfig("auto", True)
     with pytest.raises(TypeError):
@@ -131,9 +134,9 @@ def test_unknown_strategy_rejected_at_construction():
 
 
 def test_with_overrides_revalidates_and_preserves():
-    cfg = ExecutionConfig(strategy="halving", checked=True)
+    cfg = ExecutionConfig(strategy="halving", trace=True)
     out = cfg.with_overrides(certify=True)
-    assert out.strategy == "halving" and out.checked and out.certify
+    assert out.strategy == "halving" and out.trace and out.certify
     assert not cfg.certify  # frozen original untouched
     with pytest.raises(ValueError):
         cfg.with_overrides(strategy="nope")

@@ -10,7 +10,7 @@ on or off.  These tests pin that contract:
   ragged inputs including ``±inf`` entries, ledger included;
 - end-to-end: the Table 1.1–1.3 algorithms produce identical answers
   and identical ledger snapshots under both kernel tiers — the
-  acceptance invariant of BENCH_hotpath.json.
+  fused-kernel invariant (DESIGN.md §13).
 """
 
 from __future__ import annotations

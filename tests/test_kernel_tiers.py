@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.apps.string_edit import edit_distance_dag_parallel
 from repro.engine import CapabilityError, ExecutionConfig, Session, registry
 from repro.kernels import (
     TIERS,
@@ -152,6 +153,22 @@ def test_serial_bit_identity_across_tiers(problem, data, tier):
     got = repro.solve(problem, data, trace=True, kernel_tier=tier)
     _assert_identical(ref, got)
     assert got.trace.totals() == ref.trace.totals()
+
+
+def test_string_edit_session_snapshot_identical_across_tiers():
+    """The string-editing application charges a session's ledger through
+    many tube-minima products; every charge must match across tiers."""
+    rng = np.random.default_rng(12)
+    x = "".join(rng.choice(list("acgt"), size=12))
+    y = "".join(rng.choice(list("acgt"), size=12))
+    runs = {}
+    for tier in TIERS:
+        with tier_context(tier):
+            s = Session("pram-crcw")
+            runs[tier] = (edit_distance_dag_parallel(x, y, session=s), s.ledger.snapshot())
+    assert runs["fused"][0] == runs["reference"][0]
+    assert runs["fused"][1] == runs["reference"][1]
+    assert runs["fused"][1]["rounds"] > 0
 
 
 @pytest.mark.parametrize("tier", TIERS)

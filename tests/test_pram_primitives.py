@@ -270,6 +270,38 @@ def test_grouped_min_auto_selects_on_budget():
     assert pram2.ledger.rounds == 3
 
 
+@pytest.mark.parametrize("tier", ["reference", "fused"])
+def test_grouped_min_auto_falls_back_to_a_strategy_that_fits(tier):
+    # Σw² = 9 fits 10 processors, but all-pairs pads width 3 to 4 and
+    # bills 16, as does doubly-log; only binary (peak 3) fits
+    with tier_context(tier):
+        pram = Pram(CRCW_COMMON, 10, ledger=CostLedger())
+        v, i = grouped_min(pram, [3.0, 1.0, 2.0], [0, 3])
+        assert v.tolist() == [1.0] and i.tolist() == [1]
+        assert pram.ledger.peak_processors == 3
+        for strategy in ("allpairs", "doubly_log"):
+            with pytest.raises(RuntimeError, match="16 processors"):
+                grouped_min(Pram(CRCW_COMMON, 10), [3.0, 1.0, 2.0], [0, 3],
+                            strategy=strategy)
+
+
+@pytest.mark.parametrize("tier", ["reference", "fused"])
+@pytest.mark.parametrize("widths", [[3], [5, 0, 2], [7, 1, 3, 6], [9, 9]])
+def test_grouped_min_auto_fits_every_budget_from_sum_to_padded_pairs(tier, widths):
+    widths = np.array(widths)
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    values = np.random.default_rng(int(widths.sum())).integers(0, 3, size=offsets[-1])
+    values = values.astype(float)
+    want = grouped_min(make(CRCW_COMMON), values, offsets, strategy="binary")
+    with tier_context(tier):
+        for p in range(int(widths.sum()), 4 * int(widths @ widths)):
+            pram = Pram(CRCW_COMMON, p, ledger=CostLedger())
+            got = grouped_min(pram, values, offsets)
+            assert pram.ledger.peak_processors <= p
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+
 def test_grouped_min_doubly_log_round_growth():
     # rounds grow like lg lg w: going from w=16 to w=256 adds one level
     def rounds_for(w):
