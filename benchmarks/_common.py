@@ -27,12 +27,6 @@ def crew_machine(n: int) -> BrentPram:
     return BrentPram(CREW, 1 << 44, phys, ledger=CostLedger())
 
 
-def fmt_rows(title: str, header: str, rows) -> str:
-    lines = [title, "-" * len(title), header]
-    lines += rows
-    return "\n".join(lines)
-
-
 def lg(n: float) -> float:
     return math.log2(max(2.0, n))
 

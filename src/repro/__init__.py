@@ -97,4 +97,4 @@ __all__ = [
     "CapabilityError",
 ]
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"

@@ -24,8 +24,13 @@ import numpy as np
 
 from repro._util.bits import ceil_log2
 from repro.core.network_machine import NetworkMachine
+from repro.core.rowmin_pram import (
+    _inverse_row_maxima_impl,
+    _row_maxima_impl,
+    _row_minima_impl,
+)
 from repro.monge.arrays import as_search_array
-from repro.networks import CubeConnectedCycles, Hypercube, ShuffleExchange
+from repro.networks import TOPOLOGIES
 from repro.pram.ledger import CostLedger
 
 __all__ = [
@@ -38,19 +43,13 @@ __all__ = [
 
 Topology = Literal["hypercube", "ccc", "shuffle-exchange"]
 
-_TOPOLOGIES = {
-    "hypercube": Hypercube,
-    "ccc": CubeConnectedCycles,
-    "shuffle-exchange": ShuffleExchange,
-}
-
 
 def make_network(topology: Topology, nodes: int, ledger: CostLedger | None = None):
     """A topology instance with at least ``nodes`` logical nodes."""
-    cls = _TOPOLOGIES.get(topology)
+    cls = TOPOLOGIES.get(topology)
     if cls is None:
         raise ValueError(
-            f"unknown topology {topology!r}; expected one of {sorted(_TOPOLOGIES)}"
+            f"unknown topology {topology!r}; expected one of {sorted(TOPOLOGIES)}"
         )
     dim = ceil_log2(max(2, nodes))
     return cls(dim, ledger=ledger)
@@ -58,13 +57,16 @@ def make_network(topology: Topology, nodes: int, ledger: CostLedger | None = Non
 
 def network_machine_for(topology: Topology, nodes: int) -> NetworkMachine:
     """A fresh :class:`NetworkMachine` sized for ``nodes`` processors."""
-    from repro.engine import build_machine
+    return NetworkMachine(make_network(topology, nodes))
 
-    if topology not in _TOPOLOGIES:
-        raise ValueError(
-            f"unknown topology {topology!r}; expected one of {sorted(_TOPOLOGIES)}"
-        )
-    return build_machine(topology, nodes)
+
+def _run(body, array, topology: Topology):
+    """Run a row-extremum body on a fresh ``max(m, n)``-node network."""
+    a = as_search_array(array)
+    m, n = a.shape
+    machine = network_machine_for(topology, max(m, n, 2))
+    vals, cols = body(machine, a, strategy="sqrt")
+    return vals, cols, machine.ledger
 
 
 def monge_row_minima_network(
@@ -76,35 +78,14 @@ def monge_row_minima_network(
     stores ``v[i]``/``w[j]`` one per node).  Returns
     ``(values, columns, ledger)``.
     """
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    a = as_search_array(array)
-    m, n = a.shape
-    machine = network_machine_for(topology, max(m, n, 2))
-    cfg = ExecutionConfig(strategy="sqrt")
-    vals, cols = dispatch_on(machine, "rowmin", a, cfg)
-    return vals, cols, machine.ledger
+    return _run(_row_minima_impl, array, topology)
 
 
 def monge_row_maxima_network(array, topology: Topology = "hypercube"):
     """Theorem 3.2's row maxima of a Monge array on a network."""
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    a = as_search_array(array)
-    m, n = a.shape
-    machine = network_machine_for(topology, max(m, n, 2))
-    cfg = ExecutionConfig(strategy="sqrt")
-    vals, cols = dispatch_on(machine, "rowmax", a, cfg)
-    return vals, cols, machine.ledger
+    return _run(_row_maxima_impl, array, topology)
 
 
 def inverse_monge_row_maxima_network(array, topology: Topology = "hypercube"):
     """Row maxima of an inverse-Monge array (Fig. 1.1 form) on a network."""
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    a = as_search_array(array)
-    m, n = a.shape
-    machine = network_machine_for(topology, max(m, n, 2))
-    cfg = ExecutionConfig(strategy="sqrt")
-    vals, cols = dispatch_on(machine, "rowmax_inverse", a, cfg)
-    return vals, cols, machine.ledger
+    return _run(_inverse_row_maxima_impl, array, topology)

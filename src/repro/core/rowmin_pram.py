@@ -105,12 +105,10 @@ def monge_row_minima_pram(
     minima pick the CRCW doubly-log primitive automatically when the
     machine is CRCW, else the CREW binary scan.
 
-    Thin wrapper over the engine registry (``("rowmin", <backend of
-    pram>)``); the algorithm body is :func:`_row_minima_impl`.
+    ``"auto"`` stands for ``"sqrt"``.  The algorithm body is
+    :func:`_row_minima_impl`, which the engine registry runs too.
     """
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    return dispatch_on(pram, "rowmin", array, ExecutionConfig(strategy=strategy))
+    return _row_minima_impl(pram, array, strategy=strategy)
 
 
 def monge_row_maxima_pram(
@@ -122,9 +120,7 @@ def monge_row_maxima_pram(
     that restores Monge.  Leftmost minima of the transform, read in
     reverse row order, are the leftmost maxima of the original.
     """
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    return dispatch_on(pram, "rowmax", array, ExecutionConfig(strategy=strategy))
+    return _row_maxima_impl(pram, array, strategy=strategy)
 
 
 def inverse_monge_row_maxima_pram(
@@ -134,13 +130,17 @@ def inverse_monge_row_maxima_pram(
 
     The negation is Monge and leftmost minima coincide positionally.
     """
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    return dispatch_on(pram, "rowmax_inverse", array, ExecutionConfig(strategy=strategy))
+    return _inverse_row_maxima_impl(pram, array, strategy=strategy)
 
 
 def _row_minima_impl(pram: Pram, array, strategy: str = "sqrt") -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm body behind :func:`monge_row_minima_pram`."""
+    if strategy == "auto":
+        strategy = "sqrt"
+    elif strategy not in ("sqrt", "halving"):
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected 'sqrt', 'halving' or 'auto'"
+        )
     a = as_search_array(array)
     m, n = a.shape
     if n == 0:
@@ -157,9 +157,7 @@ def _row_minima_impl(pram: Pram, array, strategy: str = "sqrt") -> Tuple[np.ndar
         )
         vals, cols = _solve_batch(pram, a, batch)
         return vals, cols
-    if strategy == "halving":
-        return _solve_halving(pram, a)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _solve_halving(pram, a)
 
 
 def _row_maxima_impl(pram: Pram, array, strategy: str = "sqrt") -> Tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,8 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.rowmin_network import Topology, network_machine_for
+from repro.core.staircase_pram import _staircase_minima_impl
+from repro.monge.arrays import as_search_array
 from repro.monge.staircase_seq import effective_boundary
 from repro.pram.ledger import CostLedger
 
@@ -28,11 +30,8 @@ def staircase_row_minima_network(
     Returns ``(values, columns, ledger)``; all-``∞`` rows give
     ``(inf, -1)``.
     """
-    from repro.engine import ExecutionConfig, dispatch_on
-    from repro.monge.arrays import as_search_array
-
     m, n = as_search_array(array).shape
     effective_boundary(array)  # fail fast, before building the machine
     machine = network_machine_for(topology, max(m, n, 2))
-    vals, cols = dispatch_on(machine, "staircase_min", array, ExecutionConfig())
+    vals, cols = _staircase_minima_impl(machine, array)
     return vals, cols, machine.ledger

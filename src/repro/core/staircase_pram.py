@@ -75,14 +75,10 @@ def staircase_row_maxima_pram(pram: Pram, array) -> Tuple[np.ndarray, np.ndarray
     become nondecreasing too — a co-monotone band, solved by the
     Table 1.1-class banded search (no Theorem 2.3 machinery needed,
     which is exactly the paper's point).  All-``∞`` rows give
-    ``(-inf, -1)``.
-
-    Thin wrapper over the engine registry (``("staircase_max", <backend
-    of pram>)``); the algorithm body is :func:`_staircase_maxima_impl`.
+    ``(-inf, -1)``.  The algorithm body is :func:`_staircase_maxima_impl`,
+    which the engine registry runs too.
     """
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    return dispatch_on(pram, "staircase_max", array, ExecutionConfig())
+    return _staircase_maxima_impl(pram, array)
 
 
 def _staircase_maxima_impl(pram: Pram, array) -> Tuple[np.ndarray, np.ndarray]:
@@ -129,14 +125,10 @@ def staircase_row_minima_pram(pram: Pram, array) -> Tuple[np.ndarray, np.ndarray
     """Leftmost row minima of a staircase-Monge array, parallel.
 
     Rows whose finite prefix is empty report ``(inf, -1)``.
-    Returns ``(values, columns)``.
-
-    Thin wrapper over the engine registry (``("staircase_min", <backend
-    of pram>)``); the algorithm body is :func:`_staircase_minima_impl`.
+    Returns ``(values, columns)``.  The algorithm body is
+    :func:`_staircase_minima_impl`, which the engine registry runs too.
     """
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    return dispatch_on(pram, "staircase_min", array, ExecutionConfig())
+    return _staircase_minima_impl(pram, array)
 
 
 def _staircase_minima_impl(pram: Pram, array) -> Tuple[np.ndarray, np.ndarray]:

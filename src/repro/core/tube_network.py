@@ -16,40 +16,32 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.rowmin_network import Topology, network_machine_for
+from repro.core.tube_pram import _tube_maxima_impl, _tube_minima_impl
 from repro.monge.arrays import MongeComposite
 from repro.pram.ledger import CostLedger
 
 __all__ = ["tube_minima_network", "tube_maxima_network"]
 
 
-def _machine_for(composite) -> "NetworkMachine":
+def _run(body, composite, topology: Topology):
+    """Run a tube body (halving scheme) on a fresh ``p·r``-node network."""
     if isinstance(composite, tuple):
         composite = MongeComposite(*composite)
     p, q, r = composite.shape
-    return composite, max(p * r, q, 2)
+    machine = network_machine_for(topology, max(p * r, q, 2))
+    vals, args = body(machine, composite, scheme="crew")
+    return vals, args, machine.ledger
 
 
 def tube_minima_network(
     composite, topology: Topology = "hypercube"
 ) -> Tuple[np.ndarray, np.ndarray, CostLedger]:
     """Tube minima on a ``p·r``-node network: ``(values, j_args, ledger)``."""
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    composite, nodes = _machine_for(composite)
-    machine = network_machine_for(topology, nodes)
-    cfg = ExecutionConfig(strategy="crew")
-    vals, args = dispatch_on(machine, "tube_min", composite, cfg)
-    return vals, args, machine.ledger
+    return _run(_tube_minima_impl, composite, topology)
 
 
 def tube_maxima_network(
     composite, topology: Topology = "hypercube"
 ) -> Tuple[np.ndarray, np.ndarray, CostLedger]:
     """Theorem 3.4's tube maxima on a network: ``(values, j_args, ledger)``."""
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    composite, nodes = _machine_for(composite)
-    machine = network_machine_for(topology, nodes)
-    cfg = ExecutionConfig(strategy="crew")
-    vals, args = dispatch_on(machine, "tube_max", composite, cfg)
-    return vals, args, machine.ledger
+    return _run(_tube_maxima_impl, composite, topology)

@@ -60,14 +60,10 @@ def tube_minima_pram(pram: Pram, composite, scheme: str = "auto") -> Tuple[np.nd
     both of shape ``(p, r)``.
 
     ``scheme``: ``"crew"`` (halving), ``"crcw"`` (doubly-log sampling),
-    or ``"auto"`` (pick by machine model).
-
-    Thin wrapper over the engine registry (``("tube_min", <backend of
-    pram>)``); the algorithm body is :func:`_tube_minima_impl`.
+    or ``"auto"`` (pick by machine model).  The algorithm body is
+    :func:`_tube_minima_impl`, which the engine registry runs too.
     """
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    return dispatch_on(pram, "tube_min", composite, ExecutionConfig(strategy=scheme))
+    return _tube_minima_impl(pram, composite, scheme=scheme)
 
 
 def tube_maxima_pram(pram: Pram, composite, scheme: str = "auto") -> Tuple[np.ndarray, np.ndarray]:
@@ -78,9 +74,7 @@ def tube_maxima_pram(pram: Pram, composite, scheme: str = "auto") -> Tuple[np.nd
     composite at ``(p-1-i, r-1-k)`` are the negated maxima at ``(i,k)``,
     with identical ``j`` order (so leftmost ties are preserved).
     """
-    from repro.engine import ExecutionConfig, dispatch_on
-
-    return dispatch_on(pram, "tube_max", composite, ExecutionConfig(strategy=scheme))
+    return _tube_maxima_impl(pram, composite, scheme=scheme)
 
 
 def _tube_minima_impl(pram: Pram, composite, scheme: str = "auto") -> Tuple[np.ndarray, np.ndarray]:

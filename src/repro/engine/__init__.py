@@ -9,8 +9,8 @@ unpacks as ``(values, witnesses)``.  Batches of queries go through
 the plan → group → execute pipeline (DESIGN.md §9):
 :meth:`Session.solve_many` lowers each query to a
 :class:`~repro.engine.planner.QueryPlan`, groups compatible plans,
-and :func:`repro.engine.lifecycle.run_plans` walks each bucket down
-the executor chain (fused → serial), returning a
+and :func:`repro.engine.lifecycle.run_plans` runs each bucket as one
+fused stacked sweep or plan by plan, returning a
 :class:`BatchResult` in input order.  :meth:`Session.prepare` is the
 build-once entry: it returns a :class:`PreparedHandle` answering many
 queries against one precomputed index (DESIGN.md §14).
@@ -47,18 +47,11 @@ from repro.engine.registry import (
     register,
     registry,
 )
-from repro.engine.lifecycle import (
-    EXECUTORS,
-    Executor,
-    FusedExecutor,
-    SerialExecutor,
-    execute_bucket,
-    run_plans,
-)
+from repro.engine.lifecycle import execute_bucket, run_plans
 from repro.engine.planner import QueryPlan, group_plans, plan_query
 from repro.engine.prepared import PreparedHandle, prepare
 from repro.engine.result import BatchResult, SearchResult
-from repro.engine.session import QueryRecord, Session, dispatch_on, solve, solve_many
+from repro.engine.session import QueryRecord, Session, solve, solve_many
 
 __all__ = [
     "solve",
@@ -70,10 +63,6 @@ __all__ = [
     "QueryPlan",
     "plan_query",
     "group_plans",
-    "Executor",
-    "SerialExecutor",
-    "FusedExecutor",
-    "EXECUTORS",
     "execute_bucket",
     "run_plans",
     "BatchResult",
@@ -84,7 +73,6 @@ __all__ = [
     "CapabilityError",
     "registry",
     "register",
-    "dispatch_on",
     "backend_of",
     "build_machine",
     "fresh_clone",

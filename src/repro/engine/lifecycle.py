@@ -1,28 +1,25 @@
-"""The staged query lifecycle: executors behind one interface.
+"""The query lifecycle: from a plan to the algorithm, on a sub-account.
 
-A query moves through five stages (DESIGN.md §14): **plan** (lower the
-request to a :class:`~repro.engine.planner.QueryPlan`), **admit** (each
-:class:`Executor` inspects a bucket and claims it or passes), **group**
+A query moves through four stages (DESIGN.md §14): **plan** (lower the
+request to a :class:`~repro.engine.planner.QueryPlan`), **group**
 (:func:`~repro.engine.planner.group_plans` buckets compatible plans),
-**execute** (the claiming executor runs the bucket), and **settle**
-(merge sub-accounts, record the query).  The :class:`~repro.engine.session.Session`
-owns machine construction and bookkeeping; *how* a bucket runs — serially, or as one fused stacked
-sweep — is decided here, by walking :data:`EXECUTORS` in priority
-order and taking the first executor whose :meth:`~Executor.admit`
-accepts the bucket.
+**execute** (:func:`execute_bucket` runs a bucket as one fused stacked
+sweep when it can, else plan by plan) and **settle** (snapshot each
+query's sub-account, merge it into the session ledger, record the
+query).  The :class:`~repro.engine.session.Session` owns machine
+construction and bookkeeping; how a bucket runs is decided here, by one
+condition.
 
-The two executors are ports of the former ``Session._execute_*``
-branches and preserve their observable behavior bit-for-bit (values,
-witnesses, per-query ledger snapshots, trace totals —
-``tests/data/pre_refactor_snapshots.json`` pins this):
-
-* :class:`SerialExecutor` — the unchanged per-query path: a private
-  :class:`~repro.pram.ledger.CostLedger` sub-account per query, with
-  certification and tracing applied inline and as stage wrappers
-  (:func:`ledger_swap`, :class:`_SerialTrace`).
-* :class:`FusedExecutor` — one stacked multi-query sweep per bucket,
-  per-query charges replayed by a
-  :class:`~repro.kernels.chargefan.ChargeFan`.
+Every query charges its own :class:`~repro.pram.ledger.CostLedger`
+sub-account, and :class:`SubAccount` is the one step that opens, runs
+and settles it.  Four paths use it: a serial solve
+(:func:`execute_plan`), a fused bucket (:func:`execute_fused`: one per
+owner plus the sweep's scratch ledger), and the prepared index's build
+and query (:mod:`repro.engine.prepared`).  The fused path preserves
+the serial path's observable behavior bit for bit (values, witnesses,
+per-query ledger snapshots, trace totals —
+``tests/data/pre_refactor_snapshots.json`` and
+``tests/test_engine_batch.py`` pin this).
 """
 
 from __future__ import annotations
@@ -30,19 +27,20 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
+from repro.core import rowmin_pram
 from repro.engine.planner import QueryPlan, group_plans
 from repro.engine.result import SearchResult
+from repro.kernels.chargefan import ChargeFan
 from repro.kernels.registry import tier_context
 from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer
 from repro.pram.ledger import CostLedger
+from repro.pram.machine import Pram
 
 __all__ = [
-    "Executor",
-    "SerialExecutor",
-    "FusedExecutor",
-    "EXECUTORS",
-    "SERIAL",
+    "SubAccount",
+    "execute_plan",
+    "execute_fused",
     "execute_bucket",
     "run_plans",
     "fused_ready",
@@ -50,9 +48,6 @@ __all__ = [
 ]
 
 
-# --------------------------------------------------------------------- #
-# stage wrappers (tracing / ledger sub-accounts)
-# --------------------------------------------------------------------- #
 @contextmanager
 def ledger_swap(machine, qledger):
     """Swap a machine's ledger for a query sub-account.
@@ -78,59 +73,135 @@ def ledger_swap(machine, qledger):
             machine.network.ledger = saved_net
 
 
-class _SerialTrace:
-    """Tracing stage for the serial path: the solve span, bound to the
-    query's sub-account, and the final :class:`Trace` assembly.  Every
-    method is a no-op when tracing is off."""
+class SubAccount:
+    """One query's ledger sub-account on the session machine.
 
-    def __init__(self, plan: QueryPlan, backend: str, qledger) -> None:
-        self.tracer = Tracer() if plan.config.trace else None
-        self.qledger = qledger
-        self.solve_span = None
-        if self.tracer is not None:
-            self.solve_span = self.tracer.begin(
-                "solve",
-                "solve",
-                problem=plan.problem,
-                backend=backend,
-                strategy=plan.strategy,
-                shape=plan.shape,
-                kernel_tier=plan.kernel,
-            )
-            if qledger is not None:
-                self.tracer.bind(qledger, self.solve_span)
+    Construction builds the sub-ledger with the machine's processor
+    budget and, when tracing, binds it to ``span``; :meth:`run` swaps it
+    into the machine under the query's kernel tier, then unbinds and
+    ends the span; :meth:`settle` snapshots it and merges it into the
+    session ledger, and :meth:`result` does so for a query that returns
+    a :class:`~repro.engine.result.SearchResult`.  The caller builds
+    ``tracer`` and ``span`` only when the query traces, so an untraced
+    query pays for no span.  A ``None`` machine (sequential backend) has
+    no sub-ledger.
+    """
 
-    def unbind(self) -> None:
-        if self.tracer is not None and self.qledger is not None:
-            self.tracer.unbind(self.qledger)
+    __slots__ = ("machine", "ledger", "tracer", "span")
 
-    def finalize(self, certificate):
-        if self.tracer is None:
+    def __init__(self, machine, tracer: Optional[Tracer] = None, span=None) -> None:
+        self.machine = machine
+        self.tracer = tracer
+        self.span = span
+        ledger = None
+        if machine is not None:
+            ledger = CostLedger(processor_limit=machine.ledger.processor_limit)
+            if tracer is not None:
+                tracer.bind(ledger, span)
+        self.ledger = ledger
+
+    def run(self, tier: Optional[str], fn, *args):
+        """``fn(*args)`` charged to this sub-account, under kernel tier
+        ``tier`` (``None`` keeps the tier in force).  The span is closed
+        whether ``fn`` returns or raises."""
+        try:
+            with ledger_swap(self.machine, self.ledger):
+                if tier is None:
+                    return fn(*args)
+                with tier_context(tier):
+                    return fn(*args)
+        finally:
+            if self.tracer is not None:
+                self.close()
+
+    def close(self) -> None:
+        """Unbind the span from the sub-ledger and end it; tracing only."""
+        if self.ledger is not None:
+            self.tracer.unbind(self.ledger)
+        self.tracer.end(self.span)
+
+    def settle(self, session) -> Optional[dict]:
+        """Snapshot the sub-account and merge it into the session ledger."""
+        ledger = self.ledger
+        if ledger is None:
             return None
-        if certificate is not None:
-            self.solve_span.attrs["certified"] = bool(certificate.ok)
-            self.solve_span.attrs["certify_evals"] = int(certificate.evals)
-        self.tracer.end(self.solve_span)
-        return self.tracer.trace(self.solve_span)
+        snapshot = ledger.snapshot()
+        session.ledger.merge(ledger)
+        return snapshot
+
+    def result(self, session, problem: str, strategy: str, values, witnesses,
+               certificate=None) -> SearchResult:
+        """Settle the query into its :class:`SearchResult`; when tracing,
+        the span records the certificate's verdict."""
+        snapshot = self.settle(session)
+        trace = None
+        if self.tracer is not None:
+            if certificate is not None:
+                self.span.attrs["certified"] = bool(certificate.ok)
+                self.span.attrs["certify_evals"] = int(certificate.evals)
+            trace = self.tracer.trace(self.span)
+        return SearchResult(
+            values=values,
+            witnesses=witnesses,
+            problem=problem,
+            backend=session.backend,
+            strategy=strategy,
+            snapshot=snapshot,
+            ledger=self.ledger,
+            certificate=certificate,
+            trace=trace,
+        )
 
 
 # --------------------------------------------------------------------- #
-# admission predicates (machine-level; plan-level ones live in planner)
+# the serial path
+# --------------------------------------------------------------------- #
+def _solve(machine, plan: QueryPlan):
+    """The registered solver, then the certificate when the config asks
+    for one: a failing certificate raises before the sub-account merges."""
+    values, witnesses = plan.spec.fn(machine, plan.data, plan.config, plan.strategy)
+    certificate = None
+    if plan.config.certify:
+        certificate = plan.spec.certifier(plan.data, values, witnesses)
+        certificate.require()
+    return values, witnesses, certificate
+
+
+def execute_plan(session, plan: QueryPlan) -> SearchResult:
+    """Run one plan on its own sub-account and settle it."""
+    machine = session.machine(plan.spec.nodes(plan.shape))
+    tracer = span = None
+    if plan.config.trace:
+        tracer = Tracer()
+        span = tracer.begin(
+            "solve",
+            "solve",
+            problem=plan.problem,
+            backend=session.backend,
+            strategy=plan.strategy,
+            shape=plan.shape,
+            kernel_tier=plan.kernel,
+        )
+    account = SubAccount(machine, tracer, span)
+    values, witnesses, certificate = account.run(plan.kernel, _solve, machine, plan)
+    return account.result(session, plan.problem, plan.strategy, values, witnesses,
+                          certificate)
+
+
+# --------------------------------------------------------------------- #
+# the fused path
 # --------------------------------------------------------------------- #
 def fused_ready(session, plan: QueryPlan) -> bool:
     """Machine-level fusion conditions.  A bucket that fails these runs
     serially — same results, same per-query snapshots, just no shared
     sweep."""
-    from repro.pram.machine import Pram
-
     if plan.fused_key is None:
         return False
     if plan.kernel != "fused":
         # the reference tier has no stacked-sweep kernel: every query
         # runs its own round-by-round simulation
         return False
-    nodes = plan.spec.nodes_for(plan.shape) if plan.spec.nodes_for is not None else 2
-    machine = session.machine(nodes)
+    machine = session.machine(plan.spec.nodes(plan.shape))
     if machine is None or type(machine) is not Pram:
         # Brent machines time-slice charges and NetworkMachines execute
         # genuinely on the network — both stay per-query.
@@ -143,258 +214,114 @@ def fused_ready(session, plan: QueryPlan) -> bool:
     return True
 
 
-# --------------------------------------------------------------------- #
-# the executor interface and its two implementations
-# --------------------------------------------------------------------- #
-class Executor:
-    """One way to run a bucket of compatible plans.
+def execute_fused(session, bucket: List[QueryPlan]) -> List[SearchResult]:
+    """One stacked multi-query sweep for a whole bucket.
 
-    ``admit`` inspects a bucket and returns an admission dict (possibly
-    empty) to claim it, or ``None`` to pass; ``execute`` runs a claimed
-    bucket.  :func:`execute_bucket` walks :data:`EXECUTORS` in priority
-    order and dispatches to the first claimant.
+    The sweep charges its global (summed) sizes to a scratch
+    sub-account that never merges; a
+    :class:`~repro.kernels.chargefan.ChargeFan` replays each owner's
+    serial charge sequence into that owner's own sub-account, so every
+    snapshot comes out bit-identical to the serial path's.
     """
-
-    name = "executor"
-    #: the ``fused`` flag of the group dict :func:`execute_bucket` returns
-    fused = False
-
-    def admit(self, session, bucket: List[QueryPlan]) -> Optional[dict]:
-        raise NotImplementedError
-
-    def execute(self, session, bucket: List[QueryPlan], admission: dict
-                ) -> List[SearchResult]:
-        raise NotImplementedError
-
-    def on_success(self, bucket: List[QueryPlan]) -> None:
-        """Per-executor metrics, bumped after a successful execution."""
-
-
-class SerialExecutor(Executor):
-    """The unchanged per-query path; admits every bucket (it is the
-    chain's terminal executor) and runs each plan on its own ledger
-    sub-account, certifying and tracing it when its config asks."""
-
-    name = "serial"
-    fused = False
-
-    def admit(self, session, bucket: List[QueryPlan]) -> Optional[dict]:
-        return {}
-
-    def execute(self, session, bucket, admission) -> List[SearchResult]:
-        return [self.execute_plan(session, plan) for plan in bucket]
-
-    def execute_plan(self, session, plan: QueryPlan) -> SearchResult:
-        """Run one plan serially and settle it into a SearchResult."""
-        spec, cfg, data = plan.spec, plan.config, plan.data
-        nodes = spec.nodes_for(plan.shape) if spec.nodes_for is not None else 2
-        machine = session.machine(nodes)
-        qledger = None
-        if machine is not None:
-            qledger = CostLedger(processor_limit=machine.ledger.processor_limit)
-        tracing = _SerialTrace(plan, session.backend, qledger)
-
-        certificate = None
-        with ledger_swap(machine, qledger):
-            try:
-                with tier_context(plan.kernel):
-                    values, witnesses = spec.fn(machine, data, cfg, plan.strategy)
-                    if cfg.certify:
-                        certificate = spec.certifier(data, values, witnesses)
-                        certificate.require()
-            finally:
-                tracing.unbind()
-
-        snapshot = qledger.snapshot() if qledger is not None else None
-        if qledger is not None:
-            session.ledger.merge(qledger)
-        trace = tracing.finalize(certificate)
-
-        return SearchResult(
-            values=values,
-            witnesses=witnesses,
-            problem=plan.problem,
+    first = bucket[0]
+    spec = first.spec
+    machine = session.machine(spec.nodes(first.shape))
+    # trace is part of the fusion fingerprint, so the whole bucket
+    # agrees; the sweep's global charges land on a "stacked-sweep" span
+    # while each owner's replayed charges land on its own solve span.
+    tracer = bucket_span = sweep_span = None
+    owner_spans = [None] * len(bucket)
+    if first.config.trace:
+        tracer = Tracer()
+        bucket_span = tracer.begin(
+            "bucket",
+            "bucket",
+            problem=spec.problem,
             backend=session.backend,
-            strategy=plan.strategy,
-            snapshot=snapshot,
-            ledger=qledger,
-            certificate=certificate,
-            trace=trace,
+            strategy=first.strategy,
+            shape=first.shape,
+            count=len(bucket),
+            fused=True,
+            kernel_tier=first.kernel,
         )
-
-
-class FusedExecutor(Executor):
-    """One stacked multi-query sweep per bucket.  Per-query ledgers are
-    populated by a :class:`~repro.kernels.chargefan.ChargeFan` replaying
-    each owner's serial charge sequence — snapshots come out
-    bit-identical to the serial path's (tests/test_engine_batch.py pins
-    this)."""
-
-    name = "fused"
-    fused = True
-
-    def admit(self, session, bucket: List[QueryPlan]) -> Optional[dict]:
-        if len(bucket) >= 2 and fused_ready(session, bucket[0]):
-            return {}
-        return None
-
-    def on_success(self, bucket: List[QueryPlan]) -> None:
-        metrics().counter("engine.batch.fused_queries").inc(len(bucket))
-
-    def execute(self, session, bucket, admission) -> List[SearchResult]:
-        from repro.core.rowmin_pram import batched_row_extrema
-        from repro.kernels.chargefan import ChargeFan
-
-        spec = bucket[0].spec
-        cfg = bucket[0].config
-        nodes = spec.nodes_for(bucket[0].shape) if spec.nodes_for is not None else 2
-        machine = session.machine(nodes)
-        limit = machine.ledger.processor_limit
-        qledgers = [CostLedger(processor_limit=limit) for _ in bucket]
-        fan = ChargeFan(
-            qledgers, crcw=machine.model.is_crcw, budget=machine.processors
-        )
-        scratch = CostLedger(processor_limit=limit)
-
-        # trace is part of the fusion fingerprint, so the whole bucket
-        # agrees; the sweep's global charges land on a "stacked-sweep"
-        # span while each owner's replayed charges land on its own solve
-        # span — per-query totals stay bit-identical to the serial path.
-        tracer = Tracer() if cfg.trace else None
-        qspans: List = []
-        if tracer is not None:
-            bucket_span = tracer.begin(
-                "bucket",
-                "bucket",
-                problem=spec.problem,
+        sweep_span = tracer.begin("stacked-sweep", "sweep", parent=bucket_span)
+        owner_spans = [
+            tracer.begin(
+                "solve",
+                "solve",
+                parent=bucket_span,
+                problem=plan.problem,
                 backend=session.backend,
-                strategy=bucket[0].strategy,
-                shape=bucket[0].shape,
-                count=len(bucket),
+                strategy=plan.strategy,
+                shape=plan.shape,
                 fused=True,
-                kernel_tier=bucket[0].kernel,
             )
-            sweep_span = tracer.begin("stacked-sweep", "sweep", parent=bucket_span)
-            tracer.bind(scratch, sweep_span)
-            for plan, qledger in zip(bucket, qledgers):
-                qspan = tracer.begin(
-                    "solve",
-                    "solve",
-                    parent=bucket_span,
-                    problem=plan.problem,
-                    backend=session.backend,
-                    strategy=plan.strategy,
-                    shape=plan.shape,
-                    fused=True,
-                )
-                tracer.bind(qledger, qspan)
-                qspans.append(qspan)
+            for plan in bucket
+        ]
+    scratch = SubAccount(machine, tracer, sweep_span)
+    owners = [SubAccount(machine, tracer, span) for span in owner_spans]
+    fan = ChargeFan(
+        [owner.ledger for owner in owners],
+        crcw=machine.model.is_crcw,
+        budget=machine.processors,
+    )
+    try:
+        # looked up at call time: tools that time the sweep patch the
+        # module attribute
+        outs = scratch.run(first.kernel, rowmin_pram.batched_row_extrema,
+                           machine, [p.data for p in bucket], spec.problem, fan)
+    finally:
+        if tracer is not None:
+            for owner in owners:
+                owner.close()
+            tracer.end(bucket_span)
 
-        with ledger_swap(machine, scratch):
-            try:
-                with tier_context(bucket[0].kernel):
-                    outs = batched_row_extrema(
-                        machine,
-                        [p.data for p in bucket],
-                        problem=spec.problem,
-                        fan=fan,
-                    )
-            finally:
-                if tracer is not None:
-                    tracer.unbind(scratch)
-                    tracer.end(sweep_span)
-                    for qledger, qspan in zip(qledgers, qspans):
-                        tracer.unbind(qledger)
-                        tracer.end(qspan)
-                    tracer.end(bucket_span)
-
-        certificates = _certify_bucket(spec, bucket, outs)
-
-        results: List[SearchResult] = []
-        for i, (plan, (values, witnesses), qledger, certificate) in enumerate(zip(
-            bucket, outs, qledgers, certificates
-        )):
-            session.ledger.merge(qledger)
-            trace = None
-            if tracer is not None:
-                if certificate is not None:
-                    qspans[i].attrs["certified"] = bool(certificate.ok)
-                    qspans[i].attrs["certify_evals"] = int(certificate.evals)
-                trace = tracer.trace(qspans[i])
-            results.append(_settle(session, plan, values, witnesses, qledger,
-                                   certificate, trace))
-        return results
-
-
-def _certify_bucket(spec, bucket: List[QueryPlan], outs) -> List:
-    """Compute every requested certificate first, then require() them —
-    a failing query reports after all certificates exist (matches the
-    pre-refactor two-loop behavior)."""
-    certificates: List = []
-    for plan, (values, witnesses) in zip(bucket, outs):
-        if plan.config.certify:
-            certificates.append(spec.certifier(plan.data, values, witnesses))
-        else:
-            certificates.append(None)
+    # every requested certificate exists before the first one raises
+    certificates = [
+        spec.certifier(plan.data, values, witnesses) if plan.config.certify else None
+        for plan, (values, witnesses) in zip(bucket, outs)
+    ]
     for certificate in certificates:
         if certificate is not None:
             certificate.require()
-    return certificates
+    return [
+        owner.result(session, plan.problem, plan.strategy, values, witnesses, certificate)
+        for plan, (values, witnesses), owner, certificate
+        in zip(bucket, outs, owners, certificates)
+    ]
 
 
-def _settle(session, plan: QueryPlan, values, witnesses, qledger,
-            certificate, trace) -> SearchResult:
-    """The settle stage for fused results (the qledger is already
-    merged by the caller, which interleaves merging with span reads)."""
-    return SearchResult(
-        values=values,
-        witnesses=witnesses,
-        problem=plan.problem,
-        backend=session.backend,
-        strategy=plan.strategy,
-        snapshot=qledger.snapshot(),
-        ledger=qledger,
-        certificate=certificate,
-        trace=trace,
-    )
-
-
-#: Priority-ordered executor chain; the terminal SerialExecutor admits
-#: everything, so the walk in :func:`execute_bucket` always terminates.
-SERIAL = SerialExecutor()
-EXECUTORS: Tuple[Executor, ...] = (FusedExecutor(), SERIAL)
-
-
+# --------------------------------------------------------------------- #
+# buckets and batches
+# --------------------------------------------------------------------- #
 def execute_bucket(session, bucket: List[QueryPlan]
                    ) -> Tuple[List[SearchResult], dict]:
-    """Run one bucket through the executor chain.
-
-    Walks :data:`EXECUTORS` in priority order and dispatches to the
-    first executor that admits the bucket.  Returns the results plus the
-    group dict recording what actually ran (the ``fused`` flag).
+    """Run one bucket: as one fused stacked sweep when it holds at least
+    two plans and :func:`fused_ready` admits its machine, else plan by
+    plan.  Returns the results plus the group dict recording what ran
+    (the ``fused`` flag).
     """
-    for executor in EXECUTORS:
-        admission = executor.admit(session, bucket)
-        if admission is None:
-            continue
-        results = executor.execute(session, bucket, admission)
-        executor.on_success(bucket)
-        return results, {
-            "problem": bucket[0].problem,
-            "backend": session.backend,
-            "strategy": bucket[0].strategy,
-            "shape": bucket[0].shape,
-            "count": len(bucket),
-            "fused": executor.fused,
-        }
-    raise AssertionError("executor chain exhausted (SerialExecutor admits all)")
+    fused = len(bucket) >= 2 and fused_ready(session, bucket[0])
+    if fused:
+        results = execute_fused(session, bucket)
+        metrics().counter("engine.batch.fused_queries").inc(len(bucket))
+    else:
+        results = [execute_plan(session, plan) for plan in bucket]
+    return results, {
+        "problem": bucket[0].problem,
+        "backend": session.backend,
+        "strategy": bucket[0].strategy,
+        "shape": bucket[0].shape,
+        "count": len(bucket),
+        "fused": fused,
+    }
 
 
 def run_plans(session, plans: List[QueryPlan]
               ) -> Tuple[List[SearchResult], List[dict]]:
-    """Stages 2–4 for a batch: group the plans, walk the buckets through
-    the executor chain, and return results (input order) plus the group
-    dicts (bucket order).
+    """Group and execute a batch: bucket the plans, run each bucket with
+    :func:`execute_bucket`, and return results (input order) plus the
+    group dicts (bucket order).
 
     ``plans`` may carry *any* distinct indices — results are reassembled
     by each plan's **position in the argument list**, not by

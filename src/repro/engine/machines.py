@@ -4,50 +4,36 @@ The engine is the one place that knows how to turn a backend key into a
 simulated machine: PRAM backends get a :class:`~repro.pram.machine.Pram`
 (or :class:`~repro.pram.scheduling.BrentPram` when a physical budget is
 given), network backends get a :class:`~repro.core.network_machine.NetworkMachine`
-over the named topology, and the sequential backend gets no machine at
-all.  The clone/compose helpers (:func:`fresh_clone`,
-:func:`charge_parallel`) live here too; :mod:`repro.engine` re-exports
-them.
+over the named topology (:data:`repro.networks.TOPOLOGIES`), and the
+sequential backend gets no machine at all.  The clone/compose helpers
+(:func:`fresh_clone`, :func:`charge_parallel`) live here too;
+:mod:`repro.engine` re-exports them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from repro.core.network_machine import NetworkMachine
+from repro.core.rowmin_network import make_network
+from repro.networks import TOPOLOGIES
 from repro.pram.ledger import CostLedger
 from repro.pram.machine import Pram
 
 __all__ = [
-    "TOPOLOGIES",
     "backend_of",
     "build_machine",
     "fresh_clone",
     "charge_parallel",
 ]
 
-#: Engine backend key → network topology class (late-bound by name; the
-#: classes themselves live in :mod:`repro.networks`).
-TOPOLOGIES = ("hypercube", "ccc", "shuffle-exchange")
-
-
-def _topology_classes():
-    from repro.networks import CubeConnectedCycles, Hypercube, ShuffleExchange
-
-    return {
-        "hypercube": Hypercube,
-        "ccc": CubeConnectedCycles,
-        "shuffle-exchange": ShuffleExchange,
-    }
-
 
 def backend_of(machine: Optional[Pram]) -> str:
     """The registry backend key a machine (or ``None``) resolves to."""
     if machine is None:
         return "sequential"
-    from repro.core.network_machine import NetworkMachine
-
     if isinstance(machine, NetworkMachine):
-        for name, cls in _topology_classes().items():
+        for name, cls in TOPOLOGIES.items():
             if isinstance(machine.network, cls):
                 return name
         raise ValueError(
@@ -76,12 +62,7 @@ def build_machine(
     if backend == "sequential":
         return None
     if backend in TOPOLOGIES:
-        from repro._util.bits import ceil_log2
-        from repro.core.network_machine import NetworkMachine
-
-        cls = _topology_classes()[backend]
-        dim = ceil_log2(max(2, nodes))
-        return NetworkMachine(cls(dim, ledger=ledger))
+        return NetworkMachine(make_network(backend, nodes, ledger))
     if backend in ("pram-crcw", "pram-crew"):
         from repro.pram.models import CREW
         from repro.pram.models import CRCW_COMMON
@@ -100,7 +81,6 @@ def build_machine(
 
 def fresh_clone(machine: Pram) -> Pram:
     """A same-configuration machine with an independent ledger."""
-    from repro.core.network_machine import NetworkMachine
     from repro.pram.scheduling import BrentPram
 
     if isinstance(machine, NetworkMachine):

@@ -36,9 +36,9 @@ resolved kernel tier, so mixed-tier queries never fuse: one bucket runs
 under exactly one kernel tier (DESIGN.md §13).  The tier is resolved
 here, once per query — config, else the caller's
 :func:`~repro.kernels.registry.tier_context`, else the environment —
-and the executors scope it around the execution.  A query that names
+and the lifecycle scopes it around the execution.  A query that names
 the tier it would get by default therefore shares its bucket.
-The session adds machine-level conditions at execution time (plain
+The lifecycle adds machine-level conditions at execution time (plain
 :class:`~repro.pram.machine.Pram`, the ``fused`` kernel tier, unbounded
 processor budget); a bucket that fails those simply runs serially —
 grouping never changes results, only wall-clock.

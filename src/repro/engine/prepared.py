@@ -6,8 +6,8 @@ runs a registered solver's ``prepare`` capability once — for
 :class:`~repro.monge.index.MongeIndex` — and returns a
 :class:`PreparedHandle` whose :meth:`~PreparedHandle.query` answers many
 requests against the built structure.  Builds and queries charge the
-session ledger exactly like solves do (each on its own
-:class:`~repro.pram.ledger.CostLedger` sub-account, merged back), emit
+session ledger exactly like solves do (each through the lifecycle's
+:class:`~repro.engine.lifecycle.SubAccount` step, merged back), emit
 ``index-build`` / ``index-query`` spans when tracing is on, and bump the
 ``index.*`` metrics; they are **not** appended to ``Session.queries`` —
 the query log stays the record of solve-shaped requests, while prepared
@@ -26,13 +26,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.engine.config import ExecutionConfig
-from repro.engine.lifecycle import ledger_swap
+from repro.engine.lifecycle import SubAccount
+from repro.engine.planner import shape_of
 from repro.engine.registry import CapabilityError, registry
 from repro.engine.result import SearchResult
-from repro.kernels.registry import resolve_kernel_tier, tier_context
+from repro.kernels.registry import resolve_kernel_tier
 from repro.obs.metrics import metrics
 from repro.obs.tracer import Tracer
-from repro.pram.ledger import CostLedger
 
 __all__ = ["PreparedHandle", "prepare_handle", "prepare"]
 
@@ -75,14 +75,9 @@ class PreparedHandle:
         a :meth:`Session.solve` result carries.
         """
         session = self.session
-        machine = self.machine
-        cfg = self.config
-        limit = machine.ledger.processor_limit if machine is not None else None
-        qledger = CostLedger(processor_limit=limit) if machine is not None else None
-
-        tracer = Tracer() if cfg.trace else None
-        span = None
-        if tracer is not None:
+        tracer = span = None
+        if self.config.trace:
+            tracer = Tracer()
             span = tracer.begin(
                 "index-query",
                 "query",
@@ -91,44 +86,20 @@ class PreparedHandle:
                 strategy="index",
                 shape=self.index.shape,
             )
-            if qledger is not None:
-                tracer.bind(qledger, span)
-
-        with ledger_swap(machine, qledger):
-            values, witnesses, info = self.index.query_on(machine, rows, cols)
-
-        trace = None
+        account = SubAccount(self.machine, tracer, span)
+        values, witnesses, info = account.run(
+            None, self.index.query_on, self.machine, rows, cols
+        )
         if tracer is not None:
-            if qledger is not None:
-                tracer.unbind(qledger)
             span.attrs["nodes"] = info["nodes"]
             span.attrs["scanned"] = info["scanned"]
-            tracer.end(span)
-            trace = tracer.trace(span)
-
-        snapshot = qledger.snapshot() if qledger is not None else None
-        if qledger is not None:
-            session.ledger.merge(qledger)
         metrics().counter("index.queries").inc()
-
-        return SearchResult(
-            values=values,
-            witnesses=witnesses,
-            problem=self.problem,
-            backend=session.backend,
-            strategy="index",
-            snapshot=snapshot,
-            ledger=qledger,
-            certificate=None,
-            trace=trace,
-        )
+        return account.result(session, self.problem, "index", values, witnesses)
 
 
 def prepare_handle(session, problem: str, data, cfg: ExecutionConfig
                    ) -> PreparedHandle:
     """Build (or fetch from the session LRU) a prepared handle."""
-    from repro.engine.planner import shape_of
-
     spec = registry.lookup(problem, session.backend)
     if not spec.preparable:
         preparable = sorted(
@@ -161,14 +132,10 @@ def prepare_handle(session, problem: str, data, cfg: ExecutionConfig
     # the built index is the same in every tier, so the kernel tier is
     # resolved for the build only, not keyed
     tier = resolve_kernel_tier(cfg.kernel_tier)
-    nodes = spec.nodes_for(shape) if spec.nodes_for is not None else 2
-    machine = session.machine(nodes)
-    limit = machine.ledger.processor_limit if machine is not None else None
-    qledger = CostLedger(processor_limit=limit) if machine is not None else None
-
-    tracer = Tracer() if cfg.trace else None
-    span = None
-    if tracer is not None:
+    machine = session.machine(spec.nodes(shape))
+    tracer = span = None
+    if cfg.trace:
+        tracer = Tracer()
         span = tracer.begin(
             "index-build",
             "prepare",
@@ -177,24 +144,13 @@ def prepare_handle(session, problem: str, data, cfg: ExecutionConfig
             shape=shape,
             kernel_tier=tier,
         )
-        if qledger is not None:
-            tracer.bind(qledger, span)
-
-    with ledger_swap(machine, qledger):
-        with tier_context(tier):
-            index = spec.prepare(machine, data, cfg)
-
+    account = SubAccount(machine, tracer, span)
+    index = account.run(tier, spec.prepare, machine, data, cfg)
+    snapshot = account.settle(session)
     trace = None
     if tracer is not None:
-        if qledger is not None:
-            tracer.unbind(qledger)
         span.attrs["build_evals"] = index.build_evals
-        tracer.end(span)
         trace = tracer.trace(span)
-
-    snapshot = qledger.snapshot() if qledger is not None else None
-    if qledger is not None:
-        session.ledger.merge(qledger)
     m.counter("index.builds").inc()
 
     handle = PreparedHandle(

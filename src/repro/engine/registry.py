@@ -11,16 +11,15 @@ and a backend key
     ``pram-crcw | pram-crew | hypercube | ccc | shuffle-exchange | sequential``
 
 to an implementation, together with its *declared capabilities*: which
-strategies it accepts, what machine it needs, whether a self-certifier
-exists for its output, and a Table-1.x-shaped round-bound predicate that
-tests (and sessions) can check measured ledgers against.
+strategies it accepts, whether a self-certifier exists for its output,
+how many logical nodes its machine needs, and a Table-1.x-shaped
+round-bound predicate that tests (and sessions) can check measured
+ledgers against.
 
 Pairs that are not registered raise :class:`CapabilityError` — a
 ``LookupError`` so callers can distinguish "the engine cannot do this"
-from an input error.  Solver callables are late-bound (they import the
-core implementation lazily), so this module stays import-cycle-free: the
-core modules import the engine, never the other way around at import
-time.
+from an input error.  The engine calls the core algorithms; the core
+never calls the engine (``tests/test_layering.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +28,33 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.banded import (
+    banded_row_maxima,
+    banded_row_maxima_pram,
+    banded_row_minima,
+    banded_row_minima_pram,
+)
+from repro.core.rowmin_pram import (
+    _inverse_row_maxima_impl,
+    _row_maxima_impl,
+    _row_minima_impl,
+)
+from repro.core.staircase_pram import _staircase_maxima_impl, _staircase_minima_impl
+from repro.core.submatrix import submatrix_max_pram, submatrix_max_sequential
+from repro.core.tube_pram import _tube_maxima_impl, _tube_minima_impl
+from repro.core.windowed import windowed_monge_row_minima
 from repro.kernels.registry import TIERS, get_tier
+from repro.monge.arrays import as_search_array
+from repro.monge.composite import tube_maxima_sequential, tube_minima_sequential
+from repro.monge.index import MongeIndex
+from repro.monge.smawk import row_minima
+from repro.monge.staircase_seq import row_maxima_staircase, row_minima_staircase_blocks
+from repro.networks import TOPOLOGIES
+from repro.resilience.certify import (
+    certify_row_minima,
+    certify_staircase_row_minima,
+    certify_tube_minima,
+)
 
 __all__ = [
     "PROBLEMS",
@@ -54,7 +79,7 @@ PROBLEMS = (
 )
 
 PRAM_BACKENDS = ("pram-crcw", "pram-crew")
-NETWORK_BACKENDS = ("hypercube", "ccc", "shuffle-exchange")
+NETWORK_BACKENDS = tuple(TOPOLOGIES)
 
 #: Canonical backend keys (the Tables' machine columns + the SMAWK-class
 #: sequential baselines).
@@ -103,7 +128,6 @@ class SolverSpec:
     backend: str
     fn: Callable
     strategies: Tuple[str, ...] = ()
-    machine: str = "pram"  # "pram" | "network" | "none"
     certifier: Optional[Callable] = None
     bound_hint: str = ""
     bound_rounds: Optional[Callable[[Tuple[int, ...]], float]] = None
@@ -138,6 +162,11 @@ class SolverSpec:
     @property
     def preparable(self) -> bool:
         return self.prepare is not None
+
+    def nodes(self, shape: Tuple[int, ...]) -> int:
+        """Logical nodes the session machine must cover for ``shape``
+        (2 when the solver declares no sizing rule)."""
+        return 2 if self.nodes_for is None else self.nodes_for(shape)
 
     def check_strategy(self, strategy: str) -> None:
         """Raise :class:`CapabilityError` on an undeclared strategy."""
@@ -241,66 +270,43 @@ def register(spec: SolverSpec) -> SolverSpec:
 
 
 # --------------------------------------------------------------------- #
-# Late-bound adapters over the core implementations.  Imports happen at
-# call time: the core modules import the engine for dispatch, so the
-# engine must not import them at module scope.
+# Adapters over the core implementations: each takes the engine's
+# ``(machine, data, config, strategy)`` and calls one algorithm body.
 # --------------------------------------------------------------------- #
 def _rowmin(machine, data, cfg, strategy):
-    from repro.core.rowmin_pram import _row_minima_impl
-
-    s = "sqrt" if strategy == "auto" else strategy
-    return _row_minima_impl(machine, data, strategy=s)
+    return _row_minima_impl(machine, data, strategy=strategy)
 
 
 def _rowmax(machine, data, cfg, strategy):
-    from repro.core.rowmin_pram import _row_maxima_impl
-
-    s = "sqrt" if strategy == "auto" else strategy
-    return _row_maxima_impl(machine, data, strategy=s)
+    return _row_maxima_impl(machine, data, strategy=strategy)
 
 
 def _rowmax_inverse(machine, data, cfg, strategy):
-    from repro.core.rowmin_pram import _inverse_row_maxima_impl
-
-    s = "sqrt" if strategy == "auto" else strategy
-    return _inverse_row_maxima_impl(machine, data, strategy=s)
+    return _inverse_row_maxima_impl(machine, data, strategy=strategy)
 
 
 def _staircase_min(machine, data, cfg, strategy):
-    from repro.core.staircase_pram import _staircase_minima_impl
-
     return _staircase_minima_impl(machine, data)
 
 
 def _staircase_max(machine, data, cfg, strategy):
-    from repro.core.staircase_pram import _staircase_maxima_impl
-
     return _staircase_maxima_impl(machine, data)
 
 
 def _tube_min(machine, data, cfg, strategy):
-    from repro.core.tube_pram import _tube_minima_impl
-
     return _tube_minima_impl(machine, data, scheme=strategy)
 
 
 def _tube_max(machine, data, cfg, strategy):
-    from repro.core.tube_pram import _tube_maxima_impl
-
     return _tube_maxima_impl(machine, data, scheme=strategy)
 
 
 # -- sequential baselines (SMAWK and friends; no simulated machine) ----- #
 def _seq_rowmin(machine, data, cfg, strategy):
-    from repro.monge.smawk import row_minima
-
     return row_minima(data)
 
 
 def _seq_rowmax(machine, data, cfg, strategy):
-    from repro.monge.arrays import as_search_array
-    from repro.monge.smawk import row_minima
-
     # Monge row-flipped is inverse-Monge; its negation is Monge again and
     # leftmost minima in reversed row order are the leftmost maxima.
     vals, cols = row_minima(as_search_array(data).flip_rows().negate())
@@ -308,34 +314,23 @@ def _seq_rowmax(machine, data, cfg, strategy):
 
 
 def _seq_rowmax_inverse(machine, data, cfg, strategy):
-    from repro.monge.arrays import as_search_array
-    from repro.monge.smawk import row_minima
-
     vals, cols = row_minima(as_search_array(data).negate())
     return -vals, cols
 
 
 def _seq_staircase_min(machine, data, cfg, strategy):
-    from repro.monge.staircase_seq import row_minima_staircase_blocks
-
     return row_minima_staircase_blocks(data)
 
 
 def _seq_staircase_max(machine, data, cfg, strategy):
-    from repro.monge.staircase_seq import row_maxima_staircase
-
     return row_maxima_staircase(data)
 
 
 def _seq_tube_min(machine, data, cfg, strategy):
-    from repro.monge.composite import tube_minima_sequential
-
     return tube_minima_sequential(data)
 
 
 def _seq_tube_max(machine, data, cfg, strategy):
-    from repro.monge.composite import tube_maxima_sequential
-
     return tube_maxima_sequential(data)
 
 
@@ -351,76 +346,41 @@ def _window_args(data, problem):
 
 
 def _banded_min(machine, data, cfg, strategy):
-    from repro.core.banded import banded_row_minima_pram
-
     array, lo, hi = _window_args(data, "banded_min")
     return banded_row_minima_pram(machine, array, lo, hi)
 
 
 def _banded_max(machine, data, cfg, strategy):
-    from repro.core.banded import banded_row_maxima_pram
-
     array, lo, hi = _window_args(data, "banded_max")
     return banded_row_maxima_pram(machine, array, lo, hi)
 
 
 def _windowed_min(machine, data, cfg, strategy):
-    from repro.core.windowed import windowed_monge_row_minima
-
     array, lo, hi = _window_args(data, "windowed_min")
     return windowed_monge_row_minima(machine, array, lo, hi)
 
 
 def _seq_banded_min(machine, data, cfg, strategy):
-    from repro.core.banded import banded_row_minima
-
     array, lo, hi = _window_args(data, "banded_min")
     return banded_row_minima(array, lo, hi)
 
 
 def _seq_banded_max(machine, data, cfg, strategy):
-    from repro.core.banded import banded_row_maxima
-
     array, lo, hi = _window_args(data, "banded_max")
     return banded_row_maxima(array, lo, hi)
 
 
 # -- submatrix maxima (precompute-once family; DESIGN.md §14) ----------- #
 def _submatrix_max(machine, data, cfg, strategy):
-    from repro.core.submatrix import submatrix_max_pram
-
     return submatrix_max_pram(machine, data)
 
 
 def _seq_submatrix_max(machine, data, cfg, strategy):
-    from repro.core.submatrix import submatrix_max_sequential
-
     return submatrix_max_sequential(data)
 
 
 def _prepare_submatrix(machine, data, cfg):
-    from repro.monge.index import MongeIndex
-
     return MongeIndex.build(machine, data)
-
-
-# -- certifiers (minima problems only; see resilience.certify) ---------- #
-def _certify_rowmin(data, values, witnesses):
-    from repro.resilience.certify import certify_row_minima
-
-    return certify_row_minima(data, values, witnesses)
-
-
-def _certify_staircase_min(data, values, witnesses):
-    from repro.resilience.certify import certify_staircase_row_minima
-
-    return certify_staircase_row_minima(data, values, witnesses)
-
-
-def _certify_tube_min(data, values, witnesses):
-    from repro.resilience.certify import certify_tube_minima
-
-    return certify_tube_minima(data, values, witnesses)
 
 
 # -- machine sizing + Table-1.x bound shapes ---------------------------- #
@@ -473,17 +433,17 @@ def _banded_bound_crew(shape):  # halving levels x binary grouped min
 # Populate the registry.
 # --------------------------------------------------------------------- #
 _PRAM_FAMILY = (
-    ("rowmin", _rowmin, ("sqrt", "halving"), _certify_rowmin,
+    ("rowmin", _rowmin, ("sqrt", "halving"), certify_row_minima,
      "T1.1: O(lg n) CRCW / O(lg n lg lg n) CREW"),
     ("rowmax", _rowmax, ("sqrt", "halving"), None,
      "T1.1: O(lg n) CRCW / O(lg n lg lg n) CREW"),
     ("rowmax_inverse", _rowmax_inverse, ("sqrt", "halving"), None,
      "T1.1 via negation (Fig. 1.1 inverse-Monge form)"),
-    ("staircase_min", _staircase_min, (), _certify_staircase_min,
+    ("staircase_min", _staircase_min, (), certify_staircase_row_minima,
      "T1.2 / Thm 2.3: O(lg n) CRCW / O(lg n lg lg n) CREW"),
     ("staircase_max", _staircase_max, (), None,
      "T1.2 easy direction: banded search round class"),
-    ("tube_min", _tube_min, ("crew", "crcw"), _certify_tube_min,
+    ("tube_min", _tube_min, ("crew", "crcw"), certify_tube_minima,
      "T1.3: O(lg lg n) CRCW / O(lg n) CREW shaped"),
     ("tube_max", _tube_max, ("crew", "crcw"), None,
      "T1.3: O(lg lg n) CRCW / O(lg n) CREW shaped"),
@@ -499,7 +459,7 @@ for _problem, _fn, _strats, _cert, _hint in _PRAM_FAMILY:
     _batch = _problem in _BATCHABLE_PROBLEMS
     register(SolverSpec(
         problem=_problem, backend="pram-crcw", fn=_fn, strategies=_strats,
-        machine="pram", certifier=_cert, bound_hint=_hint,
+        certifier=_cert, bound_hint=_hint,
         bound_rounds=_tube_bound_crcw if _tube else _row_bound_crcw,
         nodes_for=_nodes, batchable=_batch,
         kernel_tiers=TIERS,
@@ -509,7 +469,7 @@ for _problem, _fn, _strats, _cert, _hint in _PRAM_FAMILY:
         # "crcw" stays declared: the solver itself raises the model
         # ConcurrencyViolation, preserving the legacy error contract
         strategies=_strats,
-        machine="pram", certifier=_cert, bound_hint=_hint,
+        certifier=_cert, bound_hint=_hint,
         bound_rounds=_tube_bound_crew if _tube else _row_bound_crew,
         nodes_for=_nodes, batchable=_batch,
         kernel_tiers=TIERS,
@@ -519,29 +479,29 @@ for _problem, _fn, _strats, _cert, _hint in _PRAM_FAMILY:
             problem=_problem, backend=_net, fn=_fn,
             # networks run the CREW-derived algorithms (§3)
             strategies=tuple(s for s in _strats if s != "crcw"),
-            machine="network", certifier=_cert,
+            certifier=_cert,
             bound_hint="Thm 3.2–3.4 (measured O(lg² n)-shaped; see DESIGN.md)",
             bound_rounds=_net_bound,
             nodes_for=_nodes,
         ))
 
 _SEQUENTIAL = (
-    ("rowmin", _seq_rowmin, _certify_rowmin, "SMAWK: O(m+n) evaluations"),
+    ("rowmin", _seq_rowmin, certify_row_minima, "SMAWK: O(m+n) evaluations"),
     ("rowmax", _seq_rowmax, None, "SMAWK on the flipped array: O(m+n) evaluations"),
     ("rowmax_inverse", _seq_rowmax_inverse, None,
      "SMAWK on the negated array: O(m+n) evaluations"),
-    ("staircase_min", _seq_staircase_min, _certify_staircase_min,
+    ("staircase_min", _seq_staircase_min, certify_staircase_row_minima,
      "boundary-block SMAWK decomposition"),
     ("staircase_max", _seq_staircase_max, None,
      "prefix-maxima divide and conquer: O((m+n) lg m) evaluations"),
-    ("tube_min", _seq_tube_min, _certify_tube_min, "per-row SMAWK: O(p(q+r)) evaluations"),
+    ("tube_min", _seq_tube_min, certify_tube_minima, "per-row SMAWK: O(p(q+r)) evaluations"),
     ("tube_max", _seq_tube_max, None, "per-row SMAWK: O(p(q+r)) evaluations"),
 )
 
 for _problem, _fn, _cert, _hint in _SEQUENTIAL:
     register(SolverSpec(
         problem=_problem, backend="sequential", fn=_fn, strategies=(),
-        machine="none", certifier=_cert, bound_hint=_hint,
+        certifier=_cert, bound_hint=_hint,
         bound_rounds=None, nodes_for=None,
     ))
 
@@ -563,13 +523,13 @@ _WINDOW_FAMILY = (
 for _problem, _fn, _seqfn, _hint in _WINDOW_FAMILY:
     register(SolverSpec(
         problem=_problem, backend="pram-crcw", fn=_fn, strategies=(),
-        machine="pram", bound_hint=_hint,
+        bound_hint=_hint,
         bound_rounds=_banded_bound_crcw, nodes_for=_row_shape_nodes,
         kernel_tiers=TIERS,
     ))
     register(SolverSpec(
         problem=_problem, backend="pram-crew", fn=_fn, strategies=(),
-        machine="pram", bound_hint=_hint,
+        bound_hint=_hint,
         bound_rounds=_banded_bound_crew, nodes_for=_row_shape_nodes,
         kernel_tiers=TIERS,
     ))
@@ -577,12 +537,12 @@ for _problem, _fn, _seqfn, _hint in _WINDOW_FAMILY:
         for _net in NETWORK_BACKENDS:
             register(SolverSpec(
                 problem=_problem, backend=_net, fn=_fn, strategies=(),
-                machine="network", bound_hint=_hint,
+                bound_hint=_hint,
                 bound_rounds=_net_bound, nodes_for=_row_shape_nodes,
             ))
         register(SolverSpec(
             problem=_problem, backend="sequential", fn=_seqfn, strategies=(),
-            machine="none", bound_hint=_hint,
+            bound_hint=_hint,
             bound_rounds=None, nodes_for=None,
         ))
 
@@ -599,14 +559,14 @@ for _backend, _bound in (
 ):
     register(SolverSpec(
         problem="submatrix_max", backend=_backend, fn=_submatrix_max,
-        strategies=(), machine="pram",
+        strategies=(),
         bound_hint="row maxima over the rectangle + one reduce round",
         bound_rounds=_bound, nodes_for=_row_shape_nodes,
         prepare=_prepare_submatrix, kernel_tiers=TIERS,
     ))
 register(SolverSpec(
     problem="submatrix_max", backend="sequential", fn=_seq_submatrix_max,
-    strategies=(), machine="none",
+    strategies=(),
     bound_hint="SMAWK row maxima over the rectangle: O(h+w) evaluations",
     bound_rounds=None, nodes_for=None, prepare=_prepare_submatrix,
 ))

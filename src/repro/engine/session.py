@@ -12,10 +12,10 @@ Queries execute through the staged lifecycle (DESIGN.md §14):
 :func:`~repro.engine.planner.plan_query` lowers each request to a
 declarative :class:`~repro.engine.planner.QueryPlan`,
 :func:`~repro.engine.planner.group_plans` buckets compatible plans, and
-:func:`repro.engine.lifecycle.run_plans` walks each bucket down the
-executor chain (:data:`~repro.engine.lifecycle.EXECUTORS`: fused →
-serial) — the session itself never branches on *how* a bucket
-runs.  :meth:`Session.solve` is simply a one-plan serial execution, and
+:func:`repro.engine.lifecycle.run_plans` runs each bucket as one fused
+sweep or plan by plan — the session itself never branches on *how* a
+bucket runs.  :meth:`Session.solve` runs its one plan through
+:func:`~repro.engine.lifecycle.execute_plan`, and
 :meth:`Session.prepare` is the build-once entry of the precompute-once
 path (:mod:`repro.engine.prepared`).
 
@@ -23,11 +23,6 @@ path (:mod:`repro.engine.prepared`).
 entries: they resolve a backend (``"auto"`` picks the CRCW PRAM, the
 Tables' best bounds), spin up a throwaway session, and return the
 result(s).
-
-:func:`dispatch_on` is the zero-overhead path the legacy
-:mod:`repro.core` wrappers use: it resolves the registry solver for an
-*existing* machine and calls straight through — no ledger swap, no
-added charges — so pre-engine call sites keep bit-identical ledgers.
 """
 
 from __future__ import annotations
@@ -38,36 +33,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.engine.config import ExecutionConfig
-from repro.engine.lifecycle import SERIAL, run_plans
+from repro.engine.lifecycle import execute_plan, run_plans
 from repro.engine.machines import backend_of, build_machine
 from repro.engine.planner import QueryPlan, plan_query
-from repro.engine.registry import (
-    BACKENDS,
-    CapabilityError,
-    SolverSpec,
-    registry,
-)
+from repro.engine.registry import BACKENDS, CapabilityError, SolverSpec
 from repro.engine.result import BatchResult, SearchResult
 from repro.obs.metrics import metrics
 from repro.pram.ledger import CostLedger
 
-__all__ = ["Session", "QueryRecord", "solve", "solve_many", "dispatch_on"]
-
-
-def dispatch_on(machine, problem: str, data, config: ExecutionConfig):
-    """Run ``problem`` on an existing machine through the registry.
-
-    This is pure indirection: the solver is called with the machine as
-    given, on its own ledger, so it charges exactly what the pre-engine
-    entry point charged.
-    Returns the raw ``(values, witnesses)`` pair.
-    """
-    backend = backend_of(machine)
-    spec = registry.lookup(problem, backend)
-    crcw = machine is not None and machine.model.is_crcw
-    strategy = config.resolve_strategy(problem, crcw)
-    spec.check_strategy(strategy)
-    return spec.fn(machine, data, config, strategy)
+__all__ = ["Session", "QueryRecord", "solve", "solve_many"]
 
 
 @dataclass
@@ -240,7 +214,7 @@ class Session:
         """
         cfg = self._derive_config(config, overrides)
         plan = self._plan(problem, data, cfg)
-        result = SERIAL.execute_plan(self, plan)
+        result = execute_plan(self, plan)
         self._record(plan, result)
         return result
 

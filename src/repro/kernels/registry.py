@@ -17,7 +17,7 @@ A tier is its name.  Selection precedence (first match wins):
 4. ``fused``.
 
 The engine resolves the tier once per query, when it plans the query,
-and its executors scope the resolved name around the execution with
+and its lifecycle scopes the resolved name around the execution with
 :func:`tier_context`.  The scope lives in a :class:`~contextvars.ContextVar`,
 so concurrent threads and asyncio tasks each see their own tier; no
 query writes process-wide state.

@@ -32,7 +32,16 @@ from repro.networks.primitives import (
     net_segmented_scan,
 )
 
+#: The §3 topologies by name: the one table every name → class lookup
+#: reads (``make_network``, ``build_machine`` and the network backends).
+TOPOLOGIES = {
+    "hypercube": Hypercube,
+    "ccc": CubeConnectedCycles,
+    "shuffle-exchange": ShuffleExchange,
+}
+
 __all__ = [
+    "TOPOLOGIES",
     "Hypercube",
     "CubeConnectedCycles",
     "ShuffleExchange",

@@ -140,17 +140,12 @@ class ServiceConfig:
     ``default_deadline``
         Deadline (seconds from submission) applied to requests that
         pass none; ``None`` means no implicit deadline.
-    ``verify_keys``
-        Re-lower each plan at execution time and require its fused key
-        unchanged — the guard that incremental bucketing can never
-        drift from what one ``solve_many`` call would have grouped.
     """
 
     max_batch: int = 64
     max_pending: int = 1024
     admission_wait: float = 0.0
     default_deadline: Optional[float] = None
-    verify_keys: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_batch, int) or self.max_batch < 1:
@@ -540,8 +535,6 @@ class QueryService:
             raise AssertionError(
                 f"bucket holds {len(keys)} distinct fused keys: {keys}"
             )
-        if not self.policy.verify_keys:
-            return
         for r in requests:
             with tier_context(r.plan.kernel):
                 replanned = plan_query(

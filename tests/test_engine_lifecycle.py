@@ -1,14 +1,15 @@
-"""The staged query lifecycle: executor chain, admission, fallback.
+"""The query lifecycle: fusion admission, group dicts, error
+propagation and the sub-account step.
 
-:mod:`repro.engine.lifecycle` replaced the ``Session._execute_*``
-branches with two :class:`~repro.engine.lifecycle.Executor`
-implementations walked in priority order (fused → serial).
-These tests pin the chain's contract: admission decisions, group-dict
-contents, metric ordering, error propagation, and the
-ledger/tracing stage wrappers — independent of the bit-identity
-snapshots (tests/test_engine_snapshots.py covers those).
+:mod:`repro.engine.lifecycle` runs a bucket as one fused stacked sweep
+when it holds at least two plans and :func:`fused_ready` admits its
+machine, else plan by plan.  These tests pin that condition, the
+group-dict contents, metric ordering, error propagation, and the
+ledger swap — independent of the bit-identity snapshots
+(tests/test_engine_snapshots.py covers those).
 """
 
+import importlib
 import threading
 import warnings
 
@@ -16,12 +17,10 @@ import numpy as np
 import pytest
 
 from repro.engine import Session
+from repro.engine import lifecycle
 from repro.engine.lifecycle import (
-    EXECUTORS,
-    SERIAL,
-    FusedExecutor,
-    SerialExecutor,
     execute_bucket,
+    execute_plan,
     fused_ready,
     ledger_swap,
     run_plans,
@@ -31,6 +30,7 @@ from repro.monge.arrays import ImplicitArray
 from repro.monge.generators import random_monge
 from repro.obs import reset_metrics, snapshot
 from repro.pram.ledger import CostLedger
+from repro.resilience.certify import CertificationError
 
 
 def _plans(session, count, n=6, cfg=None, problem="rowmin"):
@@ -53,34 +53,23 @@ def _counters():
 
 
 # --------------------------------------------------------------------- #
-# chain shape
-# --------------------------------------------------------------------- #
-class TestChain:
-    def test_priority_order(self):
-        assert [type(e) for e in EXECUTORS] == [FusedExecutor, SerialExecutor]
-
-    def test_serial_is_terminal_and_admits_everything(self):
-        s = Session("sequential")
-        assert EXECUTORS[-1] is SERIAL
-        assert SERIAL.admit(s, _plans(s, 1)) == {}
-        assert SERIAL.fused is False
-
-
-# --------------------------------------------------------------------- #
 # admission
 # --------------------------------------------------------------------- #
 class TestAdmission:
     def test_singleton_bucket_never_fuses(self):
         s = Session("pram-crcw")
-        bucket = _plans(s, 1)
-        assert FusedExecutor().admit(s, bucket) is None
+        bucket = _plans(s, 1, cfg=_fused_cfg(s))
+        # the machine would admit a sweep; one plan alone still runs serially
+        assert fused_ready(s, bucket[0]) is True
         results, group = execute_bucket(s, bucket)
         assert group["fused"] is False
 
     def test_pair_bucket_fuses(self):
         s = Session("pram-crcw")
         bucket = _plans(s, 2, cfg=_fused_cfg(s))
-        assert FusedExecutor().admit(s, bucket) == {}
+        assert fused_ready(s, bucket[0]) is True
+        results, group = execute_bucket(s, bucket)
+        assert group["fused"] is True
 
     def test_reference_tier_stays_serial(self):
         s = Session("pram-crcw")
@@ -90,7 +79,8 @@ class TestAdmission:
         # but machine-level admission rejects: no stacked-sweep kernel
         assert all(p.fused_key is not None for p in bucket)
         assert fused_ready(s, bucket[0]) is False
-        assert FusedExecutor().admit(s, bucket) is None
+        results, group = execute_bucket(s, bucket)
+        assert group["fused"] is False
 
     def test_processor_budget_disqualifies_fusion(self):
         s = Session("pram-crcw", physical_processors=64)
@@ -140,30 +130,74 @@ class TestExecuteBucket:
         fused_results, group = execute_bucket(s1, bucket)
         assert group["fused"] is True
         for plan, got in zip(bucket, fused_results):
-            ref = SERIAL.execute_plan(s2, plan)
+            ref = execute_plan(s2, plan)
             np.testing.assert_array_equal(ref.values, got.values)
             np.testing.assert_array_equal(ref.witnesses, got.witnesses)
             assert ref.snapshot == got.snapshot
 
 
 # --------------------------------------------------------------------- #
-# no fallback: executor errors propagate
+# no fallback: errors of the fused path propagate
 # --------------------------------------------------------------------- #
 class TestFallback:
     def test_non_recoverable_error_propagates(self, monkeypatch):
         s = Session("pram-crcw")
         bucket = _plans(s, 2, cfg=_fused_cfg(s))
 
-        def boom(self, session, bucket, admission):
+        def boom(session, bucket):
             raise RuntimeError("genuine bug")
 
-        monkeypatch.setattr(FusedExecutor, "execute", boom)
+        monkeypatch.setattr(lifecycle, "execute_fused", boom)
         with pytest.raises(RuntimeError, match="genuine bug"):
             execute_bucket(s, bucket)
 
 
 # --------------------------------------------------------------------- #
-# stage wrappers
+# a failing certificate raises before its sub-account merges
+# --------------------------------------------------------------------- #
+def _corrupt(values):
+    values = values.copy()
+    values[1] -= 1.0
+    return values
+
+
+class TestFailingCertificate:
+    def test_serial_solve_merges_nothing(self, monkeypatch):
+        # the package re-exports the registry instance under the module's name
+        registry_module = importlib.import_module("repro.engine.registry")
+        body = registry_module._row_minima_impl
+
+        def wrong(machine, data, strategy):
+            values, witnesses = body(machine, data, strategy=strategy)
+            return _corrupt(values), witnesses
+
+        monkeypatch.setattr(registry_module, "_row_minima_impl", wrong)
+        s = Session("pram-crcw")
+        with pytest.raises(CertificationError):
+            s.solve("rowmin", random_monge(8, 8, np.random.default_rng(3)), certify=True)
+        assert s.ledger.snapshot() == CostLedger().snapshot()
+        assert s.queries == []
+
+    def test_fused_bucket_merges_nothing(self, monkeypatch):
+        sweep = lifecycle.rowmin_pram.batched_row_extrema
+
+        def wrong(*args):
+            outs = sweep(*args)
+            values, witnesses = outs[1]
+            outs[1] = (_corrupt(values), witnesses)
+            return outs
+
+        monkeypatch.setattr(lifecycle.rowmin_pram, "batched_row_extrema", wrong)
+        s = Session("pram-crcw")
+        arrays = [random_monge(8, 8, np.random.default_rng(3 + i)) for i in range(3)]
+        with pytest.raises(CertificationError):
+            s.solve_many("rowmin", arrays, certify=True, kernel_tier="fused")
+        assert s.ledger.snapshot() == CostLedger().snapshot()
+        assert s.queries == []
+
+
+# --------------------------------------------------------------------- #
+# the ledger swap inside the sub-account step
 # --------------------------------------------------------------------- #
 class TestLedgerSwap:
     def test_swaps_and_restores(self):

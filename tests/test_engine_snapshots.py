@@ -3,9 +3,10 @@
 ``tests/data/pre_refactor_snapshots.json`` pins the ledger
 snapshots of every legacy core entry point (rowmin / rowmax / staircase /
 tube on CRCW and CREW), captured on the pre-engine implementations.  The
-legacy wrappers now route through :func:`repro.engine.dispatch_on`; this
-test replays the exact capture recipe and demands byte-for-byte equal
-snapshots — the engine adds zero charges on the legacy path.
+legacy wrappers call the same algorithm bodies the engine registry runs,
+on the caller's machine and ledger; this test replays the exact capture
+recipe and demands byte-for-byte equal snapshots — nothing on the legacy
+path adds a charge.
 """
 
 import json

@@ -651,9 +651,9 @@ class TestServiceConfig:
     def test_timed_window_fields_are_gone(self):
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
             "max_batch", "max_pending", "admission_wait", "default_deadline",
-            "verify_keys",
         ]
-        for name in ("min_window", "max_window", "target_width", "ewma_alpha"):
+        for name in ("min_window", "max_window", "target_width", "ewma_alpha",
+                     "verify_keys"):
             with pytest.raises(TypeError):
                 ServiceConfig(**{name: 0.01})
 
