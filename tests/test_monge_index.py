@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro.engine import CapabilityError, Session
 from repro.engine.prepared import prepare
+from repro.monge.arrays import ExplicitArray, ImplicitArray
 from repro.monge.generators import random_monge
 from repro.monge.index import MongeIndex, check_rectangle
 from repro.obs import reset_metrics, snapshot
@@ -35,6 +36,42 @@ def _rects(m, n, rng, count=40):
         yield r0, r1, c0, c1
 
 
+def _with_infinities(m, n, rng):
+    """An integer ``m×n`` Monge matrix (real ties) with about a sixth of
+    its entries set to ``+inf`` or ``-inf``."""
+    dense = random_monge(m, n, rng, integer=True).materialize()
+    hit = rng.random((m, n)) < 0.15
+    dense[hit] = np.where(rng.random(hit.sum()) < 0.5, np.inf, -np.inf)
+    return dense
+
+
+#: Each way an index reads values: through a buffer's strided view
+#: (negated, row-flipped, transposed, a contiguous submatrix) or from the
+#: private copy of a bufferless array (an ``ImplicitArray`` or a
+#: fancy-indexed submatrix).
+FORMS = {
+    "negate": lambda d: ExplicitArray(-d).negate(),
+    "flip_rows": lambda d: ExplicitArray(d[::-1]).flip_rows(),
+    "transpose": lambda d: ExplicitArray(d.T).transpose(),
+    "submatrix": lambda d: ExplicitArray(np.pad(d, ((2, 1), (1, 1)))).submatrix(
+        np.arange(2, 2 + d.shape[0]), np.arange(1, 1 + d.shape[1])
+    ),
+    "implicit": lambda d: ImplicitArray(lambda r, c: d[r, c], d.shape),
+    "fancy_submatrix": lambda d: ExplicitArray(np.repeat(np.repeat(d, 2, 0), 2, 1)).submatrix(
+        np.arange(0, 2 * d.shape[0], 2), np.arange(0, 2 * d.shape[1], 2)
+    ),
+}
+BUFFERLESS = ("implicit", "fancy_submatrix")
+
+
+def _chain(a):
+    """``a`` and every array an ``eval`` on it passes through."""
+    chain = [a]
+    while hasattr(chain[-1], "base"):
+        chain.append(chain[-1].base)
+    return chain
+
+
 # --------------------------------------------------------------------- #
 # rectangle validation
 # --------------------------------------------------------------------- #
@@ -55,6 +92,9 @@ class TestCheckRectangle:
         ((0, 3.0), (0, 2)),
         (("1", "3"), (0, 2)),
         ((np.float64(1), 3), (0, 2)),
+        ((False, True), (0, 2)),  # bools are never read as indices
+        ((0, 3), (True, 2)),
+        ((np.True_, 3), (0, 2)),
     ])
     def test_malformed_is_type_error(self, rows, cols):
         with pytest.raises(TypeError, match="half-open"):
@@ -92,6 +132,27 @@ class TestMongeIndex:
             assert float(got_v) == float(want_v), label
             np.testing.assert_array_equal(got_w, want_w, err_msg=str(label))
 
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("m,n", [(1, 6), (7, 1), (9, 13), (16, 10)])
+    def test_oriented_and_bufferless_match_brute_force(self, form, m, n):
+        """Values are read at query time from the array's buffer (through
+        every orientation) or from a bufferless array's private copy, with
+        integer ties and ±inf entries; queries advance no ``eval_count``."""
+        rng = np.random.default_rng(1000 * m + n)
+        a = FORMS[form](_with_infinities(m, n, rng))
+        assert (a._buffer() is None) == (form in BUFFERLESS)
+        dense = a.materialize()
+        chain = _chain(a)
+        index = MongeIndex.build(None, a)
+        counts = [arr.eval_count for arr in chain]
+        for r0, r1, c0, c1 in _rects(m, n, rng):
+            want_v, want_w = _brute(dense, r0, r1, c0, c1)
+            got_v, got_w = index.query((r0, r1), (c0, c1))
+            label = (form, m, n, r0, r1, c0, c1)
+            assert type(got_v) is np.float64 and got_v == want_v, label
+            np.testing.assert_array_equal(got_w, want_w, err_msg=str(label))
+        assert [arr.eval_count for arr in chain] == counts
+
     def test_charged_build_matches_uncharged(self):
         rng = np.random.default_rng(5)
         a = random_monge(9, 6, rng, integer=True)
@@ -99,8 +160,13 @@ class TestMongeIndex:
         machine = s.machine(64)
         charged = MongeIndex.build(machine, a)
         plain = MongeIndex.build(None, a)
-        np.testing.assert_array_equal(charged._env_val, plain._env_val)
-        np.testing.assert_array_equal(charged._env_row, plain._env_row)
+        np.testing.assert_array_equal(charged._rows, plain._rows)
+        assert charged._rows.dtype == plain._rows.dtype == np.int8
+        for r0, r1, c0, c1 in _rects(9, 6, rng):
+            got_v, got_w = charged.query((r0, r1), (c0, c1))
+            want_v, want_w = plain.query((r0, r1), (c0, c1))
+            assert got_v == want_v
+            np.testing.assert_array_equal(got_w, want_w)
 
     def test_build_cost_accounting(self):
         m, n = 9, 6
@@ -133,12 +199,20 @@ class TestMongeIndex:
         index.query((0, 5), (0, 4))
         index.query((1, 2), (1, 2))
         assert index.queries_answered == 2
-        # P = 8 leaves -> 16 nodes of 4 columns, float64 val + int64 row
-        assert index.nbytes == 2 * 16 * 4 * 8
+        # P = 8 leaves -> 16 nodes of 4 columns, one int8 row each; the
+        # values stay in the array's buffer
+        assert index.nbytes == 2 * 8 * 4 * 1
+        # without a buffer the index also keeps the 5x4 float64 leaves
+        implicit = ImplicitArray(lambda r, c: a.data[r, c], (5, 4))
+        assert MongeIndex.build(None, implicit).nbytes == 2 * 8 * 4 * 1 + 5 * 4 * 8
+
+    def test_buffered_n256_handle_holds_its_row_map_only(self):
+        a = random_monge(256, 256, np.random.default_rng(10))
+        index = Session("pram-crcw").prepare(a).index
+        assert index._rows.dtype == np.int16
+        assert index.nbytes == 262144  # 2·256 nodes × 256 columns × 2 bytes
 
     def test_empty_array_rejected(self):
-        from repro.monge.arrays import ExplicitArray
-
         with pytest.raises(ValueError, match="empty"):
             MongeIndex.build(None, ExplicitArray(np.zeros((0, 4))))
 
@@ -149,6 +223,8 @@ class TestMongeIndex:
             index.query((0, 0), (0, 4))
         with pytest.raises(TypeError):
             index.query(1, (0, 4))
+        with pytest.raises(TypeError, match="half-open"):
+            index.query((False, True), (0, 4))
 
 
 # --------------------------------------------------------------------- #
@@ -179,6 +255,12 @@ class TestSubmatrixSolve:
         a = random_monge(4, 4, np.random.default_rng(14))
         with pytest.raises(TypeError, match="triple"):
             repro.solve("submatrix_max", (a, (0, 4)))
+
+    @pytest.mark.parametrize("backend", ["pram-crcw", "sequential"])
+    def test_bool_bounds_are_a_type_error(self, backend):
+        a = random_monge(4, 4, np.random.default_rng(15))
+        with pytest.raises(TypeError, match="half-open"):
+            repro.solve("submatrix_max", (a, (False, True), (0, 2)), backend=backend)
 
 
 # --------------------------------------------------------------------- #
